@@ -18,6 +18,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,11 @@ def cmd_kv_build(args) -> int:
 # values
 
 
+def _reject_entries(entries, bad: np.ndarray, problem: str) -> None:
+    if bad.any():
+        raise ValidationError(f"game entry {entries[int(np.argmax(bad))]!r} {problem}")
+
+
 def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
     doc = _load_json(path)
     for key in ("n", "eta", "N", "K", "entries"):
@@ -231,12 +237,25 @@ def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
     N, K = int(doc["N"]), int(doc["K"])
     if (N, K) != (table.num_cosets, n):
         raise ValidationError(f"game file shape ({N}, {K}) does not match n = {n}")
-    dense = np.zeros((N, N, K, K))
-    for entry in doc["entries"]:
-        try:
-            dense[entry["x"], entry["y"], entry["a"], entry["b"]] = float(entry["c"])
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ValidationError(f"bad game entry {entry!r}: {exc}") from None
+    entries = doc["entries"]
+    shape = (N, N, K, K)
+    try:
+        # one array per key, so every check below runs on whole columns
+        index = [np.array(list(map(itemgetter(key), entries))) for key in "xyab"]
+        coef = np.fromiter(map(itemgetter("c"), entries), dtype=np.float64, count=len(entries))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"bad game entry: {exc!r}") from None
+    if entries and any(col.dtype.kind not in "iu" for col in index):
+        raise ValidationError("every game entry index must be an integer")
+    outside = np.zeros(len(entries), dtype=bool)
+    for col, size in zip(index, shape):
+        outside |= (col < 0) | (col >= size)
+    _reject_entries(entries, outside, f"has an index outside {shape}")
+    _reject_entries(entries, ~np.isfinite(coef), "has a non-finite coefficient")
+    flat = np.ravel_multi_index([col.astype(np.int64) for col in index], shape)
+    _reject_entries(entries, np.bincount(flat)[flat] > 1, "appears more than once")
+    dense = np.zeros(shape)
+    dense.flat[flat] = coef
     eta = float(doc["eta"])
     meta = {"kind": "coset-game", "n": n, "eta": eta, "coset_table": table}
     return BellFunctional(N, K, table=dense, meta=meta), table, eta
@@ -425,27 +444,33 @@ def cmd_almost_activation(args) -> int:
         delta = float(args.delta)
         if delta <= 0:
             raise ValidationError(f"--delta must be positive, got {delta}")
-        # Solve C''*(ln d)^exponent > delta for ln d, in log space.
-        c2 = almost_activation_lower_factor(3, frac) / math.log(3) ** float(exponent)
-        log_ln_d = math.log(delta / c2) / float(exponent)
-        if log_ln_d > 700.0:
-            ln_d_text = f"exp({log_ln_d:.6g})"
-            result["delta_crossing"] = {
-                "delta": delta,
-                "ln_d_required": _tagged(ln_d_text, "formula-symbolic"),
-                "d_required": _tagged(f"exp(exp({log_ln_d:.6g}))", "formula-symbolic"),
-            }
+        if exponent <= 0:
+            # The factor does not grow with d, so d = 2 gives its largest value.
+            if almost_activation_lower_factor(2, frac) > delta:
+                raise ValidationError(
+                    f"the lower factor already exceeds delta={delta:g} at d = 2 and "
+                    f"does not grow with d (exponent {exponent} <= 0); no crossing"
+                )
+            ln_d_required = d_required = _tagged("never", "exact")
+            text = f"never exceeds delta={delta:g} (exponent {exponent} <= 0: no growth in d)"
         else:
-            ln_d = math.exp(log_ln_d)
-            result["delta_crossing"] = {
-                "delta": delta,
-                "ln_d_required": _tagged(ln_d, "exact"),
-                "d_required": _tagged(f"exp({ln_d:.6g})", "formula-symbolic"),
-            }
-        lines.append(
-            f"  factor exceeds delta={delta:g} once ln d > "
-            f"{result['delta_crossing']['ln_d_required']['value']}"
-        )
+            # Solve C''*(ln d)^exponent > delta for ln d, in log space.
+            c2 = almost_activation_lower_factor(3, frac) / math.log(3) ** float(exponent)
+            log_ln_d = math.log(delta / c2) / float(exponent)
+            if log_ln_d > 700.0:
+                ln_d_required = _tagged(f"exp({log_ln_d:.6g})", "formula-symbolic")
+                d_required = _tagged(f"exp(exp({log_ln_d:.6g}))", "formula-symbolic")
+            else:
+                ln_d = math.exp(log_ln_d)
+                ln_d_required = _tagged(ln_d, "exact")
+                d_required = _tagged(f"exp({ln_d:.6g})", "formula-symbolic")
+            text = f"exceeds delta={delta:g} once ln d > {ln_d_required['value']}"
+        result["delta_crossing"] = {
+            "delta": delta,
+            "ln_d_required": ln_d_required,
+            "d_required": d_required,
+        }
+        lines.append(f"  factor {text}")
     _emit(args, "almost-activation", result, lines)
     return 0
 
@@ -698,6 +723,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except KvBellError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -219,8 +219,11 @@ def _measurement_family(measurements, side: str):
 def quantum_prob(rho: DensityMatrix, alice, bob) -> ProbDist:
     """Outcome table P(a, b | x, y) = tr((E_x^a o F_y^b) rho).
 
-    Uses the rank-1 vector route when every measurement carries vectors,
-    the general operator contraction otherwise.
+    One contraction serves every question pair: Alice's operators E_x^a
+    are the rows (x, a) of E, Bob's transposed operators the rows (y, b)
+    of F, rho is permuted into R[(i, j), (l, k)] = rho[(j, l), (i, k)],
+    and E R F^T is the whole table.  Rank-1 measurements enter through
+    Measurement.operators, which caches the outer products of their vectors.
     """
     alice = list(alice)
     bob = list(bob)
@@ -242,24 +245,12 @@ def quantum_prob(rho: DensityMatrix, alice, bob) -> ProbDist:
             "use quantum_value_kv_closed_form for large coset games"
         )
     rho4 = rho.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
-    table = np.empty((n_in, n_in, n_out, n_out))
-    vector_route = all(m.vectors is not None for m in alice + bob)
-    if vector_route:
-        for x in range(n_in):
-            va = alice[x].vectors
-            for y in range(n_in):
-                vb = bob[y].vectors
-                part = np.einsum("ai,bj,ijkl->abkl", va.conj(), vb.conj(), rho4, optimize=True)
-                table[x, y] = np.einsum("abkl,ak,bl->ab", part, va, vb, optimize=True).real
-    else:
-        ops_a = [m.operators for m in alice]
-        ops_b = [m.operators for m in bob]
-        for x in range(n_in):
-            for y in range(n_in):
-                table[x, y] = np.einsum(
-                    "aij,bkl,jlik->ab", ops_a[x], ops_b[y], rho4, optimize=True
-                ).real
-    return ProbDist(table)
+    r = rho4.transpose(2, 0, 1, 3).reshape(dim_a**2, dim_b**2)
+    e = np.stack([m.operators for m in alice]).reshape(n_in * n_out, dim_a**2)
+    f = np.stack([m.operators for m in bob]).transpose(0, 1, 3, 2)
+    f = f.reshape(n_in * n_out, dim_b**2)
+    table = ((e @ r) @ f.T).real.reshape(n_in, n_out, n_in, n_out)
+    return ProbDist(table.transpose(0, 2, 1, 3))
 
 
 def quantum_value_kv_closed_form(n: int, eta: float) -> float:

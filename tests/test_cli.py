@@ -203,3 +203,63 @@ def test_text_format_mentions_methods(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "[exact]" in out and "[formula-ub]" in out
+
+
+def test_values_rejects_negative_seed(capsys):
+    assert main(["values", "--l", "3", "--seed", "-5"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_referee_sim_rejects_negative_seed(capsys):
+    assert main(["referee-sim", "--l", "2", "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_local_content_rejects_negative_seed(capsys):
+    assert main(["local-content", "--dist", "chsh-quantum", "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha,exponent", [("1/10", "0"), ("1/8", "-1/8")])
+def test_almost_activation_delta_without_growth(capsys, alpha, exponent):
+    doc = run_json(capsys, ["almost-activation", "--alpha", alpha, "--delta", "2"])
+    res = doc["result"]
+    assert res["exponent"]["fraction"] == exponent
+    crossing = res["delta_crossing"]
+    assert crossing["ln_d_required"] == {"value": "never", "method": "exact"}
+    assert crossing["d_required"] == {"value": "never", "method": "exact"}
+    assert main(["almost-activation", "--alpha", alpha, "--delta", "2"]) == 0
+    text = capsys.readouterr().out
+    assert "never exceeds delta=2" in text and "once ln d" not in text
+
+
+def _game_file(tmp_path, capsys, edit):
+    path = tmp_path / "game.json"
+    run_json(capsys, ["kv-build", "--l", "2", "--eta", "0.25", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    edit(doc["entries"])
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("key,value", [("x", -1), ("y", 4), ("a", -4), ("b", 4), ("a", 1.5)])
+def test_game_file_index_outside_range_rejected(tmp_path, capsys, key, value):
+    path = _game_file(tmp_path, capsys, lambda entries: entries[7].update({key: value}))
+    assert main(["values", "--game", path]) == 2
+    assert "index" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, None])
+def test_game_file_non_finite_coefficient_rejected(tmp_path, capsys, value):
+    path = _game_file(tmp_path, capsys, lambda entries: entries[3].update({"c": value}))
+    assert main(["values", "--game", path]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_game_file_duplicate_entry_rejected(tmp_path, capsys):
+    def duplicate(entries):
+        entries[5] = dict(entries[9], c=0.0)
+
+    path = _game_file(tmp_path, capsys, duplicate)
+    assert main(["values", "--game", path]) == 2
+    assert "more than once" in capsys.readouterr().err

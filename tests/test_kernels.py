@@ -3,6 +3,7 @@ reference the jit path is checked against, and a pure-python loop is the
 oracle for the numpy path."""
 
 import itertools
+import os
 import subprocess
 import sys
 
@@ -82,7 +83,7 @@ def test_env_flag_selects_numpy_backend():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "KVBELL_DISABLE_NUMBA": "1"},
+        env={**os.environ, "KVBELL_DISABLE_NUMBA": "1"},
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "numpy"

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kvbell.errors import GuardError, ValidationError
 from kvbell.kvgame import (
@@ -23,6 +25,7 @@ from kvbell.kvgame import (
     kv_measurements,
 )
 from kvbell.states import (
+    DensityMatrix,
     expand_tensor_power,
     locality_threshold,
     make_isotropic,
@@ -210,6 +213,73 @@ def test_quantum_prob_factorizes_on_product_states():
     dist = quantum_prob(DensityMatrix(rho), [basis], [basis])
     want = np.einsum("a,b->ab", np.diag(sa), np.diag(sb))
     assert np.allclose(dist.table[0, 0], want, atol=1e-14)
+
+
+def _einsum_quantum_table(rho, alice, bob):
+    """Independent oracle: contract each question pair on its own, through
+    the measurement vectors when all of them carry vectors."""
+    dim_a, dim_b = alice[0].dim, bob[0].dim
+    n_in, n_out = len(alice), alice[0].num_outcomes
+    rho4 = rho.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
+    table = np.empty((n_in, n_in, n_out, n_out))
+    vector_route = all(m.vectors is not None for m in alice + bob)
+    for x in range(n_in):
+        for y in range(n_in):
+            if vector_route:
+                va, vb = alice[x].vectors, bob[y].vectors
+                part = np.einsum("ai,bj,ijkl->abkl", va.conj(), vb.conj(), rho4, optimize=True)
+                table[x, y] = np.einsum("abkl,ak,bl->ab", part, va, vb, optimize=True).real
+            else:
+                table[x, y] = np.einsum(
+                    "aij,bkl,jlik->ab", alice[x].operators, bob[y].operators, rho4, optimize=True
+                ).real
+    return table
+
+
+def _random_measurement(rng, dim, n_out, vectors):
+    """Rank-1 POVM from the rows of a random (n_out, dim) isometry, or a
+    projective measurement sharing random basis vectors among the outcomes."""
+    size = n_out if vectors else dim
+    q, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+    if vectors:
+        return Measurement(dim, vectors=q[:, :dim])
+    ops = np.zeros((n_out, dim, dim), dtype=complex)
+    for col in range(dim):
+        ops[col % n_out] += np.outer(q[:, col], q[:, col].conj())
+    return Measurement(dim, operators=ops)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dim_a=st.sampled_from([2, 3, 4]),
+    dim_b=st.sampled_from([2, 3, 4]),
+    n_in=st.integers(1, 4),
+    n_out=st.sampled_from([2, 3]),
+    backing=st.sampled_from(["vectors", "operators", "mixed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quantum_prob_matches_per_pair_einsum(dim_a, dim_b, n_in, n_out, backing, seed):
+    # a complete rank-1 POVM needs at least as many outcomes as dimensions
+    assume(backing != "vectors" or n_out >= max(dim_a, dim_b))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dim = dim_a * dim_b
+    gauss = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = gauss @ gauss.conj().T
+    rho = DensityMatrix((rho + rho.conj().T) / (2.0 * np.trace(rho).real))
+
+    def side(d):
+        can_use_vectors = n_out >= d and backing != "operators"
+        return [
+            _random_measurement(
+                rng, d, n_out, can_use_vectors and (backing == "vectors" or rng.random() < 0.5)
+            )
+            for _ in range(n_in)
+        ]
+
+    alice, bob = side(dim_a), side(dim_b)
+    got = quantum_prob(rho, alice, bob).table
+    want = _einsum_quantum_table(rho, alice, bob)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_closed_form_values():
