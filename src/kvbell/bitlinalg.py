@@ -1,4 +1,4 @@
-"""Bit-string arithmetic and small dense linear-algebra helpers.
+"""Popcount on bit-string encodings and hermitian-matrix checks.
 
 Bit strings of length n are encoded as integers with bit 0 taken as the
 most significant digit, so the tuple (b_0, ..., b_{n-1}) maps to
@@ -7,8 +7,6 @@ numeric order on encodings.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,80 +28,6 @@ def popcount(values):
     return counts.astype(np.int64)
 
 
-@dataclass(frozen=True)
-class BitVec:
-    """Immutable bit string of fixed length with MSB-first integer encoding."""
-
-    n: int
-    value: int
-
-    def __post_init__(self):
-        if not 1 <= self.n <= MAX_BITS:
-            raise ValidationError(f"length must be in 1..{MAX_BITS}, got {self.n}")
-        if not 0 <= self.value < (1 << self.n):
-            raise ValidationError(f"value {self.value} not in [0, 2**{self.n})")
-
-    @classmethod
-    def from_bits(cls, bits) -> "BitVec":
-        bits = tuple(int(b) for b in bits)
-        if any(b not in (0, 1) for b in bits):
-            raise ValidationError("bits must be 0 or 1")
-        value = 0
-        for b in bits:
-            value = (value << 1) | b
-        return cls(len(bits), value)
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> (self.n - 1 - i)) & 1 for i in range(self.n))
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise ValidationError(f"bit index {i} out of range for length {self.n}")
-        return (self.value >> (self.n - 1 - i)) & 1
-
-    def weight(self) -> int:
-        return popcount(self.value)
-
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if not isinstance(other, BitVec):
-            return NotImplemented
-        if other.n != self.n:
-            raise ValidationError("xor requires equal lengths")
-        return BitVec(self.n, self.value ^ other.value)
-
-    def __str__(self) -> str:
-        return format(self.value, f"0{self.n}b")
-
-
-def xor(u: BitVec, v: BitVec) -> BitVec:
-    return u ^ v
-
-
-def hamming_weight(u: BitVec) -> int:
-    return u.weight()
-
-
-def hamming_distance(u: BitVec, v: BitVec) -> int:
-    return (u ^ v).weight()
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
-def trace_product(a, b) -> complex:
-    """tr(a @ b) without forming the product matrix."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValidationError("trace_product expects matrices")
-    if a.shape[1] != b.shape[0] or a.shape[0] != b.shape[1]:
-        raise ValidationError(f"incompatible shapes {a.shape} and {b.shape}")
-    return complex(np.sum(a * b.T))
-
-
 def hermiticity_defect(m) -> float:
     m = np.asarray(m)
     return float(np.max(np.abs(m - m.conj().T)))
@@ -118,29 +42,3 @@ def assert_hermitian(m, tol: float = 1e-12) -> None:
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of a hermitian matrix."""
     return float(np.linalg.eigvalsh(np.asarray(m))[0])
-
-
-def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Trace out all subsystems except those in keep.
-
-    dims lists the subsystem dimensions of a square matrix acting on their
-    tensor product; keep lists the subsystem indices to retain, in order.
-    """
-    rho = np.asarray(rho)
-    dims = tuple(int(d) for d in dims)
-    keep = tuple(int(i) for i in keep)
-    total = int(np.prod(dims))
-    if rho.shape != (total, total):
-        raise ValidationError(f"matrix shape {rho.shape} does not match dims {dims}")
-    if any(not 0 <= i < len(dims) for i in keep) or len(set(keep)) != len(keep):
-        raise ValidationError("keep must list distinct subsystem indices")
-    m = len(dims)
-    traced = [i for i in range(m) if i not in keep]
-    order = list(keep) + traced
-    tensor = rho.reshape(dims + dims)
-    tensor = tensor.transpose(order + [m + i for i in order])
-    while tensor.ndim > 2 * len(keep):
-        half = tensor.ndim // 2
-        tensor = np.trace(tensor, axis1=half - 1, axis2=tensor.ndim - 1)
-    side = int(np.prod([dims[i] for i in keep]))
-    return tensor.reshape(side, side)

@@ -23,8 +23,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import GuardError, KvBellError, ValidationError
 from .kvgame import (
+    MAX_LOG,
     BellFunctional,
     CosetTable,
     asymptotic_eta,
@@ -40,6 +42,7 @@ from .kvgame import (
 from .localpolytope import local_content, lv_from_pi
 from .states import expand_tensor_power, locality_threshold, make_mes
 from .values import (
+    ENUMERATION_GUARD,
     EXACT_GAME_SIZES,
     ProbDist,
     ViolationReport,
@@ -61,10 +64,6 @@ from .values import (
     superactivation_ratio_bound,
 )
 
-VERSION = "0.1.0"
-ENUMERATION_LIMIT = 10**6
-
-
 def _tagged(value, method: str) -> dict:
     return {"value": value, "method": method}
 
@@ -81,7 +80,7 @@ def _meta(command: str) -> dict:
         "command": command,
         "created_unix": time.time(),
         "tool": "kvbell",
-        "version": VERSION,
+        "version": __version__,
     }
 
 
@@ -97,18 +96,22 @@ def _emit(args, command: str, result: dict, lines: list[str], write_out: bool = 
 
 
 def _resolve_block_length(args) -> int:
-    if getattr(args, "l", None) is not None and getattr(args, "n", None) is not None:
+    """Block length from --l or --n, refused above n = 2**MAX_LOG before
+    anything of that size is allocated."""
+    if args.l is not None and args.n is not None:
         raise ValidationError("give either --l or --n, not both")
-    if getattr(args, "l", None) is not None:
-        l = int(args.l)
-        if l < 1:
-            raise ValidationError(f"--l must be >= 1, got {l}")
-        return 1 << l
-    if getattr(args, "n", None) is not None:
-        n = int(args.n)
-        if n < 2 or n & (n - 1):
-            raise ValidationError(f"--n must be a power of two >= 2, got {n}")
-        return n
+    if args.l is not None:
+        if args.l < 1:
+            raise ValidationError(f"--l must be >= 1, got {args.l}")
+        if args.l > MAX_LOG:
+            raise GuardError(f"block length is limited to --l <= {MAX_LOG}, got {args.l}")
+        return 1 << args.l
+    if args.n is not None:
+        if args.n < 2 or args.n & (args.n - 1):
+            raise ValidationError(f"--n must be a power of two >= 2, got {args.n}")
+        if args.n > 1 << MAX_LOG:
+            raise GuardError(f"block length is limited to --n <= {1 << MAX_LOG}, got {args.n}")
+        return args.n
     raise ValidationError("one of --l or --n is required")
 
 
@@ -138,16 +141,23 @@ def _resolve_p(token, d: int) -> tuple[float, str]:
     return p, "explicit"
 
 
+def _parse_int(piece: str, option: str) -> int:
+    try:
+        return int(piece)
+    except ValueError:
+        raise ValidationError(f"{option} expects integers, got {piece!r}") from None
+
+
 def _parse_k_values(token: str) -> list[int]:
     if ":" in token:
         lo_s, hi_s = token.split(":", 1)
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = _parse_int(lo_s, "--k"), _parse_int(hi_s, "--k")
         if lo < 1 or hi < lo:
             raise ValidationError(f"bad copy-count range {token!r}")
         if hi - lo >= 10000:
             raise GuardError("copy-count range too wide to tabulate")
         return list(range(lo, hi + 1))
-    k = int(token)
+    k = _parse_int(token, "--k")
     if k < 1:
         raise ValidationError(f"--k must be >= 1, got {k}")
     return [k]
@@ -156,23 +166,32 @@ def _parse_k_values(token: str) -> list[int]:
 def _parse_d_grid(token: str) -> list[int]:
     out = []
     for piece in token.split(","):
-        d = int(piece)
+        d = _parse_int(piece, "--d-grid")
         if d < 2:
             raise ValidationError(f"dimensions must be >= 2, got {d}")
         out.append(d)
-    if not out:
-        raise ValidationError("empty dimension grid")
     return out
 
 
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path} must hold a JSON object")
+    return doc
+
+
+def _header(doc: dict, key: str, types: tuple, what: str):
+    """doc[key] if it is a JSON value of one of types (booleans excluded)."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValidationError(f"{key!r} must be {what}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +249,11 @@ def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
     for key in ("n", "eta", "N", "K", "entries"):
         if key not in doc:
             raise ValidationError(f"game file missing key {key!r}")
-    n = int(doc["n"])
+    n = _header(doc, "n", (int,), "an integer")
     if n not in EXACT_GAME_SIZES:
         raise ValidationError(f"game files support n in {EXACT_GAME_SIZES}, got {n}")
     table = build_hadamard_subgroup(n.bit_length() - 1)
-    N, K = int(doc["N"]), int(doc["K"])
+    N, K = (_header(doc, key, (int,), "an integer") for key in "NK")
     if (N, K) != (table.num_cosets, n):
         raise ValidationError(f"game file shape ({N}, {K}) does not match n = {n}")
     entries = doc["entries"]
@@ -256,7 +275,7 @@ def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
     _reject_entries(entries, np.bincount(flat)[flat] > 1, "appears more than once")
     dense = np.zeros(shape)
     dense.flat[flat] = coef
-    eta = float(doc["eta"])
+    eta = float(_header(doc, "eta", (int, float), "a number"))
     meta = {"kind": "coset-game", "n": n, "eta": eta, "coset_table": table}
     return BellFunctional(N, K, table=dense, meta=meta), table, eta
 
@@ -269,36 +288,38 @@ def cmd_values(args) -> int:
     else:
         n = _resolve_block_length(args)
         eta = _resolve_eta(args.eta, n)
-        table = build_hadamard_subgroup(n.bit_length() - 1)
-        functional = kv_functional(table, eta)
         label = f"coset game n={n} eta={eta:.6g}"
-    N, K = functional.num_inputs, functional.num_outputs
+        functional = None
+        if n in EXACT_GAME_SIZES:
+            table = build_hadamard_subgroup(n.bit_length() - 1)
+            functional = kv_functional(table, eta)
+    closed = quantum_value_kv_closed_form(n, eta)
     notes = []
-    if K**N <= ENUMERATION_LIMIT:
-        classical = classical_value_exact(functional)
-        classical_method = "exact"
-    elif not functional.is_lazy:
-        classical = classical_value_heuristic(
-            functional, restarts=args.restarts, seed=args.seed
-        )
-        classical_method = "heuristic-lb"
-        notes.append("classical value is a heuristic lower bound; see the upper bound")
-    else:
+    if functional is None:
+        # n = 16 has no dense game table: both values come from the formulas
         classical = None
         classical_method = "formula-ub"
         notes.append(
             "classical search needs a dense table; at this size only the "
             "upper bound is reported"
         )
-    classical_ub = kv_classical_upper_bound(n, eta)
-    closed = quantum_value_kv_closed_form(n, eta)
-    if n <= 8 and not functional.is_lazy:
+        quantum = closed
+        quantum_method = "closed-form-validated"
+    else:
+        N, K = functional.num_inputs, functional.num_outputs
+        if K**N <= ENUMERATION_GUARD:
+            classical = classical_value_exact(functional)
+            classical_method = "exact"
+        else:
+            classical = classical_value_heuristic(
+                functional, restarts=args.restarts, seed=args.seed
+            )
+            classical_method = "heuristic-lb"
+            notes.append("classical value is a heuristic lower bound; see the upper bound")
         measurements = kv_measurements(table)
         quantum = pair(functional, quantum_prob(make_mes(n), measurements, measurements))
         quantum_method = "exact"
-    else:
-        quantum = closed
-        quantum_method = "closed-form-validated"
+    classical_ub = kv_classical_upper_bound(n, eta)
     quantum_lb = None
     if n >= 8 and abs(eta - asymptotic_eta(n)) <= 1e-12:
         quantum_lb = entangled_lower_bound_asymptotic(n)
@@ -441,9 +462,9 @@ def cmd_almost_activation(args) -> int:
     }
     lines.append(f"  upper bound: {result['upper_bound']['value']} [formula-symbolic]")
     if args.delta is not None:
-        delta = float(args.delta)
-        if delta <= 0:
-            raise ValidationError(f"--delta must be positive, got {delta}")
+        delta = args.delta
+        if not (math.isfinite(delta) and delta > 0):
+            raise ValidationError(f"--delta must be a positive finite number, got {delta}")
         if exponent <= 0:
             # The factor does not grow with d, so d = 2 gives its largest value.
             if almost_activation_lower_factor(2, frac) > delta:
@@ -481,7 +502,7 @@ def cmd_almost_activation(args) -> int:
 
 def _load_strategy_file(path: str, N: int, K: int) -> tuple[np.ndarray, np.ndarray]:
     doc = _load_json(path)
-    if not isinstance(doc, dict) or "alice" not in doc or "bob" not in doc:
+    if "alice" not in doc or "bob" not in doc:
         raise ValidationError("strategy file must be an object with 'alice' and 'bob'")
     try:
         alice = np.asarray([int(v) for v in doc["alice"]], dtype=np.int64)
@@ -584,8 +605,11 @@ def _load_distribution(path: str) -> ProbDist:
     for key in ("N", "K", "table"):
         if key not in doc:
             raise ValidationError(f"distribution file missing key {key!r}")
-    table = np.asarray(doc["table"], dtype=np.float64)
-    N, K = int(doc["N"]), int(doc["K"])
+    N, K = (_header(doc, key, (int,), "an integer") for key in "NK")
+    try:
+        table = np.asarray(doc["table"], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValidationError("distribution 'table' must be a nested list of numbers") from None
     if table.shape != (N, N, K, K):
         raise ValidationError(
             f"distribution table shape {table.shape} != (N, N, K, K) = {(N, N, K, K)}"
@@ -641,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kvbell",
         description="coset games, game values, bound chains, and local-polytope tools",
     )
-    parser.add_argument("--version", action="version", version=f"kvbell {VERSION}")
+    parser.add_argument("--version", action="version", version=f"kvbell {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):

@@ -1,130 +1,27 @@
-"""Hot numeric kernels, each with a jitted and a pure-numpy implementation.
+"""The exhaustive classical scan, in numpy.
 
-The jitted path is used when numba imports cleanly and the environment
-variable KVBELL_DISABLE_NUMBA is unset (or falsy).  Both implementations
-are importable at all times so tests and benchmarks can compare them.
-
-The two kernels here are deliberately dumb:
-
-* direct_coefficient_table averages the win indicator of the coset game
-  over every hidden noise string.  It is quadratic in the group size and
-  exists to validate the closed-form table builder against the bare
-  definition of the referee.
-* enumerate_assignments_max scans every deterministic assignment for the
-  first player and pairs it with the best reply of the second.  Both
-  implementations accumulate sums in the same index order so their
-  results are bit-identical to each other and to a two-sided scan.
+enumerate_assignments_max scans every deterministic assignment for the
+first player and pairs it with the best reply of the second.  Sums are
+accumulated in ascending index order, so the result is bit-identical to
+a two-sided scan over both players' assignments.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-from .errors import GuardError
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-NUMBA_DISABLED = _env_flag("KVBELL_DISABLE_NUMBA")
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # fallback decorator, keeps definitions importable
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
 
 
 def active_backend() -> str:
-    """Name of the implementation the dispatch functions will run."""
-    return "numba" if (HAS_NUMBA and not NUMBA_DISABLED) else "numpy"
+    """Name of the implementation behind the kernels: always "numpy".
 
-
-# ---------------------------------------------------------------------------
-# Kernel 1: brute-force coefficient table for the coset game.
-
-
-def direct_coefficient_table_numpy(elems, coset_of, noise_probs):
-    """Average the win indicator over all noise strings, one string at a time.
-
-    elems is the (N, n) table of coset members sorted ascending, coset_of
-    maps each group element to its coset index, and noise_probs[z] is the
-    probability of noise string z.  Returns the (N, N, n, n) table whose
-    (x, y, pa, pb) entry is the weight the game gives to answers
-    elems[x, pa], elems[y, pb] on question pair (x, y), scaled so a
-    distribution pairs with it directly.
+    Kept for the benchmark's environment block: perfbench/gen.py imports
+    this function, and perfbench/tracing.py wraps enumerate_assignments_max
+    by that name, so both names must stay.
     """
-    elems = np.asarray(elems, dtype=np.int64)
-    coset_of = np.asarray(coset_of, dtype=np.int64)
-    noise_probs = np.asarray(noise_probs, dtype=np.float64)
-    num_cosets, n = elems.shape
-    size = noise_probs.shape[0]
-    scale = 1.0 / num_cosets
-    answer_xor = elems[:, None, :, None] ^ elems[None, :, None, :]
-    reps = elems[:, 0]
-    coset_ids = np.arange(num_cosets)
-    out = np.zeros((num_cosets, num_cosets, n, n), dtype=np.float64)
-    for z in range(size):
-        shifted = coset_of[reps ^ z]
-        hits = (answer_xor == z) & (shifted[:, None, None, None] == coset_ids[None, :, None, None])
-        out += (scale * noise_probs[z]) * hits
-    return out
+    return "numpy"
 
 
-@njit(cache=True)
-def _direct_coefficient_table_jit(elems, coset_of, noise_probs):  # pragma: no cover
-    num_cosets, n = elems.shape
-    size = noise_probs.shape[0]
-    scale = 1.0 / num_cosets
-    out = np.zeros((num_cosets, num_cosets, n, n), dtype=np.float64)
-    for z in range(size):
-        pr = scale * noise_probs[z]
-        if pr == 0.0:
-            continue
-        for x in range(num_cosets):
-            y = coset_of[elems[x, 0] ^ z]
-            for pa in range(n):
-                a = elems[x, pa]
-                for pb in range(n):
-                    if (a ^ elems[y, pb]) == z:
-                        out[x, y, pa, pb] += pr
-    return out
-
-
-def direct_coefficient_table_jit(elems, coset_of, noise_probs):
-    if not HAS_NUMBA:
-        raise GuardError("numba backend requested but numba is unavailable")
-    return _direct_coefficient_table_jit(
-        np.ascontiguousarray(elems, dtype=np.int64),
-        np.ascontiguousarray(coset_of, dtype=np.int64),
-        np.ascontiguousarray(noise_probs, dtype=np.float64),
-    )
-
-
-def direct_coefficient_table(elems, coset_of, noise_probs):
-    if active_backend() == "numba":
-        return direct_coefficient_table_jit(elems, coset_of, noise_probs)
-    return direct_coefficient_table_numpy(elems, coset_of, noise_probs)
-
-
-# ---------------------------------------------------------------------------
-# Kernel 2: exhaustive scan over one player's deterministic assignments.
-
-
-def enumerate_assignments_max_numpy(reward, chunk: int = 4096):
+def enumerate_assignments_max(reward, chunk: int = 4096):
     """Max over assignments f of sum_y max_b sum_x reward[x, f(x), y, b].
 
     reward has shape (N, K, N, K) indexed (x, a, y, b).  Assignments are
@@ -150,51 +47,3 @@ def enumerate_assignments_max_numpy(reward, chunk: int = 4096):
         if chunk_best > best:
             best = chunk_best
     return best
-
-
-@njit(cache=True)
-def _enumerate_assignments_max_jit(reward):  # pragma: no cover
-    n_in, n_out = reward.shape[0], reward.shape[1]
-    total = 1
-    for _ in range(n_in):
-        total *= n_out
-    digits = np.zeros(n_in, dtype=np.int64)
-    gains = np.zeros((n_in, n_out), dtype=np.float64)
-    best = -np.inf
-    for _ in range(total):
-        for y in range(n_in):
-            for b in range(n_out):
-                acc = 0.0
-                for x in range(n_in):
-                    acc += reward[x, digits[x], y, b]
-                gains[y, b] = acc
-        val = 0.0
-        for y in range(n_in):
-            row = gains[y, 0]
-            for b in range(1, n_out):
-                if gains[y, b] > row:
-                    row = gains[y, b]
-            val += row
-        if val > best:
-            best = val
-        # next base-K counter value, least significant digit last
-        pos = n_in - 1
-        while pos >= 0:
-            digits[pos] += 1
-            if digits[pos] < n_out:
-                break
-            digits[pos] = 0
-            pos -= 1
-    return best
-
-
-def enumerate_assignments_max_jit(reward):
-    if not HAS_NUMBA:
-        raise GuardError("numba backend requested but numba is unavailable")
-    return float(_enumerate_assignments_max_jit(np.ascontiguousarray(reward, dtype=np.float64)))
-
-
-def enumerate_assignments_max(reward):
-    if active_backend() == "numba":
-        return enumerate_assignments_max_jit(reward)
-    return enumerate_assignments_max_numpy(reward)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .bitlinalg import popcount
 from .errors import GuardError, ValidationError
 
@@ -123,65 +122,30 @@ def noise_string_probs(n: int, eta: float) -> np.ndarray:
 
 
 class BellFunctional:
-    """Real coefficient table over question pairs and answer pairs.
+    """Real coefficient table over question pairs and answer pairs, stored
+    dense as a (N, N, K, K) array."""
 
-    Stored dense as a (N, N, K, K) array when small enough; large coset
-    games instead carry a block callback that generates one (K, K) slab
-    per question pair on demand.
-    """
-
-    def __init__(self, num_inputs, num_outputs, table=None, block_fn=None, meta=None):
+    def __init__(self, num_inputs, num_outputs, table, meta=None):
         self.num_inputs = int(num_inputs)
         self.num_outputs = int(num_outputs)
-        if (table is None) == (block_fn is None):
-            raise ValidationError("provide exactly one of table or block_fn")
-        if table is not None:
-            table = np.asarray(table, dtype=np.float64)
-            expected = (self.num_inputs, self.num_inputs, self.num_outputs, self.num_outputs)
-            if table.shape != expected:
-                raise ValidationError(f"table shape {table.shape} != {expected}")
+        table = np.asarray(table, dtype=np.float64)
+        expected = (self.num_inputs, self.num_inputs, self.num_outputs, self.num_outputs)
+        if table.shape != expected:
+            raise ValidationError(f"table shape {table.shape} != {expected}")
         self._table = table
-        self._block_fn = block_fn
         self.meta = dict(meta or {})
 
-    @property
-    def is_lazy(self) -> bool:
-        return self._table is None
-
     def dense(self) -> np.ndarray:
-        if self._table is None:
-            raise GuardError("functional is generated lazily; no dense table available")
         return self._table
 
-    def block(self, x: int, y: int) -> np.ndarray:
-        if self._table is not None:
-            return self._table[x, y]
-        return self._block_fn(x, y)
-
-    def coeff(self, x: int, y: int, a: int, b: int) -> float:
-        return float(self.block(x, y)[a, b])
-
-    def negated(self) -> "BellFunctional":
-        if self._table is not None:
-            return BellFunctional(self.num_inputs, self.num_outputs, table=-self._table, meta=self.meta)
-        fn = self._block_fn
-        return BellFunctional(
-            self.num_inputs, self.num_outputs, block_fn=lambda x, y: -fn(x, y), meta=self.meta
-        )
-
     def total(self) -> float:
-        """Sum of all coefficients, streamed when lazy."""
-        if self._table is not None:
-            return float(self._table.sum())
-        acc = 0.0
-        for x in range(self.num_inputs):
-            for y in range(self.num_inputs):
-                acc += float(self._block_fn(x, y).sum())
-        return acc
+        """Sum of all coefficients."""
+        return float(self._table.sum())
 
 
 # Dense coset-game tables are kept up to n = 8; n = 16 would need
-# (4096 * 16)**2 entries, far past memory, hence the lazy path.
+# (4096 * 16)**2 entries, far past memory, so n = 16 is served by the
+# closed forms alone.
 DENSE_GAME_MAX_N = 8
 
 
@@ -191,24 +155,17 @@ def kv_functional(table: CosetTable, eta: float) -> BellFunctional:
     The closed form merges the referee's two conditions: for answers
     a in [x], b in [y] the only noise string that can match is z = a xor b,
     and its question condition holds automatically.  Validity of the merge
-    is checked in tests against kernels.direct_coefficient_table.
+    is checked in tests against the direct average over noise strings
+    (tests/oracles.py).  Refused above n = DENSE_GAME_MAX_N.
     """
     eta = _check_eta(eta)
     n = table.n
-    num = table.num_cosets
-    per_weight = noise_weights(n, eta) / num
+    if n > DENSE_GAME_MAX_N:
+        raise GuardError(f"dense game tables support n <= {DENSE_GAME_MAX_N}, got {n}")
+    per_weight = noise_weights(n, eta) / table.num_cosets
+    xor_all = table.elems[:, None, :, None] ^ table.elems[None, :, None, :]
     meta = {"kind": "coset-game", "n": n, "eta": eta, "coset_table": table}
-    if n <= DENSE_GAME_MAX_N:
-        xor_all = table.elems[:, None, :, None] ^ table.elems[None, :, None, :]
-        dense = per_weight[popcount(xor_all)]
-        return BellFunctional(num, n, table=dense, meta=meta)
-
-    elems = table.elems
-
-    def block(x: int, y: int) -> np.ndarray:
-        return per_weight[popcount(elems[x][:, None] ^ elems[y][None, :])]
-
-    return BellFunctional(num, n, block_fn=block, meta=meta)
+    return BellFunctional(table.num_cosets, n, table=per_weight[popcount(xor_all)], meta=meta)
 
 
 def _require_coset_game(functional: BellFunctional) -> CosetTable:

@@ -192,21 +192,3 @@ def realize_term(pattern, d: int, k: int) -> DensityMatrix:
     for label in pattern:
         joint = np.kron(joint, mes if label == ENTANGLED else mix)
     return DensityMatrix(interleave_to_blocked(joint, d, k))
-
-
-def tensor_power_blocked(state: DensityMatrix, d: int, k: int) -> DensityMatrix:
-    """k-fold tensor power of a bipartite state on d x d, in blocked order.
-
-    Independent of the expansion machinery; used to cross-check weighted
-    term sums against the direct power of the mixed state.
-    """
-    if state.dim != d * d:
-        raise ValidationError(f"state dimension {state.dim} != d^2 = {d * d}")
-    if d**k > REALIZE_MAX_DIM:
-        raise GuardError(
-            f"dense tensor power needs dimension d^k <= {REALIZE_MAX_DIM}, got {d**k}"
-        )
-    joint = np.array([[1.0]])
-    for _ in range(k):
-        joint = np.kron(joint, state.matrix)
-    return DensityMatrix(interleave_to_blocked(joint, d, k))

@@ -25,14 +25,12 @@ from .errors import GuardError, ValidationError
 from .kvgame import (
     BOUND_CONSTANTS,
     BellFunctional,
-    CosetTable,
     Measurement,
     build_hadamard_subgroup,
     kv_functional,
     kv_measurements,
-    noise_weights,
+    _check_eta,
 )
-from .bitlinalg import popcount
 from .states import (
     ENTANGLED,
     DensityMatrix,
@@ -42,7 +40,6 @@ from .states import (
 )
 
 ENUMERATION_GUARD = 10**6
-ORACLE_GUARD = 4096
 JOINT_DIM_GUARD = 4096
 TABLE_ENTRIES_GUARD = 1 << 24
 EXACT_GAME_SIZES = (2, 4, 8)
@@ -102,13 +99,7 @@ def pair(functional: BellFunctional, dist: ProbDist) -> float:
             f"shape mismatch: functional ({functional.num_inputs}, {functional.num_outputs})"
             f" vs distribution ({dist.N}, {dist.K})"
         )
-    if not functional.is_lazy:
-        return float(np.sum(functional.dense() * dist.table))
-    acc = 0.0
-    for x in range(functional.num_inputs):
-        for y in range(functional.num_inputs):
-            acc += float(np.sum(functional.block(x, y) * dist.table[x, y]))
-    return acc
+    return float(np.sum(functional.dense() * dist.table))
 
 
 def assignment_table(n_in: int, n_out: int) -> np.ndarray:
@@ -140,32 +131,6 @@ def classical_value_exact(functional: BellFunctional, guard: int = ENUMERATION_G
     for signed in (dense, -dense):
         reward = np.ascontiguousarray(signed.transpose(0, 2, 1, 3))
         best = max(best, float(kernels.enumerate_assignments_max(reward)))
-    return best
-
-
-def classical_value_bruteforce(functional: BellFunctional, guard: int = ORACLE_GUARD) -> float:
-    """Independent oracle: scan every (assignment, assignment) pair outright.
-
-    Sums run in the same ascending index order as the greedy kernels, so on
-    shared inputs the two routes agree exactly, not just within tolerance.
-    """
-    n_in, n_out = functional.num_inputs, functional.num_outputs
-    total = n_out**n_in
-    if total > guard:
-        raise GuardError(f"{n_out}^{n_in} assignments exceed the oracle guard ({guard})")
-    digits = assignment_table(n_in, n_out)
-    dense = functional.dense()
-    best = -math.inf
-    for signed in (dense, -dense):
-        reward = signed.transpose(0, 2, 1, 3)
-        score = np.zeros((total, n_in, n_out))
-        for x in range(n_in):
-            score += reward[x, digits[:, x]]
-        for lo in range(0, total, 512):
-            vals = np.zeros((min(512, total - lo), total))
-            for y in range(n_in):
-                vals += score[lo : lo + 512, y, :][:, digits[:, y]]
-            best = max(best, float(vals.max()))
     return best
 
 
@@ -258,33 +223,13 @@ def quantum_value_kv_closed_form(n: int, eta: float) -> float:
     (1 - 2*eta)**2 + 4*eta*(1 - eta)/n.
 
     Not a quoted result; derived here and validated in tests against the
-    direct sign-vector sum (kv_mes_value_direct) at n = 4 and n = 8 before
-    being trusted at n = 16.
+    direct sign-vector sum (kv_mes_value_direct in tests/oracles.py) at
+    n = 4 and n = 8 before being trusted at n = 16.
     """
     if n < 2:
         raise ValidationError(f"block length must be >= 2, got {n}")
-    eta = float(eta)
-    if not 0.0 < eta <= 0.5:
-        raise ValidationError(f"noise rate must satisfy 0 < eta <= 1/2, got {eta}")
+    eta = _check_eta(eta)
     return (1.0 - 2.0 * eta) ** 2 + 4.0 * eta * (1.0 - eta) / n
-
-
-def kv_mes_value_direct(table: CosetTable, eta: float) -> float:
-    """Brute-force oracle for the maximally entangled strategy value.
-
-    Sums (1/N) * Pr_eta(a xor b) * <u_a|u_b>^2 / n over every ordered pair
-    of group elements, with the sign vectors built explicitly.  Quadratic
-    in the group size; independent of the game-table and quantum_prob
-    machinery.
-    """
-    n = table.n
-    per_weight = noise_weights(n, eta)
-    values = np.arange(table.size, dtype=np.int64)
-    shifts = n - 1 - np.arange(n)
-    signs = (1.0 - 2.0 * ((values[:, None] >> shifts[None, :]) & 1)) / math.sqrt(n)
-    overlaps = signs @ signs.T
-    weights = per_weight[popcount(values[:, None] ^ values[None, :])]
-    return float(np.sum(weights * overlaps**2) / (table.num_cosets * n))
 
 
 @dataclass(frozen=True)
@@ -568,25 +513,16 @@ def uniform_dist(N: int, K: int) -> ProbDist:
     return ProbDist.uniform(N, K)
 
 
+def _xor_win_mask() -> np.ndarray:
+    x, y, a, b = np.indices((2, 2, 2, 2))
+    return (a ^ b) == (x & y)
+
+
 def chsh_functional() -> BellFunctional:
     """Two-input two-output win functional: weight 1/4 on a xor b = x and y."""
-    table = np.zeros((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for a in range(2):
-                for b in range(2):
-                    if a ^ b == x * y:
-                        table[x, y, a, b] = 0.25
-    return BellFunctional(2, 2, table=table, meta={"kind": "chsh"})
+    return BellFunctional(2, 2, table=0.25 * _xor_win_mask(), meta={"kind": "chsh"})
 
 
 def pr_box_dist() -> ProbDist:
     """Nonsignaling box winning the two-input xor game with certainty."""
-    table = np.zeros((2, 2, 2, 2))
-    for x in range(2):
-        for y in range(2):
-            for a in range(2):
-                for b in range(2):
-                    if a ^ b == x * y:
-                        table[x, y, a, b] = 0.5
-    return ProbDist(table)
+    return ProbDist(0.5 * _xor_win_mask())

@@ -1,17 +1,6 @@
 import numpy as np
 import pytest
 
-from kvbell import build_hadamard_subgroup, classical_value_exact, kv_functional
-from kvbell.kernels import active_backend
-
-
-@pytest.fixture(scope="session")
-def warm_kernels():
-    """Force jit compilation before any timed section runs."""
-    game = kv_functional(build_hadamard_subgroup(1), 0.25)
-    classical_value_exact(game)
-    return active_backend()
-
 
 @pytest.fixture()
 def rng():

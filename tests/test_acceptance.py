@@ -3,8 +3,7 @@ and runtime budget.
 
 `pytest tests/test_acceptance.py -v` gives one PASSED/FAILED line per
 criterion; add -s to also see the PASS/FAIL summary prints with timings.
-The runtime budgets assume warmed kernels, so every timed test pulls in the
-session-scoped warm_kernels fixture.
+The independent oracles come from tests/oracles.py.
 """
 
 import itertools
@@ -14,10 +13,14 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
+from oracles import (
+    classical_value_bruteforce,
+    direct_coefficient_table_numpy,
+    kv_mes_value_direct,
+    tensor_power_blocked,
+)
 
 from kvbell.cli import main as cli_main
-from kvbell.kernels import direct_coefficient_table_numpy
 from kvbell.kvgame import (
     asymptotic_eta,
     build_hadamard_subgroup,
@@ -33,16 +36,13 @@ from kvbell.states import (
     expand_tensor_power,
     locality_threshold,
     make_isotropic,
-    tensor_power_blocked,
     threshold_copy_gain,
 )
 from kvbell.values import (
     ProbDist,
     almost_activation_exponent,
     almost_activation_lower_factor,
-    classical_value_bruteforce,
     classical_value_exact,
-    kv_mes_value_direct,
     kv_value_for_expansion,
     pair,
     pr_box_dist,
@@ -89,7 +89,7 @@ class criterion:
         return False
 
 
-def test_criterion_01_coefficient_collapse(warm_kernels):
+def test_criterion_01_coefficient_collapse():
     with criterion(1, "closed-form game table equals the direct definition", 10.0):
         for l, etas in ((2, (0.25, 0.5)), (3, (asymptotic_eta(8), 0.5))):
             table = build_hadamard_subgroup(l)
@@ -103,7 +103,7 @@ def test_criterion_01_coefficient_collapse(warm_kernels):
                 assert diff <= 1e-14, (l, eta, diff)
 
 
-def test_criterion_02_classical_exact_vs_oracle(warm_kernels):
+def test_criterion_02_classical_exact_vs_oracle():
     with criterion(2, "classical value matches pair enumeration and noise bound", 5.0):
         table = build_hadamard_subgroup(2)
         for eta in (0.1, 0.25, 0.4, 0.5):
@@ -114,7 +114,7 @@ def test_criterion_02_classical_exact_vs_oracle(warm_kernels):
             assert v_exact <= kv_classical_upper_bound(4, eta) + 1e-12, (eta, v_exact)
 
 
-def test_criterion_03_quantum_closed_form(warm_kernels):
+def test_criterion_03_quantum_closed_form():
     with criterion(3, "entangled-state value matches its closed form", 10.0):
         v4 = kv_mes_value_direct(build_hadamard_subgroup(2), 0.25)
         assert abs(v4 - 0.4375) <= 1e-10, v4
@@ -136,7 +136,7 @@ def test_criterion_04_threshold_crossing():
         assert a7 < 1.0 < a8, (a7, a8)
 
 
-def test_criterion_05_expansion_exactness(warm_kernels):
+def test_criterion_05_expansion_exactness():
     with criterion(5, "two-copy expansion equals the dense evaluation", 30.0):
         table = build_hadamard_subgroup(2)
         game = kv_functional(table, 0.25)
@@ -238,7 +238,7 @@ def _run_referee(capsys, strategy, seed):
     return json.loads(out)["result"]
 
 
-def test_criterion_09_referee_monte_carlo(warm_kernels, capsys):
+def test_criterion_09_referee_monte_carlo(capsys):
     with criterion(9, "seeded referee runs are 4-sigma consistent and repeatable", 10.0, capsys):
         for strategy, seed in (("mes", 7), ("rep", 11)):
             first = _run_referee(capsys, strategy, seed)
@@ -254,7 +254,7 @@ def test_criterion_09_referee_monte_carlo(warm_kernels, capsys):
             assert first["consistent_4sigma"] is True
 
 
-def test_criterion_10_dense_isotropic_cross_check(warm_kernels):
+def test_criterion_10_dense_isotropic_cross_check():
     with criterion(10, "64-dim noisy-state value splits into its two terms", 120.0):
         table = build_hadamard_subgroup(3)
         eta = asymptotic_eta(8)

@@ -1,20 +1,15 @@
-"""Bit-string and small linear-algebra helpers against direct oracles."""
+"""Popcount and hermitian-matrix helpers against direct oracles, and the
+partial-trace oracle the states tests rely on."""
 
 import numpy as np
 import pytest
+from oracles import partial_trace
 
 from kvbell.bitlinalg import (
-    BitVec,
     assert_hermitian,
-    hamming_distance,
-    hamming_weight,
     hermiticity_defect,
-    kron,
     min_eigenvalue,
-    partial_trace,
     popcount,
-    trace_product,
-    xor,
 )
 from kvbell.errors import ValidationError
 
@@ -32,56 +27,6 @@ def test_popcount_scalar_and_bounds():
         popcount(1 << 16)
     with pytest.raises(ValidationError):
         popcount(np.array([-1]))
-
-
-def test_bitvec_roundtrip_and_msb_order():
-    v = BitVec.from_bits([1, 0, 1, 0])
-    assert v.value == 0b1010
-    assert v.bits == (1, 0, 1, 0)
-    # bit(0) is the most significant position
-    assert v.bit(0) == 1 and v.bit(3) == 0
-    assert str(v) == "1010"
-    assert v.weight() == 2
-
-
-def test_bitvec_validation():
-    with pytest.raises(ValidationError):
-        BitVec(4, 16)
-    with pytest.raises(ValidationError):
-        BitVec(0, 0)
-    with pytest.raises(ValidationError):
-        BitVec.from_bits([0, 2])
-    with pytest.raises(ValidationError):
-        BitVec(4, 1).bit(4)
-
-
-def test_xor_and_hamming(rng):
-    for _ in range(100):
-        n = int(rng.integers(1, 17))
-        a = int(rng.integers(0, 1 << n))
-        b = int(rng.integers(0, 1 << n))
-        u, v = BitVec(n, a), BitVec(n, b)
-        assert xor(u, v).value == a ^ b
-        assert hamming_weight(u) == bin(a).count("1")
-        assert hamming_distance(u, v) == bin(a ^ b).count("1")
-
-
-def test_xor_length_mismatch():
-    with pytest.raises(ValidationError):
-        BitVec(3, 1) ^ BitVec(4, 1)
-
-
-def test_kron_matches_numpy(rng):
-    a = rng.normal(size=(3, 3))
-    b = rng.normal(size=(2, 2))
-    assert np.allclose(kron(a, b), np.kron(a, b))
-
-
-def test_trace_product_oracle(rng):
-    for _ in range(20):
-        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert abs(trace_product(a, b) - np.trace(a @ b)) < 1e-12
 
 
 def test_hermiticity_checks():

@@ -263,3 +263,107 @@ def test_game_file_duplicate_entry_rejected(tmp_path, capsys):
     path = _game_file(tmp_path, capsys, duplicate)
     assert main(["values", "--game", path]) == 2
     assert "more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["values", "--l", "5"],
+        ["values", "--l", "1000000000000"],
+        ["values", "--n", str(1 << 40)],
+        ["kv-build", "--l", "1000000000000", "--out", "never-written.json"],
+        ["referee-sim", "--l", "1000000000000"],
+        ["referee-sim", "--n", "32"],
+    ],
+)
+def test_block_length_refused_before_allocation(capsys, argv):
+    assert main(argv) == 3
+    assert "block length is limited" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["superactivation", "--d", "8", "--k", "abc"],
+        ["superactivation", "--d", "8", "--k", "1:"],
+        ["almost-activation", "--d-grid", "4,x"],
+        ["almost-activation", "--d-grid", ""],
+    ],
+)
+def test_integer_lists_rejected(capsys, argv):
+    assert main(argv) == 2
+    assert "expects integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf"])
+def test_almost_activation_rejects_non_finite_delta(capsys, delta):
+    assert main(["almost-activation", "--delta", delta, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--delta" in captured.err
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("n", "x"), ("n", 4.5), ("N", "4"), ("K", None), ("eta", "x"), ("eta", None), ("eta", [0.25])],
+)
+def test_game_file_header_rejected(tmp_path, capsys, key, value):
+    path = tmp_path / "game.json"
+    run_json(capsys, ["kv-build", "--l", "2", "--eta", "0.25", "--out", str(path)])
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    assert main(["values", "--game", str(path)]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def _uniform_table():
+    return np.full((2, 2, 2, 2), 0.25).tolist()
+
+
+def _ragged_table():
+    table = _uniform_table()
+    table[1][1] = [[0.25, 0.25]]
+    return table
+
+
+def _table_with(entry):
+    table = _uniform_table()
+    table[0][1][1][0] = entry
+    return table
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"N": 2, "K": 2, "table": _ragged_table()},
+        {"N": 2, "K": 2, "table": _table_with("x")},
+        {"N": 2, "K": 2, "table": _table_with(None)},
+        {"N": 2, "K": 2, "table": "x"},
+        {"N": "x", "K": 2, "table": _uniform_table()},
+        {"N": 2, "K": 2.5, "table": _uniform_table()},
+        [2, 2],
+    ],
+)
+def test_distribution_file_header_rejected(tmp_path, capsys, doc):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(doc))
+    assert main(["local-content", "--dist", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_values_n16_is_formula_only(capsys):
+    res = run_json(capsys, ["values", "--l", "4"])["result"]
+    assert res["classical"] == {"value": None, "method": "formula-ub"}
+    assert res["quantum"] == res["closed_form"]
+    assert res["quantum"] == {"value": 0.5503208549231893, "method": "closed-form-validated"}
+    assert res["ratio"] is None
+    assert res["notes"] == [
+        "classical search needs a dense table; at this size only the upper bound is reported",
+        "ratio omitted: classical value is not exact",
+    ]
+    assert res["bounds"] == {
+        "classical_upper_bound": {"value": 0.6383759798993083, "method": "formula-ub"},
+        "quantum_lower_bound": {"value": 0.5203422452514019, "method": "formula-lb"},
+    }
+    assert res["lv_lower_bound"] == {"value": 0.8620638499117589, "method": "formula-lb"}

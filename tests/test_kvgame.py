@@ -10,10 +10,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import direct_coefficient_table_numpy
 
 from kvbell.bitlinalg import popcount
 from kvbell.errors import GuardError, ValidationError
-from kvbell.kernels import direct_coefficient_table_numpy
 from kvbell.kvgame import (
     BOUND_CONSTANTS,
     asymptotic_eta,
@@ -112,21 +112,10 @@ def test_total_mass_is_n(l, eta):
     assert abs(game.total() - game.num_outputs) < 1e-12
 
 
-def test_lazy_game_at_n16_blocks_match_formula(rng):
-    table = build_hadamard_subgroup(4)
-    eta = 0.2
-    game = kv_functional(table, eta)
-    assert game.is_lazy
-    per = noise_weights(16, eta) / table.num_cosets
-    for _ in range(10):
-        x = int(rng.integers(0, table.num_cosets))
-        y = int(rng.integers(0, table.num_cosets))
-        blk = game.block(x, y)
-        want = per[popcount(table.elems[x][:, None] ^ table.elems[y][None, :])]
-        assert np.array_equal(blk, want)
-        a = int(rng.integers(0, 16))
-        b = int(rng.integers(0, 16))
-        assert game.coeff(x, y, a, b) == blk[a, b]
+def test_kv_functional_refuses_n16():
+    # (4096 * 16)**2 coefficients: n = 16 is served by the closed forms only
+    with pytest.raises(GuardError):
+        kv_functional(build_hadamard_subgroup(4), 0.2)
 
 
 def _marginal_bruteforce(table, eta):

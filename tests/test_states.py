@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracles import partial_trace, tensor_power_blocked
 
-from kvbell.bitlinalg import partial_trace
 from kvbell.errors import GuardError, ValidationError
 from kvbell.states import (
     ENTANGLED,
@@ -21,7 +21,6 @@ from kvbell.states import (
     make_mes,
     mes_vector,
     realize_term,
-    tensor_power_blocked,
     threshold_copy_gain,
 )
 

@@ -1,9 +1,10 @@
 """Value layer: exhaustive vs streamed classical search, quantum strategy
 values against the closed form, expansion values, bound chains, seesaw.
 
-Ordering matters in the classical tests: classical_value_bruteforce is the
-independent oracle (itertools-style enumeration with its own accumulation),
-and classical_value_exact must reproduce it to the last bit.
+Ordering matters in the classical tests: classical_value_bruteforce (in
+tests/oracles.py) is the independent oracle (a full two-sided enumeration
+with its own accumulation), and classical_value_exact must reproduce it to
+the last bit.
 """
 
 import itertools
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import classical_value_bruteforce, kv_mes_value_direct, tensor_power_blocked
 
 from kvbell.errors import GuardError, ValidationError
 from kvbell.kvgame import (
@@ -30,7 +32,6 @@ from kvbell.states import (
     locality_threshold,
     make_isotropic,
     make_mes,
-    tensor_power_blocked,
 )
 from kvbell.values import (
     ProbDist,
@@ -41,10 +42,8 @@ from kvbell.values import (
     almost_activation_upper_formula,
     assignment_table,
     chsh_functional,
-    classical_value_bruteforce,
     classical_value_exact,
     classical_value_heuristic,
-    kv_mes_value_direct,
     kv_value_for_expansion,
     pair,
     pr_box_dist,
