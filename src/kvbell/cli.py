@@ -504,17 +504,31 @@ def _load_strategy_file(path: str, N: int, K: int) -> tuple[np.ndarray, np.ndarr
     doc = _load_json(path)
     if "alice" not in doc or "bob" not in doc:
         raise ValidationError("strategy file must be an object with 'alice' and 'bob'")
-    try:
-        alice = np.asarray([int(v) for v in doc["alice"]], dtype=np.int64)
-        bob = np.asarray([int(v) for v in doc["bob"]], dtype=np.int64)
-    except (TypeError, ValueError):
-        raise ValidationError("strategy lists must contain integers") from None
-    if alice.shape != (N,) or bob.shape != (N,):
-        raise ValidationError(f"strategy lists must have one entry per coset ({N})")
-    for arr in (alice, bob):
-        if arr.size and (arr.min() < 0 or arr.max() >= K):
-            raise ValidationError(f"strategy outputs must lie in [0, {K})")
-    return alice, bob
+    for key in ("alice", "bob"):
+        values = doc[key]
+        if not isinstance(values, list) or len(values) != N:
+            raise ValidationError(f"strategy lists must have one entry per coset ({N})")
+        # JSON integers only: type() also refuses booleans, which subclass int
+        if not all(type(v) is int and 0 <= v < K for v in values):
+            raise ValidationError(f"strategy {key!r} must hold integers in [0, {K}), got {values}")
+    return np.asarray(doc["alice"], dtype=np.int64), np.asarray(doc["bob"], dtype=np.int64)
+
+
+def _draw_answers(probs: np.ndarray, draws, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Answer positions (pa, pb) per round from probs[x, y], an (N, N, K, K) table, with
+    one uniform per round in round order; rounds are grouped by question pair."""
+    N, _, K, _ = probs.shape
+    u = rng.random(len(draws))
+    key = (draws.x * N + draws.y).astype(np.min_scalar_type(N * N - 1))
+    order = np.argsort(key, kind="stable")  # numpy radix-sorts 8- and 16-bit keys
+    cum = np.cumsum(probs.reshape(N * N, K * K), axis=1)
+    cum[:, -1] = 1.0  # u < 1, so every flat index stays below K * K
+    flat = np.empty(len(draws), dtype=np.int64)
+    groups = np.split(order, np.cumsum(np.bincount(key, minlength=N * N))[:-1])
+    for xy, rounds in enumerate(groups):
+        if rounds.size:
+            flat[rounds] = np.searchsorted(cum[xy], u[rounds], side="right")
+    return np.divmod(flat, K)
 
 
 def cmd_referee_sim(args) -> int:
@@ -534,21 +548,7 @@ def cmd_referee_sim(args) -> int:
         dist = quantum_prob(make_mes(n), measurements, measurements)
         exact = pair(game, dist)
         outcome_rng = np.random.Generator(np.random.PCG64([args.seed, 1]))
-        u = outcome_rng.random(samples)
-        pa = np.empty(samples, dtype=np.int64)
-        pb = np.empty(samples, dtype=np.int64)
-        for x in range(N):
-            for y in range(N):
-                mask = (draws.x == x) & (draws.y == y)
-                if not mask.any():
-                    continue
-                cum = np.cumsum(dist.table[x, y].reshape(-1))
-                cum[-1] = 1.0
-                flat = np.searchsorted(cum, u[mask], side="right")
-                flat = np.minimum(flat, K * K - 1)
-                pa[mask] = flat // K
-                pb[mask] = flat % K
-        strategy_label = "mes"
+        pa, pb = _draw_answers(dist.table, draws, outcome_rng)
     else:
         if args.strategy == "rep":
             alice = np.zeros(N, dtype=np.int64)
@@ -559,7 +559,6 @@ def cmd_referee_sim(args) -> int:
         exact = pair(game, dist)
         pa = alice[draws.x]
         pb = bob[draws.y]
-        strategy_label = "rep" if args.strategy == "rep" else args.strategy
     answers_a = table.elems[draws.x, pa]
     answers_b = table.elems[draws.y, pb]
     wins = (answers_a ^ answers_b) == draws.z
@@ -572,7 +571,7 @@ def cmd_referee_sim(args) -> int:
     result = {
         "n": n,
         "eta": eta,
-        "strategy": strategy_label,
+        "strategy": args.strategy,
         "seed": args.seed,
         "samples": samples,
         "wins": int(wins.sum()),
@@ -583,7 +582,7 @@ def cmd_referee_sim(args) -> int:
         "consistent_4sigma": bool(abs(sigmas) <= 4.0),
     }
     lines = [
-        f"referee simulation n={n} eta={eta:.6g} strategy={strategy_label} seed={args.seed}",
+        f"referee simulation n={n} eta={eta:.6g} strategy={args.strategy} seed={args.seed}",
         f"  samples        {samples}",
         f"  wins           {int(wins.sum())}",
         f"  win rate       {rate:.8g} [empirical]",

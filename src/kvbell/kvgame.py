@@ -23,6 +23,8 @@ from .bitlinalg import popcount
 from .errors import GuardError, ValidationError
 
 MAX_LOG = 4  # coset tables hold all 2**(2**l) strings, so l stays small
+REFEREE_ROUNDS_GUARD = 10**7  # rounds per run; every round keeps several int64 values
+NOISE_ROW_BLOCK = 1 << 16  # noise bits are drawn this many rounds at a time
 
 
 @dataclass(frozen=True)
@@ -307,12 +309,16 @@ def referee_sample(table: CosetTable, eta: float, seed: int, count: int = 1) -> 
     eta = _check_eta(eta)
     if count < 1:
         raise ValidationError("count must be positive")
+    if count > REFEREE_ROUNDS_GUARD:
+        raise GuardError(f"{count} rounds exceed the referee guard ({REFEREE_ROUNDS_GUARD})")
     rng = np.random.Generator(np.random.PCG64(seed))
     n = table.n
     xs = rng.integers(0, table.num_cosets, size=count, dtype=np.int64)
-    flips = rng.random((count, n)) < eta
     place = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
-    zs = flips @ place
+    zs = np.empty(count, dtype=np.int64)
+    for lo in range(0, count, NOISE_ROW_BLOCK):  # same stream order as one (count, n) draw
+        flips = rng.random((min(NOISE_ROW_BLOCK, count - lo), n)) < eta
+        zs[lo : lo + len(flips)] = flips @ place
     ys = table.coset_of[table.elems[xs, 0] ^ zs]
     return RefereeSamples(x=xs, y=ys, z=zs)
 

@@ -57,6 +57,8 @@ class ProbDist:
         table = np.array(table, dtype=np.float64)
         if table.ndim != 4 or table.shape[0] != table.shape[1] or table.shape[2] != table.shape[3]:
             raise ValidationError(f"expected shape (N, N, K, K), got {table.shape}")
+        if not np.isfinite(table).all():
+            raise ValidationError("probability table has a non-finite entry")
         low = float(table.min()) if table.size else 0.0
         if low < -neg_tol:
             raise ValidationError(f"entry {low:.3e} below -{neg_tol:.1e}")

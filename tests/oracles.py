@@ -135,3 +135,29 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
         tensor = np.trace(tensor, axis1=half - 1, axis2=tensor.ndim - 1)
     side = int(np.prod([dims[i] for i in keep]))
     return tensor.reshape(side, side)
+
+
+def per_pair_answers(table, draws, u) -> tuple[np.ndarray, np.ndarray]:
+    """Answer positions drawn by one full-length round mask per question pair.
+
+    table is an (N, N, K, K) outcome table, draws holds the question
+    indices x and y of each round and u one uniform per round.  Every pair
+    scans all rounds, N^2 passes in total; the referee's grouped sampler
+    must return the same arrays.
+    """
+    N, K = table.shape[0], table.shape[2]
+    samples = len(u)
+    pa = np.empty(samples, dtype=np.int64)
+    pb = np.empty(samples, dtype=np.int64)
+    for x in range(N):
+        for y in range(N):
+            mask = (draws.x == x) & (draws.y == y)
+            if not mask.any():
+                continue
+            cum = np.cumsum(table[x, y].reshape(-1))
+            cum[-1] = 1.0
+            flat = np.searchsorted(cum, u[mask], side="right")
+            flat = np.minimum(flat, K * K - 1)
+            pa[mask] = flat // K
+            pb[mask] = flat % K
+    return pa, pb

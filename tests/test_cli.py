@@ -6,8 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import per_pair_answers
 
-from kvbell.cli import main
+from kvbell.cli import _draw_answers, main
+from kvbell.kvgame import RefereeSamples, build_hadamard_subgroup, kv_measurements, referee_sample
+from kvbell.states import make_mes
+from kvbell.values import quantum_prob
 
 METHOD_TAGS = {
     "exact",
@@ -138,6 +144,69 @@ def test_referee_sim_strategy_file(tmp_path, capsys):
     worse = tmp_path / "worse.json"
     worse.write_text(json.dumps({"alice": [0, 1, 2, 9], "bob": [0, 1, 2, 3]}))
     assert main(["referee-sim", "--l", "2", "--strategy", str(worse), "--samples", "10"]) == 2
+    capsys.readouterr()
+    # only JSON integers count as answer positions: no floats, strings or booleans
+    for entry in (1.7, "3", True):
+        loose = tmp_path / "loose.json"
+        loose.write_text(json.dumps({"alice": [0, 1, 2, 3], "bob": [0, 1, entry, 3]}))
+        argv = ["referee-sim", "--l", "2", "--strategy", str(loose), "--samples", "10"]
+        assert main(argv) == 2, entry
+        assert "must hold integers in [0, 4)" in capsys.readouterr().err
+
+
+def test_referee_sim_mes_pinned(capsys):
+    argv = ["referee-sim", "--l", "3", "--samples", "200000", "--seed", "5", "--strategy", "mes"]
+    res = run_json(capsys, argv)["result"]
+    assert res["wins"] == 186735
+    assert res["win_rate"] == {"value": 0.933675, "method": "empirical"}
+    assert res["deviation_sigmas"] == {"value": -1.3411418484957525, "method": "empirical"}
+
+
+@pytest.mark.parametrize("samples", [10**7 + 1, 10**12])
+def test_referee_sim_samples_guard(capsys, samples):
+    assert main(["referee-sim", "--l", "2", "--samples", str(samples)]) == 3
+    assert "referee guard" in capsys.readouterr().err
+
+
+def _outcome_rng(seed):
+    return np.random.Generator(np.random.PCG64([seed, 1]))
+
+
+@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("seed", [0, 5, 777])
+@pytest.mark.parametrize("samples", [40, 20000])
+def test_draw_answers_matches_per_pair_loop(l, seed, samples):
+    table = build_hadamard_subgroup(l)
+    meas = kv_measurements(table)
+    probs = quantum_prob(make_mes(table.n), meas, meas).table
+    draws = referee_sample(table, 0.2, seed, count=samples)
+    got = _draw_answers(probs, draws, _outcome_rng(seed))
+    want = per_pair_answers(probs, draws, _outcome_rng(seed).random(samples))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    if samples == 40:  # too few rounds to reach every question pair
+        assert len(set(zip(draws.x.tolist(), draws.y.tolist()))) < table.num_cosets**2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(1, 6),
+    K=st.integers(1, 4),
+    count=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 0.9, 1.0 - 2**-52, 1.0 + 2**-52]),
+)
+def test_draw_answers_matches_per_pair_loop_on_random_tables(N, K, count, seed, scale):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    probs = rng.random((N, N, K, K)) * (rng.random((N, N, K, K)) < 0.7)
+    probs[..., 0, 0] += 1e-3  # no all-zero row
+    probs /= probs.sum(axis=(2, 3), keepdims=True)
+    probs *= scale  # rows whose float cumsum ends below (or above) 1
+    xs = rng.integers(0, N, size=count)
+    draws = RefereeSamples(x=xs, y=rng.integers(0, N, size=count), z=np.zeros_like(xs))
+    got = _draw_answers(probs, draws, _outcome_rng(seed))
+    want = per_pair_answers(probs, draws, _outcome_rng(seed).random(count))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_local_content_subcommand(tmp_path, capsys):

@@ -79,6 +79,15 @@ def test_probdist_validation():
     assert d.table[0, 0, 0, 0] >= 0.0
 
 
+@pytest.mark.parametrize("fill", ["all", "one"])
+def test_probdist_rejects_nan(fill):
+    # NaN fails every comparison, so the range and normalization checks alone pass it
+    t = np.full((1, 1, 2, 2), np.nan if fill == "all" else 0.25)
+    t[0, 0, 1, 1] = np.nan
+    with pytest.raises(ValidationError, match="non-finite"):
+        ProbDist(t)
+
+
 def test_probdist_constructors_and_mix():
     u3 = ProbDist.uniform(2, 3)
     assert u3.table.shape == (2, 2, 3, 3)
