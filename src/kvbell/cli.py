@@ -211,7 +211,8 @@ def cmd_kv_build(args) -> int:
     table = build_hadamard_subgroup(n.bit_length() - 1)
     game = kv_functional(table, eta)
     doc = kv_game_to_json(game)
-    Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    # no indent: with one, json falls back to its pure-Python encoder
+    Path(args.out).write_text(json.dumps(doc, sort_keys=True) + "\n")
     marginal_total = float(kv_question_marginal(game).sum())
     mass = game.total()
     result = {
@@ -543,18 +544,20 @@ def cmd_referee_sim(args) -> int:
     game = kv_functional(table, eta)
     draws = referee_sample(table, eta, args.seed, count=samples)
     N, K = table.num_cosets, n
-    if args.strategy == "mes":
+    strategy = args.strategy
+    if strategy == "mes":
         measurements = kv_measurements(table)
         dist = quantum_prob(make_mes(n), measurements, measurements)
         exact = pair(game, dist)
         outcome_rng = np.random.Generator(np.random.PCG64([args.seed, 1]))
         pa, pb = _draw_answers(dist.table, draws, outcome_rng)
     else:
-        if args.strategy == "rep":
+        if strategy == "rep":
             alice = np.zeros(N, dtype=np.int64)
             bob = np.zeros(N, dtype=np.int64)
         else:
-            alice, bob = _load_strategy_file(args.strategy, N, K)
+            alice, bob = _load_strategy_file(strategy, N, K)
+            strategy = Path(strategy).name
         dist = ProbDist.from_assignments(alice, bob, N, K)
         exact = pair(game, dist)
         pa = alice[draws.x]
@@ -571,7 +574,7 @@ def cmd_referee_sim(args) -> int:
     result = {
         "n": n,
         "eta": eta,
-        "strategy": args.strategy,
+        "strategy": strategy,
         "seed": args.seed,
         "samples": samples,
         "wins": int(wins.sum()),
@@ -582,7 +585,7 @@ def cmd_referee_sim(args) -> int:
         "consistent_4sigma": bool(abs(sigmas) <= 4.0),
     }
     lines = [
-        f"referee simulation n={n} eta={eta:.6g} strategy={args.strategy} seed={args.seed}",
+        f"referee simulation n={n} eta={eta:.6g} strategy={strategy} seed={args.seed}",
         f"  samples        {samples}",
         f"  wins           {int(wins.sum())}",
         f"  win rate       {rate:.8g} [empirical]",
@@ -628,7 +631,7 @@ def cmd_local_content(args) -> int:
         label = "chsh-quantum"
     else:
         dist = _load_distribution(args.dist)
-        label = args.dist
+        label = Path(args.dist).name
     outcome = local_content(dist, args.variant)
     result = outcome.to_json_dict()
     result["distribution"] = label

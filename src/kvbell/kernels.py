@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+ASSIGNMENT_CHUNK = 4096  # first-player assignments scanned per vectorized step
+
 
 def active_backend() -> str:
     """Name of the implementation behind the kernels: always "numpy".
@@ -21,7 +23,7 @@ def active_backend() -> str:
     return "numpy"
 
 
-def enumerate_assignments_max(reward, chunk: int = 4096):
+def enumerate_assignments_max(reward):
     """Max over assignments f of sum_y max_b sum_x reward[x, f(x), y, b].
 
     reward has shape (N, K, N, K) indexed (x, a, y, b).  Assignments are
@@ -33,8 +35,8 @@ def enumerate_assignments_max(reward, chunk: int = 4096):
     total = n_out**n_in
     place = n_out ** (n_in - 1 - np.arange(n_in, dtype=np.int64))
     best = -np.inf
-    for lo in range(0, total, chunk):
-        ms = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+    for lo in range(0, total, ASSIGNMENT_CHUNK):
+        ms = np.arange(lo, min(lo + ASSIGNMENT_CHUNK, total), dtype=np.int64)
         digits = (ms[:, None] // place[None, :]) % n_out
         gains = np.zeros((ms.shape[0], n_in, n_out), dtype=np.float64)
         for x in range(n_in):

@@ -19,12 +19,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitlinalg import popcount
 from .errors import GuardError, ValidationError
 
 MAX_LOG = 4  # coset tables hold all 2**(2**l) strings, so l stays small
 REFEREE_ROUNDS_GUARD = 10**7  # rounds per run; every round keeps several int64 values
 NOISE_ROW_BLOCK = 1 << 16  # noise bits are drawn this many rounds at a time
+
+# 16-bit lookup covers every string length used in this package: n <= 2**MAX_LOG.
+# Vectorized because every import builds it: a per-value bin() loop costs ~20 ms.
+_POPCOUNT16 = (
+    np.unpackbits(np.arange(1 << 16, dtype=">u2").view(np.uint8))
+    .reshape(-1, 16)
+    .sum(axis=1, dtype=np.uint8)
+)
+
+
+def popcount(values):
+    """Number of set bits, elementwise, for ints or arrays below 2**16."""
+    arr = np.asarray(values)
+    if arr.size and (arr.min() < 0 or arr.max() >= 1 << 16):
+        raise ValidationError("popcount input out of the 16-bit range")
+    counts = _POPCOUNT16[arr]
+    if arr.ndim == 0:
+        return int(counts)
+    return counts.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -73,15 +91,12 @@ class CosetTable:
                 h = (h << 1) | (popcount(s & i) & 1)
             subgroup[s] = h
         coset_of = np.full(size, -1, dtype=np.int64)
-        pos_of = np.zeros(size, dtype=np.int64)
         rows = []
-        positions = np.arange(n, dtype=np.int64)
         for v in range(size):
             if coset_of[v] >= 0:
                 continue
             members = np.sort(v ^ subgroup)
             coset_of[members] = len(rows)
-            pos_of[members] = positions
             rows.append(members)
         self.l = l
         self.n = n
@@ -90,16 +105,6 @@ class CosetTable:
         self.subgroup = subgroup
         self.elems = np.array(rows, dtype=np.int64)
         self.coset_of = coset_of
-        self.pos_of = pos_of
-
-    def element(self, x: int, pos: int) -> int:
-        return int(self.elems[x, pos])
-
-    def locate(self, value: int) -> tuple[int, int]:
-        """Coset index and in-coset position of a group element."""
-        if not 0 <= value < self.size:
-            raise ValidationError(f"element {value} not in [0, 2**{self.n})")
-        return int(self.coset_of[value]), int(self.pos_of[value])
 
     def __repr__(self) -> str:
         return f"CosetTable(l={self.l}, n={self.n}, cosets={self.num_cosets})"
@@ -272,13 +277,6 @@ def asymptotic_eta(n: int) -> float:
     if n < 8:
         raise ValidationError(f"1/2 - 1/ln(n) is nonpositive for n = {n}; need n >= 8")
     return 0.5 - 1.0 / math.log(n)
-
-
-def classical_upper_bound_asymptotic(n: int) -> float:
-    """Classical bound C/n at the asymptotic noise rate; valid for n >= 8 only."""
-    if n < 8:
-        raise ValidationError(f"the C/n form needs the rate from asymptotic_eta, so n >= 8 (got {n})")
-    return BOUND_CONSTANTS.classical / n
 
 
 def entangled_lower_bound_asymptotic(n: int) -> float:

@@ -1,10 +1,13 @@
 """Local-polytope computations on a hand-rolled dense two-phase simplex.
 
-The solver maximizes, uses Bland's rule (lowest eligible column in, lowest
-basis variable among minimal ratios out) so it cannot cycle, and certifies
-every optimum by recomputing reduced costs at the final basis from the
-original data.  Infeasible problems return the phase-1 dual vector, which
-is verified to be a separating certificate before anyone sees it.
+The solver maximizes over nonnegative variables subject to <= and = rows
+with nonnegative right-hand sides, which is the form of every LP built
+here.  It uses Bland's rule (lowest eligible column in, lowest basis
+variable among minimal ratios out) so it cannot cycle, and certifies every
+optimum by recomputing reduced costs and the primal residuals at the final
+basis from the original data.  Infeasible problems return the phase-1 dual
+vector, which is verified to be a separating certificate before anyone
+sees it.
 
 On top of the solver: membership of a distribution in the local polytope,
 and the two readings of the local-content quantity lambda.
@@ -24,21 +27,18 @@ ENTER_TOL = 1e-9
 CERT_TOL = 1e-9
 VERTEX_GUARD = 4096
 DENSE_LP_GUARD = 1 << 24
-SENSES = ("<=", "=", ">=")
+SENSES = ("<=", "=")
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max objective . x subject to rows[i] . x (sense_i) rhs[i].
-
-    Variables are nonnegative unless their index is listed in free.
-    """
+    """max objective . x subject to rows[i] . x (sense_i) rhs[i], x >= 0,
+    with every sense "<=" or "=" and every rhs >= 0."""
 
     objective: np.ndarray
     rows: np.ndarray
     senses: tuple[str, ...]
     rhs: np.ndarray
-    free: frozenset = frozenset()
 
     def __post_init__(self):
         objective = np.asarray(self.objective, dtype=np.float64)
@@ -55,33 +55,12 @@ class LinearProgram:
         for arr in (objective, rows, rhs):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError("linear program contains non-finite entries")
-        bad = [j for j in self.free if not 0 <= int(j) < n]
-        if bad:
-            raise ValidationError(f"free variable indices out of range: {bad}")
+        if m and rhs.min() < 0.0:
+            raise ValidationError("right-hand sides must be nonnegative")
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "senses", senses)
         object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "free", frozenset(int(j) for j in self.free))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "objective": self.objective.tolist(),
-            "rows": self.rows.tolist(),
-            "senses": list(self.senses),
-            "rhs": self.rhs.tolist(),
-            "free": sorted(self.free),
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "LinearProgram":
-        return cls(
-            objective=np.asarray(doc["objective"], dtype=np.float64),
-            rows=np.asarray(doc["rows"], dtype=np.float64),
-            senses=tuple(doc["senses"]),
-            rhs=np.asarray(doc["rhs"], dtype=np.float64),
-            free=frozenset(doc.get("free", ())),
-        )
 
 
 @dataclass(frozen=True)
@@ -95,75 +74,24 @@ class LPResult:
     x: np.ndarray | None
     dual: np.ndarray | None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "value": self.value,
-            "solution": None if self.x is None else self.x.tolist(),
-        }
-
 
 class _Standard:
-    """Equality form max c.x, A x = b, x >= 0 with bookkeeping for recovery."""
+    """Equality form max c.x, A x = b, x >= 0: the original columns, then a
+    slack column for each <= row, then an artificial column for each = row,
+    each in row order.  The slacks and artificials form the starting basis."""
 
     def __init__(self, lp: LinearProgram):
-        A = lp.rows.copy()
-        b = lp.rhs.copy()
-        senses = list(lp.senses)
-        m, n0 = A.shape
-        row_sign = np.ones(m)
-        for i in range(m):
-            if b[i] < 0:
-                A[i] = -A[i]
-                b[i] = -b[i]
-                row_sign[i] = -1.0
-                senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-        blocks = [A]
-        costs = [lp.objective.copy()]
-        self.neg_col = {}
-        col = n0
-        free_order = sorted(lp.free)
-        if free_order:
-            blocks.append(-A[:, free_order])
-            costs.append(-lp.objective[free_order])
-            for j in free_order:
-                self.neg_col[j] = col
-                col += 1
-        slack_cols = []
-        for i, sense in enumerate(senses):
-            if sense == "<=":
-                e = np.zeros((m, 1))
-                e[i, 0] = 1.0
-                slack_cols.append((i, e, "slack"))
-            elif sense == ">=":
-                e = np.zeros((m, 1))
-                e[i, 0] = -1.0
-                slack_cols.append((i, e, "surplus"))
-        basis = np.full(m, -1, dtype=np.int64)
-        for i, e, kind in slack_cols:
-            blocks.append(e)
-            costs.append(np.zeros(1))
-            if kind == "slack":
-                basis[i] = col
-            col += 1
-        art_mask_cols = []
-        for i in range(m):
-            if basis[i] < 0:
-                e = np.zeros((m, 1))
-                e[i, 0] = 1.0
-                blocks.append(e)
-                costs.append(np.zeros(1))
-                basis[i] = col
-                art_mask_cols.append(col)
-                col += 1
-        self.matrix = np.hstack(blocks)
-        self.costs = np.concatenate(costs)
-        self.rhs = b
-        self.row_sign = row_sign
-        self.basis0 = basis
+        m, n0 = lp.rows.shape
+        slack = np.array([sense == "<=" for sense in lp.senses], dtype=bool)
+        order = np.concatenate([np.flatnonzero(slack), np.flatnonzero(~slack)])
+        self.matrix = np.hstack([lp.rows, np.eye(m)[:, order]])
+        self.costs = np.concatenate([lp.objective, np.zeros(m)])
+        self.rhs = lp.rhs
+        self.basis0 = np.empty(m, dtype=np.int64)
+        self.basis0[order] = n0 + np.arange(m)
         self.n_orig = n0
-        self.artificial = np.zeros(col, dtype=bool)
-        self.artificial[art_mask_cols] = True
+        self.artificial = np.zeros(n0 + m, dtype=bool)
+        self.artificial[n0 + int(slack.sum()) :] = True
 
 
 def _install_objective(T: np.ndarray, basis: np.ndarray, costs: np.ndarray) -> None:
@@ -228,7 +156,20 @@ def _purge_artificial_basics(T, basis, std, kept_rows):
 
 def _row_duals(std: _Standard, basis: np.ndarray, costs: np.ndarray, kept_rows: np.ndarray):
     B = std.matrix[kept_rows][:, basis]
-    return np.linalg.solve(B.T, costs[basis])
+    try:
+        return np.linalg.solve(B.T, costs[basis])
+    except np.linalg.LinAlgError:
+        raise NumericalError("numerical breakdown: the final basis is singular") from None
+
+
+def _certify_primal(lp: LinearProgram, x: np.ndarray) -> None:
+    """Raise unless x satisfies every row and x >= 0 within CERT_TOL."""
+    excess = lp.rows @ x - lp.rhs
+    equality = np.array([sense == "=" for sense in lp.senses], dtype=bool)
+    excess[equality] = np.abs(excess[equality])
+    worst = max(float(excess.max(initial=0.0)), float(-x.min(initial=0.0)))
+    if worst > CERT_TOL:
+        raise NumericalError(f"primal certification failed: residual {worst:.3e}")
 
 
 def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> LPResult:
@@ -254,7 +195,7 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> LPResult:
             against = farkas @ std.matrix[:, ~std.artificial]
             if against.max() > 1e-7 or float(farkas @ std.rhs) <= 0.0:
                 raise NumericalError("infeasibility certificate failed re-verification")
-            return LPResult("infeasible", None, None, farkas * std.row_sign)
+            return LPResult("infeasible", None, None, farkas)
         T, basis, kept_rows = _purge_artificial_basics(T, basis, std, kept_rows)
         m = T.shape[0] - 1
     _install_objective(T, basis, std.costs)
@@ -268,12 +209,11 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> LPResult:
         raise NumericalError(f"optimality certification failed: reduced cost {worst:.3e}")
     x_std = np.zeros(nt)
     x_std[basis] = T[:m, -1]
-    x = x_std[: std.n_orig].copy()
-    for j, col in std.neg_col.items():
-        x[j] -= x_std[col]
-    dual = np.zeros(std.row_sign.shape[0])
+    x = x_std[: std.n_orig]
+    _certify_primal(lp, x)
+    dual = np.zeros(lp.rows.shape[0])
     dual[kept_rows] = y
-    return LPResult("optimal", float(lp.objective @ x), x, dual * std.row_sign)
+    return LPResult("optimal", float(lp.objective @ x), x, dual)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +238,11 @@ def vertex_matrix(N: int, K: int) -> np.ndarray:
     return full.reshape(N * N * K * K, total * total)
 
 
-def _decode_weights(q: np.ndarray, N: int, K: int, cut: float = 1e-12):
+def _decode_weights(q: np.ndarray, N: int, K: int):
     digits = assignment_table(N, K)
     total = digits.shape[0]
     out = []
-    for s in np.flatnonzero(q > cut):
+    for s in np.flatnonzero(q > 1e-12):
         fa, gb = divmod(int(s), total)
         out.append(
             (
@@ -329,10 +269,11 @@ class LocalWitness:
     gap: float | None = None
 
 
-def is_local(dist: ProbDist, tol: float = CERT_TOL) -> LocalWitness:
+def is_local(dist: ProbDist) -> LocalWitness:
     """Membership of the distribution in the local polytope.
 
-    Solves the exact-decomposition feasibility LP.  A negative answer comes
+    Solves the exact-decomposition feasibility LP, whose certified solution
+    reproduces the distribution within CERT_TOL.  A negative answer comes
     with a separating functional re-verified against every vertex.
     """
     N, K = dist.N, dist.K
@@ -350,8 +291,6 @@ def is_local(dist: ProbDist, tol: float = CERT_TOL) -> LocalWitness:
     result = solve_lp(lp)
     if result.status == "optimal":
         err = float(np.max(np.abs(D @ result.x - dist.table.reshape(-1))))
-        if err > tol:
-            raise NumericalError(f"decomposition residual {err:.3e} exceeds {tol:.1e}")
         weights = _decode_weights(np.clip(result.x, 0.0, None), N, K)
         return LocalWitness(local=True, weights=weights, reconstruction_error=err)
     if result.status != "infeasible":

@@ -18,45 +18,39 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitlinalg import assert_hermitian, min_eigenvalue
 from .errors import GuardError, ValidationError
 
 ENTANGLED = "MES"
 MIXED = "MIX"
 
 # eigvalsh on a 4096-dim joint state takes minutes; beyond this the PSD
-# check must be requested explicitly.
+# check is skipped.
 PSD_CHECK_MAX_DIM = 1024
 
 REALIZE_MAX_DIM = 64
 
 
 class DensityMatrix:
-    """Validated density operator: hermitian, unit trace, PSD within tolerance."""
+    """Validated density operator: hermitian, unit trace, PSD within tolerance
+    (PSD checked up to dimension PSD_CHECK_MAX_DIM)."""
 
-    def __init__(self, matrix, check_psd: bool | None = None):
+    def __init__(self, matrix):
         matrix = np.asarray(matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {matrix.shape}")
-        assert_hermitian(matrix, 1e-12)
+        defect = float(np.max(np.abs(matrix - matrix.conj().T)))
+        if defect > 1e-12:
+            raise ValidationError(f"matrix is not hermitian (defect {defect:.3e} > 1.0e-12)")
         trace = complex(np.trace(matrix))
         if abs(trace - 1.0) > 1e-12:
             raise ValidationError(f"trace must be 1, got {trace}")
         dim = matrix.shape[0]
-        if check_psd is None:
-            check_psd = dim <= PSD_CHECK_MAX_DIM
-        if check_psd:
-            low = min_eigenvalue(matrix)
+        if dim <= PSD_CHECK_MAX_DIM:
+            low = float(np.linalg.eigvalsh(matrix)[0])
             if low < -1e-10:
                 raise ValidationError(f"matrix has eigenvalue {low:.3e} < 0")
         self.matrix = matrix
         self.dim = dim
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-    def purity(self) -> float:
-        return float(np.sum(np.abs(self.matrix) ** 2))
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dim={self.dim})"

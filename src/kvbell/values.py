@@ -88,11 +88,6 @@ class ProbDist:
         table[xs[:, None], xs[None, :], alice[:, None], bob[None, :]] = 1.0
         return cls(table)
 
-    def mix(self, other: "ProbDist", lam: float) -> "ProbDist":
-        if (self.N, self.K) != (other.N, other.K):
-            raise ValidationError("cannot mix distributions of different shapes")
-        return ProbDist(lam * self.table + (1.0 - lam) * other.table)
-
 
 def pair(functional: BellFunctional, dist: ProbDist) -> float:
     """Bilinear pairing sum over (x, y, a, b) of coefficient times probability."""
@@ -115,7 +110,7 @@ def assignment_table(n_in: int, n_out: int) -> np.ndarray:
     return (np.arange(total, dtype=np.int64)[:, None] // place[None, :]) % n_out
 
 
-def classical_value_exact(functional: BellFunctional, guard: int = ENUMERATION_GUARD) -> float:
+def classical_value_exact(functional: BellFunctional) -> float:
     """Largest |pairing| over deterministic strategy pairs.
 
     Enumerates one party's assignments and lets the other respond greedily
@@ -123,9 +118,9 @@ def classical_value_exact(functional: BellFunctional, guard: int = ENUMERATION_G
     extreme points are exactly the deterministic pairs, so this is exact.
     """
     n_in, n_out = functional.num_inputs, functional.num_outputs
-    if n_out**n_in > guard:
+    if n_out**n_in > ENUMERATION_GUARD:
         raise GuardError(
-            f"{n_out}^{n_in} assignments exceed the guard ({guard}); "
+            f"{n_out}^{n_in} assignments exceed the guard ({ENUMERATION_GUARD}); "
             "use classical_value_heuristic"
         )
     dense = functional.dense()
@@ -236,39 +231,27 @@ def quantum_value_kv_closed_form(n: int, eta: float) -> float:
 
 @dataclass(frozen=True)
 class ExpansionValue:
-    """KV value of an expanded isotropic power.
+    """KV value of an expanded isotropic power, computed exactly.
 
-    total is the exact weighted sum over all realized terms, or None on
-    the bound path; mes_term is the all-entangled term's contribution,
-    which lower-bounds the total because every term's value is >= 0.
+    total is the weighted sum over all realized terms; mes_term is the
+    all-entangled term's contribution, which lower-bounds the total because
+    every term's value is >= 0.
     """
 
-    total: float | None
+    total: float
     mes_term: float
-    method: str
 
 
-def kv_value_for_expansion(
-    expansion: StateExpansion, eta: float, exact: bool | str = "auto"
-) -> ExpansionValue:
+def kv_value_for_expansion(expansion: StateExpansion, eta: float) -> ExpansionValue:
     """Evaluate the coset game on an expanded isotropic tensor power.
 
-    The exact route realizes every term densely and needs the effective
-    block length d**k to be one of EXACT_GAME_SIZES; otherwise only the
-    closed-form lower bound p**k * value(MES) is returned.
+    Realizes every term densely, so the effective block length d**k must
+    be one of EXACT_GAME_SIZES.
     """
-    d, k, p = expansion.d, expansion.k, expansion.p
+    d, k = expansion.d, expansion.k
     n = d**k
-    feasible = n in EXACT_GAME_SIZES
-    if exact is True and not feasible:
-        raise GuardError(
-            f"exact evaluation needs d^k in {EXACT_GAME_SIZES}, got {n}; "
-            "use the closed-form bound path"
-        )
-    use_exact = feasible if exact == "auto" else bool(exact)
-    closed = quantum_value_kv_closed_form(n, eta)
-    if not use_exact:
-        return ExpansionValue(total=None, mes_term=p**k * closed, method="formula-lb")
+    if n not in EXACT_GAME_SIZES:
+        raise GuardError(f"exact evaluation needs d^k in {EXACT_GAME_SIZES}, got {n}")
     table = build_hadamard_subgroup(n.bit_length() - 1)
     game = kv_functional(table, eta)
     measurements = kv_measurements(table)
@@ -280,7 +263,7 @@ def kv_value_for_expansion(
         if all(label == ENTANGLED for label in pattern):
             mes_term = value
         total += value
-    return ExpansionValue(total=total, mes_term=mes_term, method="exact")
+    return ExpansionValue(total=total, mes_term=mes_term)
 
 
 def superactivation_ratio_bound(d: int, k: int, alpha: float) -> float:
@@ -509,10 +492,6 @@ def seesaw_lower_bound(
     alice, bob = best_pair
     exact_value = pair(functional, quantum_prob(make_mes(dim), alice, bob))
     return SeesawResult(value=exact_value, alice=alice, bob=bob)
-
-
-def uniform_dist(N: int, K: int) -> ProbDist:
-    return ProbDist.uniform(N, K)
 
 
 def _xor_win_mask() -> np.ndarray:

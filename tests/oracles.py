@@ -11,9 +11,8 @@ import math
 
 import numpy as np
 
-from kvbell.bitlinalg import popcount
 from kvbell.errors import GuardError, ValidationError
-from kvbell.kvgame import CosetTable, noise_weights
+from kvbell.kvgame import CosetTable, noise_weights, popcount
 from kvbell.states import REALIZE_MAX_DIM, DensityMatrix, interleave_to_blocked
 from kvbell.values import assignment_table
 

@@ -1,0 +1,50 @@
+"""What the benchmark under perfbench/ needs from the package.
+
+perfbench/gen.py builds the benchmark's inputs with library calls, and
+perfbench/tracing.py wraps the layer functions named in its LAYERS table to
+time them.  A package change that removes or renames one of those names
+breaks `perfbench/run.py --trace 1`; these tests catch it first.
+"""
+
+import importlib
+import inspect
+
+import gen
+import numpy as np
+import tracing
+
+
+def test_gen_imports_and_builds_its_inputs():
+    env = gen.environment()
+    assert env["kernels_active_backend"] == "numpy"
+    assert gen.kv34_table().shape == (3, 3, 4, 4)
+    table = gen.random_mes_table(np.random.default_rng([0, 0]), 3, 3)
+    assert table.shape == (3, 3, 3, 3)
+
+
+def _resolve(layer):
+    module, name = layer.split(".")
+    return getattr(importlib.import_module(f"kvbell.{module}"), name, None)
+
+
+def test_every_traced_layer_is_a_kvbell_function():
+    for layer in tracing.LAYERS:
+        assert inspect.isfunction(_resolve(layer)), layer
+
+
+def test_traced_commands_fill_the_layer_counters():
+    # the counters read call arguments (solve_lp's rows, for one), so a
+    # signature change breaks them even when every name still resolves
+    commands = (
+        ["superactivation", "--d", "2", "--k", "1:2"],
+        ["local-content", "--dist", "pr-box"],
+    )
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        for argv in commands:
+            code, out, err = tracer.run(argv)
+            assert code == 0, err
+    totals = tracing.layer_totals(tracer.spans)
+    assert totals["cli.commands"] == 2
+    assert totals["values.kv_value_for_expansion.calls"] == 2
+    assert totals["localpolytope.solve_lp.rows"] == totals["localpolytope.solve_lp.cols"] == 16

@@ -1,17 +1,13 @@
-"""Popcount and hermitian-matrix helpers against direct oracles, and the
-partial-trace oracle the states tests rely on."""
+"""Bit counting and the density-matrix checks against direct oracles, and
+the partial-trace oracle the states tests rely on."""
 
 import numpy as np
 import pytest
 from oracles import partial_trace
 
-from kvbell.bitlinalg import (
-    assert_hermitian,
-    hermiticity_defect,
-    min_eigenvalue,
-    popcount,
-)
 from kvbell.errors import ValidationError
+from kvbell.kvgame import popcount
+from kvbell.states import PSD_CHECK_MAX_DIM, DensityMatrix
 
 
 def test_popcount_matches_python_bin(rng):
@@ -30,19 +26,29 @@ def test_popcount_scalar_and_bounds():
 
 
 def test_hermiticity_checks():
-    h = np.array([[1.0, 2.0], [2.0, -1.0]])
-    assert hermiticity_defect(h) == 0.0
-    assert_hermitian(h)
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert hermiticity_defect(bad) > 0.4
-    with pytest.raises(ValidationError):
-        assert_hermitian(bad)
+    h = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+    assert DensityMatrix(h).dim == 2
+    assert DensityMatrix(h + np.array([[0.0, 1e-13], [0.0, 0.0]])).dim == 2
+    for bad in (np.array([[0.5, 1.0], [0.0, 0.5]]), h + np.array([[0.0, 1e-11], [0.0, 0.0]])):
+        with pytest.raises(ValidationError, match="not hermitian"):
+            DensityMatrix(bad)
 
 
 def test_min_eigenvalue(rng):
-    m = rng.normal(size=(5, 5))
-    m = m + m.T
-    assert abs(min_eigenvalue(m) - np.linalg.eigvalsh(m)[0]) < 1e-12
+    # unit-trace hermitian matrices whose smallest eigenvalue is set exactly
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    for low, accepted in ((-1e-11, True), (-1e-9, False)):
+        eigs = np.array([low, 0.1, 0.2, 0.3, 0.4 - low])
+        m = (q * eigs) @ q.T
+        if accepted:
+            assert DensityMatrix(m).dim == 5
+        else:
+            with pytest.raises(ValidationError, match="eigenvalue"):
+                DensityMatrix(m)
+    # above PSD_CHECK_MAX_DIM the eigenvalue check is skipped
+    dim = PSD_CHECK_MAX_DIM + 1
+    big = np.diag(np.concatenate([[-0.5], np.full(dim - 1, 1.5 / (dim - 1))]))
+    assert DensityMatrix(big).dim == dim
 
 
 def test_partial_trace_product_state(rng):

@@ -49,9 +49,12 @@ def test_kv_build_and_values_roundtrip(tmp_path, capsys):
     doc = run_json(capsys, ["kv-build", "--l", "2", "--eta", "0.25", "--out", str(game_file)])
     assert doc["result"]["n"] == 4
     assert abs(doc["result"]["coefficient_mass"]["value"] - 4.0) < 1e-12
-    game = json.loads(game_file.read_text())
+    text = game_file.read_text()
+    assert text.count("\n") == 1  # written compactly, on one line
+    game = json.loads(text)
     assert game["n"] == 4 and game["K"] == 4 and game["N"] == 4
     assert len(game["entries"]) == 256
+    assert all(set(entry) == {"x", "y", "a", "b", "c"} for entry in game["entries"])
 
     direct = run_json(capsys, ["values", "--l", "2", "--eta", "0.25"])
     loaded = run_json(capsys, ["values", "--game", str(game_file)])
@@ -223,6 +226,22 @@ def test_local_content_subcommand(tmp_path, capsys):
     dist_file.write_text(json.dumps({"N": 2, "K": 2, "table": table}))
     doc3 = run_json(capsys, ["local-content", "--dist", str(dist_file)])
     assert abs(doc3["result"]["lambda"]["value"] - 1.0) <= 1e-9
+
+
+def test_input_files_are_labelled_by_file_name(tmp_path, capsys, monkeypatch):
+    # the same file named three ways gives one result document
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(json.dumps({"alice": [0, 1, 2, 3], "bob": [0, 1, 2, 3]}))
+    table = np.full((2, 2, 2, 2), 0.25).tolist()
+    (tmp_path / "d.json").write_text(json.dumps({"N": 2, "K": 2, "table": table}))
+    for argv, key, name in (
+        (["referee-sim", "--l", "2", "--samples", "500", "--strategy"], "strategy", "s.json"),
+        (["local-content", "--dist"], "distribution", "d.json"),
+    ):
+        spellings = (name, f"./{name}", str(tmp_path / name))
+        results = [run_json(capsys, argv + [path])["result"] for path in spellings]
+        assert results[0][key] == name
+        assert results[0] == results[1] == results[2]
 
 
 def test_exit_codes(tmp_path, capsys):

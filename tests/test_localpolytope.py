@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from gen import random_mes_table
 
 from kvbell.errors import NumericalError, ValidationError
 from kvbell.localpolytope import (
@@ -30,7 +31,6 @@ from kvbell.values import (
     pr_box_dist,
     quantum_prob,
     seesaw_lower_bound,
-    uniform_dist,
 )
 from kvbell.states import make_mes
 
@@ -83,13 +83,14 @@ def test_textbook_lp():
 def test_equality_and_geq_rows():
     lp = LinearProgram(
         objective=np.array([-1.0, -1.0]),
-        rows=np.array([[1.0, 1.0]]),
-        senses=(">=",),
-        rhs=np.array([2.0]),
+        rows=np.array([[1.0, 1.0], [1.0, 0.0]]),
+        senses=("=", "<="),
+        rhs=np.array([2.0, 0.5]),
     )
     res = solve_lp(lp)
     assert res.status == "optimal"
     assert abs(res.value - (-2.0)) < 1e-9
+    assert abs(res.x.sum() - 2.0) < 1e-9 and res.x[0] <= 0.5 + 1e-9
     lp2 = LinearProgram(
         objective=np.array([1.0, 0.0]),
         rows=np.array([[1.0, 1.0]]),
@@ -98,21 +99,14 @@ def test_equality_and_geq_rows():
     )
     res2 = solve_lp(lp2)
     assert abs(res2.value - 1.0) < 1e-9
-
-
-def test_free_variables():
-    # max -x with x free: pushes x to -infinity unless constrained
-    lp = LinearProgram(
-        objective=np.array([-1.0]),
-        rows=np.array([[1.0]]),
-        senses=(">=",),
-        rhs=np.array([-3.0]),
-        free=frozenset({0}),
-    )
-    res = solve_lp(lp)
-    assert res.status == "optimal"
-    assert abs(res.value - 3.0) < 1e-9
-    assert abs(res.x[0] - (-3.0)) < 1e-9
+    # >= rows are outside the accepted form, and so is their negation (rhs -2)
+    with pytest.raises(ValidationError, match="senses"):
+        LinearProgram(
+            objective=np.array([-1.0, -1.0]),
+            rows=np.array([[1.0, 1.0]]),
+            senses=(">=",),
+            rhs=np.array([2.0]),
+        )
 
 
 def test_unbounded_and_infeasible():
@@ -123,19 +117,23 @@ def test_unbounded_and_infeasible():
         rhs=np.array([1.0]),
     )
     assert solve_lp(lp).status == "unbounded"
-    lp2 = LinearProgram(
-        objective=np.array([1.0]),
-        rows=np.array([[1.0], [-1.0]]),
-        senses=("<=", "<="),
-        rhs=np.array([1.0, -2.0]),
-    )
-    res = solve_lp(lp2)
-    assert res.status == "infeasible"
-    # the returned dual is a Farkas certificate in the original row frame
-    y = res.dual
-    assert y is not None
-    assert np.all(y @ lp2.rows <= 1e-7)
-    assert float(y @ lp2.rhs) > 0.0
+    # x = 2 against x <= 1, and x + y = 1 against x + y = 3
+    for senses, rows, rhs in (
+        (("<=", "="), [[1.0, 0.0], [1.0, 0.0]], [1.0, 2.0]),
+        (("=", "="), [[1.0, 1.0], [1.0, 1.0]], [1.0, 3.0]),
+    ):
+        lp2 = LinearProgram(
+            objective=np.array([1.0, 0.0]), rows=np.array(rows), senses=senses, rhs=np.array(rhs)
+        )
+        res = solve_lp(lp2)
+        assert res.status == "infeasible"
+        # the returned dual is a Farkas certificate: y A <= 0, y b > 0, and
+        # y <= 0 on the <= rows (their slack columns)
+        y = res.dual
+        assert y is not None
+        assert np.all(y @ lp2.rows <= 1e-7)
+        assert float(y @ lp2.rhs) > 0.0
+        assert all(y[i] <= 1e-7 for i, sense in enumerate(senses) if sense == "<=")
 
 
 def test_redundant_equality_rows_are_handled():
@@ -181,7 +179,7 @@ def test_iteration_limit_raises():
         solve_lp(lp, max_iters=1)
 
 
-def test_lp_validation_and_json_roundtrip():
+def test_lp_validation():
     with pytest.raises(ValidationError):
         LinearProgram(
             objective=np.array([1.0]),
@@ -203,19 +201,22 @@ def test_lp_validation_and_json_roundtrip():
             senses=("<=",),
             rhs=np.array([1.0]),
         )
+    for sense in ("<=", "="):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            LinearProgram(
+                objective=np.array([1.0]),
+                rows=np.array([[1.0]]),
+                senses=(sense,),
+                rhs=np.array([-1.0]),
+            )
     lp = LinearProgram(
         objective=np.array([1.0, 2.0]),
         rows=np.array([[1.0, 1.0]]),
         senses=("<=",),
         rhs=np.array([3.0]),
-        free=frozenset({1}),
     )
-    again = LinearProgram.from_json_dict(lp.to_json_dict())
-    assert np.array_equal(again.objective, lp.objective)
-    assert again.senses == lp.senses and again.free == lp.free
     res = solve_lp(lp)
-    doc = res.to_json_dict()
-    assert doc["status"] == "optimal"
+    assert res.status == "optimal"
     assert abs(res.value - 6.0) < 1e-9
 
 
@@ -232,6 +233,35 @@ def test_random_lps_match_vertex_oracle(rng):
         assert np.all(y >= -1e-9)
         assert np.all(y @ rows >= c - 1e-7)
         assert abs(float(y @ rhs) - res.value) < 1e-7
+
+
+def _mes_42(seed, draw):
+    """Random-measurement MES(2) distribution at (N, K) = (4, 2), drawn as
+    perfbench/lp_defects.py draws it and loaded with the CLI's tolerances."""
+    table = random_mes_table(np.random.default_rng([seed, draw]), 4, 2)
+    return ProbDist(table, neg_tol=1e-9, norm_tol=1e-8)
+
+
+@pytest.mark.parametrize("seed,draw", [(5, 4), (3, 0), (7, 1)])
+def test_singular_final_basis_is_a_numerical_error(seed, draw):
+    # a singular final basis is a NumericalError (exit code 4), not a numpy traceback
+    with pytest.raises(NumericalError, match="singular"):
+        local_content(_mes_42(seed, draw), "local")
+
+
+@pytest.mark.parametrize("draw", [1, 2, 5])
+def test_primal_certification_refuses_bad_decompositions(draw):
+    # the simplex answers for these draws miss their = rows by 5.6e-4 to 8.9e-2;
+    # unchecked, they gave wrong decompositions or a residual ProbDist refused
+    with pytest.raises(NumericalError, match="primal certification"):
+        local_content(_mes_42(5, draw), "local")
+
+
+@pytest.mark.parametrize("draw", [0, 3])
+def test_certified_draws_reconstruct(draw):
+    out = local_content(_mes_42(5, draw), "local")
+    assert 0.0 < out.lam < 1.0
+    assert out.reconstruction_error <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +285,7 @@ def test_deterministic_and_uniform_are_local():
     d = ProbDist.from_assignments([0, 1], [1, 1], 2, 2)
     w = is_local(d)
     assert w.local and w.reconstruction_error <= 1e-12
-    w2 = is_local(uniform_dist(2, 2))
+    w2 = is_local(ProbDist.uniform(2, 2))
     assert w2.local and w2.reconstruction_error <= 1e-9
 
 
@@ -306,7 +336,7 @@ def test_local_content_endpoints():
     assert local_content(pr_box_dist(), "free").lam <= 1e-9
     det = ProbDist.from_assignments([0, 1], [0, 0], 2, 2)
     assert abs(local_content(det, "free").lam - 1.0) <= 1e-9
-    assert abs(local_content(uniform_dist(2, 2), "free").lam - 1.0) <= 1e-9
+    assert abs(local_content(ProbDist.uniform(2, 2), "free").lam - 1.0) <= 1e-9
 
 
 def test_local_content_free_decomposition_identity():
@@ -334,15 +364,15 @@ def test_local_content_of_tsirelson_point_matches_chsh_bound():
 
 
 def test_local_content_decreases_toward_pr_box():
-    u = uniform_dist(2, 2)
+    u = ProbDist.uniform(2, 2)
     pr = pr_box_dist()
     lams = []
     for mu in [0.5, 0.7, 0.9, 1.0]:
-        mixed = pr.mix(u, mu)  # mu on the PR side
+        mixed = ProbDist(mu * pr.table + (1.0 - mu) * u.table)  # mu on the PR side
         lams.append(local_content(mixed, "free").lam)
     assert all(a > b - 1e-12 for a, b in zip(lams, lams[1:]))
     assert lams[-1] <= 1e-9
-    below = local_content(pr.mix(u, 0.4), "free")
+    below = local_content(ProbDist(0.4 * pr.table + 0.6 * u.table), "free")
     assert abs(below.lam - 1.0) <= 1e-9
 
 
@@ -365,8 +395,8 @@ def test_local_content_remainder_local_variant():
 
 def test_local_content_variant_names():
     with pytest.raises(ValidationError):
-        local_content(uniform_dist(2, 2), "bogus")
-    a = local_content(uniform_dist(2, 2), "remainder-free")
+        local_content(ProbDist.uniform(2, 2), "bogus")
+    a = local_content(ProbDist.uniform(2, 2), "remainder-free")
     assert a.variant == "remainder-free"
 
 
