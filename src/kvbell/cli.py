@@ -222,7 +222,7 @@ def cmd_kv_build(args) -> int:
         "entries": len(doc["entries"]),
         "coefficient_mass": _tagged(mass, "exact"),
         "question_marginal_total": _tagged(marginal_total, "exact"),
-        "game_file": str(args.out),
+        "game_file": Path(args.out).name,
     }
     lines = [
         f"coset game n={n} eta={eta:.6g}",
@@ -520,11 +520,11 @@ def _draw_answers(probs: np.ndarray, draws, rng) -> tuple[np.ndarray, np.ndarray
     one uniform per round in round order; rounds are grouped by question pair."""
     N, _, K, _ = probs.shape
     u = rng.random(len(draws))
-    key = (draws.x * N + draws.y).astype(np.min_scalar_type(N * N - 1))
+    key = draws.x.astype(np.min_scalar_type(N * N - 1)) * N + draws.y
     order = np.argsort(key, kind="stable")  # numpy radix-sorts 8- and 16-bit keys
     cum = np.cumsum(probs.reshape(N * N, K * K), axis=1)
     cum[:, -1] = 1.0  # u < 1, so every flat index stays below K * K
-    flat = np.empty(len(draws), dtype=np.int64)
+    flat = np.empty(len(draws), dtype=np.min_scalar_type(K * K - 1))
     groups = np.split(order, np.cumsum(np.bincount(key, minlength=N * N))[:-1])
     for xy, rounds in enumerate(groups):
         if rounds.size:
@@ -560,10 +560,11 @@ def cmd_referee_sim(args) -> int:
             strategy = Path(strategy).name
         dist = ProbDist.from_assignments(alice, bob, N, K)
         exact = pair(game, dist)
-        pa = alice[draws.x]
-        pb = bob[draws.y]
-    answers_a = table.elems[draws.x, pa]
-    answers_b = table.elems[draws.y, pb]
+        pa = alice.astype(np.min_scalar_type(K - 1))[draws.x]
+        pb = bob.astype(pa.dtype)[draws.y]
+    elems = table.elems.astype(draws.z.dtype)  # answers are n-bit strings, as z is
+    answers_a = elems[draws.x, pa]
+    answers_b = elems[draws.y, pb]
     wins = (answers_a ^ answers_b) == draws.z
     rate = float(wins.mean())
     stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / samples)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import GuardError, ValidationError
 
 MAX_LOG = 4  # coset tables hold all 2**(2**l) strings, so l stays small
-REFEREE_ROUNDS_GUARD = 10**7  # rounds per run; every round keeps several int64 values
+REFEREE_ROUNDS_GUARD = 10**7  # rounds per run; every round keeps several small integers
 NOISE_ROW_BLOCK = 1 << 16  # noise bits are drawn this many rounds at a time
 
 # 16-bit lookup covers every string length used in this package: n <= 2**MAX_LOG.
@@ -311,13 +311,15 @@ def referee_sample(table: CosetTable, eta: float, seed: int, count: int = 1) -> 
         raise GuardError(f"{count} rounds exceed the referee guard ({REFEREE_ROUNDS_GUARD})")
     rng = np.random.Generator(np.random.PCG64(seed))
     n = table.n
-    xs = rng.integers(0, table.num_cosets, size=count, dtype=np.int64)
+    # per-round arrays in the smallest unsigned types; x is cast after its int64 draw
+    coset_type, string_type = (np.min_scalar_type(v - 1) for v in (table.num_cosets, table.size))
+    xs = rng.integers(0, table.num_cosets, size=count, dtype=np.int64).astype(coset_type)
     place = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
-    zs = np.empty(count, dtype=np.int64)
+    zs = np.empty(count, dtype=string_type)
     for lo in range(0, count, NOISE_ROW_BLOCK):  # same stream order as one (count, n) draw
         flips = rng.random((min(NOISE_ROW_BLOCK, count - lo), n)) < eta
         zs[lo : lo + len(flips)] = flips @ place
-    ys = table.coset_of[table.elems[xs, 0] ^ zs]
+    ys = table.coset_of.astype(coset_type)[table.elems[:, 0].astype(string_type)[xs] ^ zs]
     return RefereeSamples(x=xs, y=ys, z=zs)
 
 

@@ -5,9 +5,10 @@ with nonnegative right-hand sides, which is the form of every LP built
 here.  It uses Bland's rule (lowest eligible column in, lowest basis
 variable among minimal ratios out) so it cannot cycle, and certifies every
 optimum by recomputing reduced costs and the primal residuals at the final
-basis from the original data.  Infeasible problems return the phase-1 dual
-vector, which is verified to be a separating certificate before anyone
-sees it.
+basis from the original data.  Each pivot updates only the tableau rows the
+entering column reaches, or the whole tableau when that is half or more of
+the rows.  Infeasible problems return the phase-1 dual vector, which is
+verified to be a separating certificate before anyone sees it.
 
 On top of the solver: membership of a distribution in the local polytope,
 and the two readings of the local-content quantity lambda.
@@ -104,7 +105,12 @@ def _pivot_once(T: np.ndarray, basis: np.ndarray, leave: int, enter: int) -> Non
     T[leave] /= T[leave, enter]
     factor = T[:, enter].copy()
     factor[leave] = 0.0
-    T -= np.outer(factor, T[leave])
+    rows = np.flatnonzero(factor)
+    if 2 * rows.size < factor.size:  # a skipped row would only get x - 0 * T[leave]
+        for i in rows:
+            T[i] -= factor[i] * T[leave]
+    else:
+        T -= np.outer(factor, T[leave])
     basis[leave] = enter
 
 

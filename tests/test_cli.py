@@ -186,7 +186,7 @@ def test_draw_answers_matches_per_pair_loop(l, seed, samples):
     got = _draw_answers(probs, draws, _outcome_rng(seed))
     want = per_pair_answers(probs, draws, _outcome_rng(seed).random(samples))
     for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert g.dtype == np.uint8 and np.array_equal(g, w)  # n <= 8 answers fit in 8 bits
     if samples == 40:  # too few rounds to reach every question pair
         assert len(set(zip(draws.x.tolist(), draws.y.tolist()))) < table.num_cosets**2
 
@@ -242,6 +242,16 @@ def test_input_files_are_labelled_by_file_name(tmp_path, capsys, monkeypatch):
         results = [run_json(capsys, argv + [path])["result"] for path in spellings]
         assert results[0][key] == name
         assert results[0] == results[1] == results[2]
+
+
+def test_game_file_is_labelled_by_file_name(tmp_path, capsys, monkeypatch):
+    # one game written under three spellings of one path gives one result document
+    monkeypatch.chdir(tmp_path)
+    argv = ["kv-build", "--l", "2", "--eta", "0.25", "--out"]
+    spellings = ("g.json", "./g.json", str(tmp_path / "g.json"))
+    results = [run_json(capsys, argv + [path])["result"] for path in spellings]
+    assert results[0]["game_file"] == "g.json"
+    assert results[0] == results[1] == results[2]
 
 
 def test_exit_codes(tmp_path, capsys):

@@ -216,6 +216,8 @@ def test_referee_sample_determinism_and_consistency():
     # y is determined by x and z
     assert np.array_equal(table.coset_of[table.elems[s1.x, 0] ^ s1.z], s1.y)
     assert len(s1) == 1000
+    # 4 cosets and 4-bit strings: every per-round array fits in 8 bits
+    assert s1.x.dtype == s1.y.dtype == s1.z.dtype == np.uint8
 
 
 def test_referee_sample_statistics():

@@ -10,8 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from gen import random_mes_table
+from gen import kv34_table, random_mes_table
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import pivot_once_whole_tableau
 
+from kvbell import localpolytope
 from kvbell.errors import NumericalError, ValidationError
 from kvbell.localpolytope import (
     LinearProgram,
@@ -233,6 +237,54 @@ def test_random_lps_match_vertex_oracle(rng):
         assert np.all(y >= -1e-9)
         assert np.all(y @ rows >= c - 1e-7)
         assert abs(float(y @ rhs) - res.value) < 1e-7
+
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    n=st.integers(1, 12),
+    reach=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=12, n=5, reach=0.25, seed=0)  # a few rows: the row loop
+@example(m=12, n=5, reach=1.0, seed=0)  # every row: the whole-tableau update
+def test_pivot_matches_whole_tableau_update(m, n, reach, seed):
+    # the entering column is nonzero in about a fraction `reach` of the rows,
+    # so the draws cover both sides of the half-the-rows split
+    rng = np.random.default_rng(seed)
+    T = rng.normal(size=(m + 1, n + 1))
+    T[rng.random(T.shape) < 0.3] = 0.0
+    leave, enter = int(rng.integers(m)), int(rng.integers(n))
+    T[:, enter] *= rng.random(m + 1) < reach
+    T[leave, enter] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 4.0)
+    basis = rng.permutation(m + n)[:m]
+    want_T, want_basis = T.copy(), basis.copy()
+    pivot_once_whole_tableau(want_T, want_basis, leave, enter)
+    localpolytope._pivot_once(T, basis, leave, enter)
+    assert np.array_equal(T, want_T)
+    assert np.array_equal(basis, want_basis)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [kv34_table(), random_mes_table(np.random.default_rng([1, 0]), 3, 3)],
+    ids=["kv34", "random33"],
+)
+def test_solve_lp_is_unchanged_by_the_row_restricted_pivot(table, monkeypatch):
+    # the remainder-free local-content LP, solved with each pivot in turn
+    N, K = table.shape[0], table.shape[2]
+    D = vertex_matrix(N, K)
+    lp = LinearProgram(
+        objective=np.ones(D.shape[1]), rows=D, senses=("<=",) * D.shape[0], rhs=table.reshape(-1)
+    )
+    got = solve_lp(lp)
+    monkeypatch.setattr(localpolytope, "_pivot_once", pivot_once_whole_tableau)
+    want = solve_lp(lp)
+    assert got.status == want.status == "optimal"
+    assert got.value == want.value
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(got.dual, want.dual)
 
 
 def _mes_42(seed, draw):
