@@ -520,7 +520,7 @@ def _draw_answers(probs: np.ndarray, draws, rng) -> tuple[np.ndarray, np.ndarray
     one uniform per round in round order; rounds are grouped by question pair."""
     N, _, K, _ = probs.shape
     u = rng.random(len(draws))
-    key = draws.x.astype(np.min_scalar_type(N * N - 1)) * N + draws.y
+    key = draws.pair_key(N)
     order = np.argsort(key, kind="stable")  # numpy radix-sorts 8- and 16-bit keys
     cum = np.cumsum(probs.reshape(N * N, K * K), axis=1)
     cum[:, -1] = 1.0  # u < 1, so every flat index stays below K * K
@@ -551,20 +551,17 @@ def cmd_referee_sim(args) -> int:
         exact = pair(game, dist)
         outcome_rng = np.random.Generator(np.random.PCG64([args.seed, 1]))
         pa, pb = _draw_answers(dist.table, draws, outcome_rng)
+        answers_a, answers_b = table.elems[draws.x, pa], table.elems[draws.y, pb]
     else:
         if strategy == "rep":
-            alice = np.zeros(N, dtype=np.int64)
-            bob = np.zeros(N, dtype=np.int64)
+            alice = bob = np.zeros(N, dtype=np.int64)
         else:
             alice, bob = _load_strategy_file(strategy, N, K)
             strategy = Path(strategy).name
         dist = ProbDist.from_assignments(alice, bob, N, K)
         exact = pair(game, dist)
-        pa = alice.astype(np.min_scalar_type(K - 1))[draws.x]
-        pb = bob.astype(pa.dtype)[draws.y]
-    elems = table.elems.astype(draws.z.dtype)  # answers are n-bit strings, as z is
-    answers_a = elems[draws.x, pa]
-    answers_b = elems[draws.y, pb]
+        xs = np.arange(N)  # a deterministic strategy gives each coset one answer string
+        answers_a, answers_b = table.elems[xs, alice][draws.x], table.elems[xs, bob][draws.y]
     wins = (answers_a ^ answers_b) == draws.z
     rate = float(wins.mean())
     stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / samples)

@@ -74,6 +74,7 @@ class CosetTable:
     Cosets are numbered by ascending minimal element and each coset lists
     its members in ascending integer order, so coset 0 is the subgroup
     itself and elems[x, 0] is the canonical representative of coset x.
+    elems and coset_of are held in the smallest unsigned types that fit.
     """
 
     def __init__(self, l: int):
@@ -103,8 +104,8 @@ class CosetTable:
         self.size = size
         self.num_cosets = size // n
         self.subgroup = subgroup
-        self.elems = np.array(rows, dtype=np.int64)
-        self.coset_of = coset_of
+        self.elems = np.array(rows, dtype=np.min_scalar_type(size - 1))
+        self.coset_of = coset_of.astype(np.min_scalar_type(self.num_cosets - 1))
 
     def __repr__(self) -> str:
         return f"CosetTable(l={self.l}, n={self.n}, cosets={self.num_cosets})"
@@ -288,7 +289,8 @@ def entangled_lower_bound_asymptotic(n: int) -> float:
 
 @dataclass(frozen=True)
 class RefereeSamples:
-    """Question pairs with the noise strings that produced them."""
+    """Question pairs and noise strings in the coset table's narrow dtypes
+    (uint8 at n <= 8), so x * N + y wraps at N = 32 unless widened first, as pair_key does."""
 
     x: np.ndarray
     y: np.ndarray
@@ -297,12 +299,16 @@ class RefereeSamples:
     def __len__(self) -> int:
         return self.x.shape[0]
 
+    def pair_key(self, num_cosets: int) -> np.ndarray:
+        """x * num_cosets + y per round, in the smallest type that holds it."""
+        return self.x.astype(np.min_scalar_type(num_cosets**2 - 1)) * num_cosets + self.y
+
 
 def referee_sample(table: CosetTable, eta: float, seed: int, count: int = 1) -> RefereeSamples:
     """Draw question pairs the way the referee does.
 
-    Randomness comes from numpy's PCG64 stream seeded with seed, so a
-    fixed (table, eta, seed, count) always yields the same samples.
+    Randomness comes from numpy's PCG64(seed), with x drawn as int64 and
+    narrowed after, so a fixed (table, eta, seed, count) fixes the samples.
     """
     eta = _check_eta(eta)
     if count < 1:
@@ -311,15 +317,13 @@ def referee_sample(table: CosetTable, eta: float, seed: int, count: int = 1) -> 
         raise GuardError(f"{count} rounds exceed the referee guard ({REFEREE_ROUNDS_GUARD})")
     rng = np.random.Generator(np.random.PCG64(seed))
     n = table.n
-    # per-round arrays in the smallest unsigned types; x is cast after its int64 draw
-    coset_type, string_type = (np.min_scalar_type(v - 1) for v in (table.num_cosets, table.size))
-    xs = rng.integers(0, table.num_cosets, size=count, dtype=np.int64).astype(coset_type)
+    xs = rng.integers(0, table.num_cosets, size=count, dtype=np.int64).astype(table.coset_of.dtype)
     place = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
-    zs = np.empty(count, dtype=string_type)
+    zs = np.empty(count, dtype=table.elems.dtype)
     for lo in range(0, count, NOISE_ROW_BLOCK):  # same stream order as one (count, n) draw
         flips = rng.random((min(NOISE_ROW_BLOCK, count - lo), n)) < eta
         zs[lo : lo + len(flips)] = flips @ place
-    ys = table.coset_of.astype(coset_type)[table.elems[:, 0].astype(string_type)[xs] ^ zs]
+    ys = table.coset_of[table.elems[xs, 0] ^ zs]
     return RefereeSamples(x=xs, y=ys, z=zs)
 
 

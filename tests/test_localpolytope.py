@@ -239,7 +239,6 @@ def test_random_lps_match_vertex_oracle(rng):
         assert abs(float(y @ rhs) - res.value) < 1e-7
 
 
-
 @settings(max_examples=80, deadline=None)
 @given(
     m=st.integers(1, 12),
