@@ -84,10 +84,17 @@ def _meta(command: str) -> dict:
     }
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _emit(args, command: str, result: dict, lines: list[str], write_out: bool = True) -> None:
     doc = {"meta": _meta(command), "result": result}
     if write_out and getattr(args, "out", None):
-        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_file(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if args.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -177,8 +184,10 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"file not found: {path}") from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(doc, dict):
@@ -212,7 +221,7 @@ def cmd_kv_build(args) -> int:
     game = kv_functional(table, eta)
     doc = kv_game_to_json(game)
     # no indent: with one, json falls back to its pure-Python encoder
-    Path(args.out).write_text(json.dumps(doc, sort_keys=True) + "\n")
+    _write_file(args.out, json.dumps(doc, sort_keys=True) + "\n")
     marginal_total = float(kv_question_marginal(game).sum())
     mass = game.total()
     result = {

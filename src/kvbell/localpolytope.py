@@ -1,14 +1,19 @@
-"""Local-polytope computations on a hand-rolled dense two-phase simplex.
+"""Local-polytope computations on a hand-rolled two-phase revised simplex.
 
 The solver maximizes over nonnegative variables subject to <= and = rows
-with nonnegative right-hand sides, which is the form of every LP built
-here.  It uses Bland's rule (lowest eligible column in, lowest basis
-variable among minimal ratios out) so it cannot cycle, and certifies every
-optimum by recomputing reduced costs and the primal residuals at the final
-basis from the original data.  Each pivot updates only the tableau rows the
-entering column reaches, or the whole tableau when that is half or more of
-the rows.  Infeasible problems return the phase-1 dual vector, which is
-verified to be a separating certificate before anyone sees it.
+with nonnegative right-hand sides, the form of every LP built here.  It
+keeps the basis, the basic values and an explicit basis inverse with a
+rank-1 update per pivot, and recomputes both from the original columns
+every REFACTOR_EVERY pivots, before it declares optimal or unbounded, and
+before it uses a pivot entry below FRESH_PIVOT_MIN.  Bland's rule (lowest
+eligible column in, lowest basis variable among minimal ratios out) keeps
+it from cycling.  Artificials leave first among tied ratios and never
+return; in phase 2 a basic artificial blocks at ratio 0 in any row the
+entering column reaches, and one that no column reaches marks a redundant
+= row.  Optima are certified by reduced costs and primal residuals
+recomputed from the original data; infeasible problems return a verified
+Farkas vector.  A singular basis, a vanishing pivot, a failed certificate
+or the iteration limit raise NumericalError.
 
 On top of the solver: membership of a distribution in the local polytope,
 and the two readings of the local-content quantity lambda.
@@ -23,7 +28,9 @@ import numpy as np
 from .errors import GuardError, NumericalError, ValidationError
 from .values import ProbDist, assignment_table
 
-PIVOT_EPS = 1e-11
+PIVOT_EPS = 1e-9
+FRESH_PIVOT_MIN = 1e-6
+REFACTOR_EVERY = 64
 ENTER_TOL = 1e-9
 CERT_TOL = 1e-9
 VERTEX_GUARD = 4096
@@ -95,77 +102,69 @@ class _Standard:
         self.artificial[n0 + int(slack.sum()) :] = True
 
 
-def _install_objective(T: np.ndarray, basis: np.ndarray, costs: np.ndarray) -> None:
-    m = T.shape[0] - 1
-    T[m, :-1] = costs - costs[basis] @ T[:m, :-1]
-    T[m, -1] = -float(costs[basis] @ T[:m, -1])
-
-
-def _pivot_once(T: np.ndarray, basis: np.ndarray, leave: int, enter: int) -> None:
-    T[leave] /= T[leave, enter]
-    factor = T[:, enter].copy()
-    factor[leave] = 0.0
-    rows = np.flatnonzero(factor)
-    if 2 * rows.size < factor.size:  # a skipped row would only get x - 0 * T[leave]
-        for i in rows:
-            T[i] -= factor[i] * T[leave]
-    else:
-        T -= np.outer(factor, T[leave])
-    basis[leave] = enter
-
-
-def _pivot_loop(T: np.ndarray, basis: np.ndarray, allowed: np.ndarray, max_iters: int) -> str:
-    m = T.shape[0] - 1
-    for _ in range(max_iters):
-        reduced = T[m, :-1]
-        eligible = np.flatnonzero(allowed & (reduced > ENTER_TOL))
-        if eligible.size == 0:
-            return "optimal"
-        enter = int(eligible[0])
-        col = T[:m, enter]
-        positive = col > PIVOT_EPS
-        if not positive.any():
-            top = float(col.max()) if m else 0.0
-            if top > 1e-13:
-                raise NumericalError(
-                    f"numerical breakdown: best available pivot {top:.3e} < {PIVOT_EPS:.0e}"
-                )
-            return "unbounded"
-        ratios = np.where(positive, T[:m, -1] / np.where(positive, col, 1.0), np.inf)
-        rmin = float(ratios.min())
-        ties = np.flatnonzero(ratios == rmin)
-        leave = int(ties[np.argmin(basis[ties])])
-        _pivot_once(T, basis, leave, enter)
-    raise NumericalError(f"simplex did not terminate within {max_iters} pivots")
-
-
-def _purge_artificial_basics(T, basis, std, kept_rows):
-    """Pivot zero-level artificials out of the basis; drop redundant rows."""
-    drop = []
-    m = T.shape[0] - 1
-    for i in range(m):
-        if not std.artificial[basis[i]]:
-            continue
-        row = T[i, :-1]
-        candidates = np.flatnonzero(~std.artificial & (np.abs(row) > PIVOT_EPS))
-        if candidates.size:
-            _pivot_once(T, basis, i, int(candidates[0]))
-        else:
-            drop.append(i)
-    if drop:
-        keep = [i for i in range(m) if i not in drop]
-        T = np.vstack([T[keep], T[m:]])
-        basis = basis[keep]
-        kept_rows = kept_rows[keep]
-    return T, basis, kept_rows
-
-
-def _row_duals(std: _Standard, basis: np.ndarray, costs: np.ndarray, kept_rows: np.ndarray):
-    B = std.matrix[kept_rows][:, basis]
+def _factorize(std: _Standard, basis: np.ndarray):
+    """Basis inverse and basic values computed afresh from the original columns."""
     try:
-        return np.linalg.solve(B.T, costs[basis])
+        inverse = np.linalg.inv(std.matrix[:, basis])
     except np.linalg.LinAlgError:
-        raise NumericalError("numerical breakdown: the final basis is singular") from None
+        raise NumericalError("numerical breakdown: the basis is singular") from None
+    return inverse, inverse @ std.rhs
+
+
+def _simplex(std, costs, basis, allowed, max_iters, hold_artificials):
+    """Maximize costs . x from basis (updated in place) over the allowed
+    columns; an artificial that leaves is struck from allowed.  With
+    hold_artificials (phase 2) a basic artificial blocks at ratio 0 in every
+    row the entering column reaches.  Returns the status with a fresh
+    factorization of the final basis."""
+    since_fresh = REFACTOR_EVERY  # pivots since the last factorization; this forces one
+    for _ in range(max_iters):
+        if since_fresh >= REFACTOR_EVERY:
+            inverse, x_basic = _factorize(std, basis)
+            since_fresh = 0
+        y = costs[basis] @ inverse
+        eligible = np.flatnonzero(allowed & (costs - y @ std.matrix > ENTER_TOL))
+        if eligible.size == 0:
+            if since_fresh == 0:
+                return "optimal", inverse, x_basic
+            since_fresh = REFACTOR_EVERY
+            continue
+        enter = int(eligible[0])
+        d = inverse @ std.matrix[:, enter]
+        positive = d > PIVOT_EPS
+        ratios = np.full(d.shape, np.inf)
+        ratios[positive] = np.maximum(x_basic[positive], 0.0) / d[positive]
+        artificial = std.artificial[basis]
+        if hold_artificials:
+            ratios[artificial & (np.abs(d) > PIVOT_EPS)] = 0.0
+        if not np.isfinite(ratios).any():
+            if since_fresh:
+                since_fresh = REFACTOR_EVERY
+                continue
+            top = float(d.max(initial=0.0))
+            if top > 1e-13:
+                raise NumericalError(f"numerical breakdown: best pivot {top:.3e} < {PIVOT_EPS:.0e}")
+            return "unbounded", inverse, x_basic
+        ties = np.flatnonzero(ratios == ratios.min())
+        if artificial[ties].any():  # it never returns, so this cannot cycle
+            ties = ties[artificial[ties]]
+            leave = int(ties[np.argmax(np.abs(d[ties]))])
+        else:
+            leave = int(ties[np.argmin(basis[ties])])
+        if abs(d[leave]) < FRESH_PIVOT_MIN and since_fresh:
+            since_fresh = REFACTOR_EVERY
+            continue
+        step = ratios[leave]
+        x_basic -= step * d
+        x_basic[leave] = step
+        row = inverse[leave] / d[leave]
+        inverse -= np.outer(d, row)
+        inverse[leave] = row
+        if artificial[leave]:
+            allowed[basis[leave]] = False
+        basis[leave] = enter
+        since_fresh += 1
+    raise NumericalError(f"simplex did not terminate within {max_iters} pivots")
 
 
 def _certify_primal(lp: LinearProgram, x: np.ndarray) -> None:
@@ -179,47 +178,37 @@ def _certify_primal(lp: LinearProgram, x: np.ndarray) -> None:
 
 
 def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> LPResult:
-    """Two-phase dense simplex; see the module docstring for the contract."""
+    """Two-phase revised simplex; see the module docstring for the contract."""
     std = _Standard(lp)
     m, nt = std.matrix.shape
     if max_iters is None:
         max_iters = 2000 + 200 * (m + nt)
-    T = np.zeros((m + 1, nt + 1))
-    T[:m, :nt] = std.matrix
-    T[:m, -1] = std.rhs
     basis = std.basis0.copy()
-    kept_rows = np.arange(m)
     if std.artificial.any():
         phase1_costs = np.where(std.artificial, -1.0, 0.0)
-        _install_objective(T, basis, phase1_costs)
-        status = _pivot_loop(T, basis, np.ones(nt, dtype=bool), max_iters)
+        allowed = np.ones(nt, dtype=bool)
+        status, inverse, x_basic = _simplex(std, phase1_costs, basis, allowed, max_iters, False)
         if status != "optimal":
             raise NumericalError("phase 1 terminated without an optimum")
-        if -T[m, -1] < -CERT_TOL:
-            y = _row_duals(std, basis, phase1_costs, kept_rows)
-            farkas = -y
+        if float(phase1_costs[basis] @ x_basic) < -CERT_TOL:
+            farkas = -(phase1_costs[basis] @ inverse)
             against = farkas @ std.matrix[:, ~std.artificial]
             if against.max() > 1e-7 or float(farkas @ std.rhs) <= 0.0:
                 raise NumericalError("infeasibility certificate failed re-verification")
             return LPResult("infeasible", None, None, farkas)
-        T, basis, kept_rows = _purge_artificial_basics(T, basis, std, kept_rows)
-        m = T.shape[0] - 1
-    _install_objective(T, basis, std.costs)
-    status = _pivot_loop(T, basis, ~std.artificial, max_iters)
+    status, inverse, x_basic = _simplex(std, std.costs, basis, ~std.artificial, max_iters, True)
     if status == "unbounded":
         return LPResult("unbounded", None, None, None)
-    y = _row_duals(std, basis, std.costs, kept_rows)
-    reduced = std.costs - y @ std.matrix[kept_rows]
+    y = std.costs[basis] @ inverse
+    reduced = std.costs - y @ std.matrix
     worst = float(reduced[~std.artificial].max())
     if worst > CERT_TOL:
         raise NumericalError(f"optimality certification failed: reduced cost {worst:.3e}")
     x_std = np.zeros(nt)
-    x_std[basis] = T[:m, -1]
+    x_std[basis] = x_basic
     x = x_std[: std.n_orig]
     _certify_primal(lp, x)
-    dual = np.zeros(lp.rows.shape[0])
-    dual[kept_rows] = y
-    return LPResult("optimal", float(lp.objective @ x), x, dual)
+    return LPResult("optimal", float(lp.objective @ x), x, y)
 
 
 # ---------------------------------------------------------------------------

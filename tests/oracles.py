@@ -2,8 +2,7 @@
 
 Each one computes a shipped quantity by a different route (the bare
 definition, a full two-sided enumeration, an explicit sum over group
-elements, a direct tensor power, a pivot over the whole tableau) and
-nothing in src/kvbell calls it.
+elements, a direct tensor power) and nothing in src/kvbell calls it.
 """
 
 from __future__ import annotations
@@ -161,18 +160,3 @@ def per_pair_answers(table, draws, u) -> tuple[np.ndarray, np.ndarray]:
             pa[mask] = flat // K
             pb[mask] = flat % K
     return pa, pb
-
-
-def pivot_once_whole_tableau(T: np.ndarray, basis: np.ndarray, leave: int, enter: int) -> None:
-    """Simplex pivot on (leave, enter) that rewrites every row of the tableau.
-
-    One rank-1 update of the whole (m + 1) x (n + 1) tableau, rows whose
-    entering-column entry is zero included.  The solver's pivot touches
-    only the rows that entry reaches and must give the same tableau and
-    basis.
-    """
-    T[leave] /= T[leave, enter]
-    factor = T[:, enter].copy()
-    factor[leave] = 0.0
-    T -= np.outer(factor, T[leave])
-    basis[leave] = enter

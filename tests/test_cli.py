@@ -270,6 +270,28 @@ def test_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kv-build", "--l", "2", "--out", "{missing}/g.json"],
+        ["values", "--l", "2", "--out", "{missing}/v.json"],
+        ["superactivation", "--d", "2", "--k", "1:3", "--out", "{dir}"],
+        ["local-content", "--dist", "{dir}"],
+        ["values", "--game", "{dir}"],
+        ["referee-sim", "--l", "2", "--strategy", "{dir}"],
+        ["local-content", "--dist", "{not_utf8}"],
+    ],
+)
+def test_unusable_file_paths_exit_2(tmp_path, capsys, argv):
+    # a missing directory, a directory in place of a file, or bytes that are
+    # not UTF-8 end in a message and exit code 2, not a traceback
+    not_utf8 = tmp_path / "dist.json"
+    not_utf8.write_bytes(b"\xff" + json.dumps({"N": 2, "K": 2, "table": _uniform_table()}).encode())
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path, "not_utf8": not_utf8}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_corrupt_game_file_rejected(tmp_path, capsys):
     f = tmp_path / "corrupt.json"
     f.write_text(json.dumps({"n": 4, "eta": 0.25, "N": 4, "K": 4}))
