@@ -45,7 +45,6 @@ from .values import (
     ENUMERATION_GUARD,
     EXACT_GAME_SIZES,
     ProbDist,
-    ViolationReport,
     almost_activation_exponent,
     almost_activation_lower_factor,
     almost_activation_mix_weight,
@@ -330,9 +329,11 @@ def cmd_values(args) -> int:
         quantum = pair(functional, quantum_prob(make_mes(n), measurements, measurements))
         quantum_method = "exact"
     classical_ub = kv_classical_upper_bound(n, eta)
+    bounds = {"classical_upper_bound": _tagged(classical_ub, "formula-ub")}
     quantum_lb = None
     if n >= 8 and abs(eta - asymptotic_eta(n)) <= 1e-12:
         quantum_lb = entangled_lower_bound_asymptotic(n)
+        bounds["quantum_lower_bound"] = _tagged(quantum_lb, "formula-lb")
     if classical_method == "exact" and classical > 0:
         ratio = quantum / classical
     else:
@@ -341,19 +342,15 @@ def cmd_values(args) -> int:
             notes.append("ratio undefined: classical value is 0")
         else:
             notes.append("ratio omitted: classical value is not exact")
-    report = ViolationReport(
-        label=label,
-        classical_value=classical,
-        classical_method=classical_method,
-        quantum_value=quantum,
-        quantum_method=quantum_method,
-        ratio=ratio,
-        classical_upper_bound=classical_ub,
-        quantum_lower_bound=quantum_lb,
-        notes=tuple(notes),
-    )
-    result = report.to_json_dict()
-    result["closed_form"] = _tagged(closed, "closed-form-validated")
+    result = {
+        "functional": label,
+        "classical": _tagged(classical, classical_method),
+        "quantum": _tagged(quantum, quantum_method),
+        "ratio": ratio,
+        "bounds": bounds,
+        "notes": notes,
+        "closed_form": _tagged(closed, "closed-form-validated"),
+    }
     if classical_method != "exact" and classical_ub > 0:
         result["lv_lower_bound"] = _tagged(quantum / classical_ub, "formula-lb")
     classical_text = "not computed" if classical is None else f"{classical:.12g}"
@@ -626,6 +623,10 @@ def _load_distribution(path: str) -> ProbDist:
     return ProbDist(table, neg_tol=1e-9, norm_tol=1e-8)
 
 
+def _weights_json(weights) -> list[dict]:
+    return [{"alice": list(a), "bob": list(b), "weight": w} for a, b, w in weights]
+
+
 def cmd_local_content(args) -> int:
     if args.dist == "pr-box":
         dist = pr_box_dist()
@@ -640,16 +641,24 @@ def cmd_local_content(args) -> int:
         dist = _load_distribution(args.dist)
         label = Path(args.dist).name
     outcome = local_content(dist, args.variant)
-    result = outcome.to_json_dict()
-    result["distribution"] = label
-    result["lambda"] = _tagged(outcome.lam, "exact")
     lam = min(max(outcome.lam, 0.0), 1.0)
     if lam > 1e-9:
-        result["lv"] = _tagged(lv_from_pi(lam), "exact")
-        result["lv_note"] = "per-distribution quantity for this input, not a state invariant"
+        lv = _tagged(lv_from_pi(lam), "exact")
+        lv_note = "per-distribution quantity for this input, not a state invariant"
     else:
-        result["lv"] = None
-        result["lv_note"] = "undefined (local weight 0)"
+        lv = None
+        lv_note = "undefined (local weight 0)"
+    residual = outcome.residual_weights
+    result = {
+        "distribution": label,
+        "lambda": _tagged(outcome.lam, "exact"),
+        "variant": outcome.variant,
+        "weights": _weights_json(outcome.weights),
+        "residual_weights": None if residual is None else _weights_json(residual),
+        "reconstruction_error": outcome.reconstruction_error,
+        "lv": lv,
+        "lv_note": lv_note,
+    }
     if outcome.residual_distribution is not None:
         result["residual_distribution"] = outcome.residual_distribution.table.tolist()
     lines = [
@@ -657,9 +666,8 @@ def cmd_local_content(args) -> int:
         f"  lambda               {outcome.lam:.10g} [exact]",
         f"  reconstruction error {outcome.reconstruction_error:.3e}",
         f"  local terms          {len(outcome.weights)}",
-        f"  lv                   "
-        + (f"{result['lv']['value']:.10g} [exact]" if result["lv"] else "undefined"),
-        f"  note: {result['lv_note']}",
+        f"  lv                   " + (f"{lv['value']:.10g} [exact]" if lv else "undefined"),
+        f"  note: {lv_note}",
     ]
     _emit(args, "local-content", result, lines)
     return 0

@@ -15,8 +15,8 @@ recomputed from the original data; infeasible problems return a verified
 Farkas vector.  A singular basis, a vanishing pivot, a failed certificate
 or the iteration limit raise NumericalError.
 
-On top of the solver: membership of a distribution in the local polytope,
-and the two readings of the local-content quantity lambda.
+On top of the solver: the two readings of the local-content quantity lambda,
+which also decide membership in the local polytope (lambda = 1).
 """
 
 from __future__ import annotations
@@ -250,72 +250,6 @@ def _decode_weights(q: np.ndarray, N: int, K: int):
 
 
 @dataclass(frozen=True)
-class LocalWitness:
-    """Either a convex decomposition over deterministic pairs or a verified
-    separating functional with its offset and gap."""
-
-    local: bool
-    weights: list | None = None
-    reconstruction_error: float | None = None
-    functional: np.ndarray | None = None
-    functional_offset: float | None = None
-    local_max: float | None = None
-    value_at_target: float | None = None
-    gap: float | None = None
-
-
-def is_local(dist: ProbDist) -> LocalWitness:
-    """Membership of the distribution in the local polytope.
-
-    Solves the exact-decomposition feasibility LP, whose certified solution
-    reproduces the distribution within CERT_TOL.  A negative answer comes
-    with a separating functional re-verified against every vertex.
-    """
-    N, K = dist.N, dist.K
-    D = vertex_matrix(N, K)
-    n_entries = N * N * K * K
-    n_pairs = D.shape[1]
-    rows = np.vstack([D, np.ones((1, n_pairs))])
-    rhs = np.concatenate([dist.table.reshape(-1), [1.0]])
-    lp = LinearProgram(
-        objective=np.zeros(n_pairs),
-        rows=rows,
-        senses=("=",) * (n_entries + 1),
-        rhs=rhs,
-    )
-    result = solve_lp(lp)
-    if result.status == "optimal":
-        err = float(np.max(np.abs(D @ result.x - dist.table.reshape(-1))))
-        weights = _decode_weights(np.clip(result.x, 0.0, None), N, K)
-        return LocalWitness(local=True, weights=weights, reconstruction_error=err)
-    if result.status != "infeasible":
-        raise NumericalError(f"membership LP returned {result.status}")
-    y = result.dual
-    y = y / float(np.max(np.abs(y)))
-    coeffs = y[:n_entries]
-    offset = float(y[n_entries])
-    vertex_values = coeffs @ D
-    local_max = float(vertex_values.max())
-    value = float(coeffs @ dist.table.reshape(-1))
-    gap = value - local_max
-    if gap <= 0.0 or float(vertex_values.max()) + offset > 1e-7:
-        raise NumericalError("separating functional failed re-verification")
-    return LocalWitness(
-        local=False,
-        functional=coeffs.reshape(N, N, K, K),
-        functional_offset=offset,
-        local_max=local_max,
-        value_at_target=value,
-        gap=gap,
-    )
-
-
-VARIANT_FREE = "remainder-free"
-VARIANT_LOCAL = "remainder-local"
-_VARIANTS = {"free": VARIANT_FREE, "local": VARIANT_LOCAL, VARIANT_FREE: VARIANT_FREE, VARIANT_LOCAL: VARIANT_LOCAL}
-
-
-@dataclass(frozen=True)
 class LocalContentResult:
     lam: float
     variant: str
@@ -324,41 +258,25 @@ class LocalContentResult:
     residual_distribution: ProbDist | None
     reconstruction_error: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "variant": self.variant,
-            "weights": [
-                {"alice": list(a), "bob": list(b), "weight": w} for a, b, w in self.weights
-            ],
-            "residual_weights": None
-            if self.residual_weights is None
-            else [
-                {"alice": list(a), "bob": list(b), "weight": w}
-                for a, b, w in self.residual_weights
-            ],
-            "reconstruction_error": self.reconstruction_error,
-        }
-
 
 def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
     """Largest local weight lambda of the distribution, in two readings.
 
-    remainder-free: max total weight of a subconvex combination of
-    deterministic pairs fitting under the distribution entrywise.
-    remainder-local: max lambda such that lambda P + (1-lambda) P' is a
-    convex combination of deterministic pairs with P' itself one; both
-    multipliers are LP variables, so a single solve suffices.
+    free (reported as remainder-free): max total weight of a subconvex
+    combination of deterministic pairs fitting under the distribution
+    entrywise.
+    local (reported as remainder-local): max lambda such that
+    lambda P + (1-lambda) P' is a convex combination of deterministic pairs
+    with P' itself one; both multipliers are LP variables, so a single solve
+    suffices.
     """
-    try:
-        variant_name = _VARIANTS[variant]
-    except KeyError:
-        raise ValidationError(f"variant must be free or local, got {variant!r}") from None
+    if variant not in ("free", "local"):
+        raise ValidationError(f"variant must be free or local, got {variant!r}")
     N, K = dist.N, dist.K
     D = vertex_matrix(N, K)
     n_entries, n_pairs = D.shape
     p_flat = dist.table.reshape(-1)
-    if variant_name == VARIANT_FREE:
+    if variant == "free":
         lp = LinearProgram(
             objective=np.ones(n_pairs),
             rows=D,
@@ -381,7 +299,7 @@ def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
             )
         return LocalContentResult(
             lam=lam,
-            variant=variant_name,
+            variant="remainder-free",
             weights=_decode_weights(q, N, K),
             residual_weights=None,
             residual_distribution=residual,
@@ -414,7 +332,7 @@ def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
         )
     return LocalContentResult(
         lam=lam,
-        variant=variant_name,
+        variant="remainder-local",
         weights=_decode_weights(q, N, K),
         residual_weights=_decode_weights(r, N, K),
         residual_distribution=residual,

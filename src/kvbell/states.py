@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -28,6 +27,9 @@ MIXED = "MIX"
 PSD_CHECK_MAX_DIM = 1024
 
 REALIZE_MAX_DIM = 64
+
+# the exact threshold forms (d-1)^(d-1), about 1.7 million bits at d = 10^5
+THRESHOLD_DIM_GUARD = 10**5
 
 
 class DensityMatrix:
@@ -81,26 +83,33 @@ def make_isotropic(d: int, p: float) -> DensityMatrix:
     return DensityMatrix(p * mes + (1.0 - p) * np.eye(d * d) / (d * d))
 
 
-def _threshold_fraction(d: int) -> Fraction:
+def _threshold_parts(d: int) -> tuple[int, int]:
+    """Numerator and denominator of (3d-1)(d-1)^(d-1) / ((d+1) d^d)."""
     d = int(d)
     if d < 2:
         raise ValidationError(f"local dimension must be >= 2, got {d}")
-    return Fraction((3 * d - 1) * (d - 1) ** (d - 1), (d + 1) * d**d)
+    if d > THRESHOLD_DIM_GUARD:
+        raise GuardError(
+            f"the locality threshold is evaluated for d <= {THRESHOLD_DIM_GUARD}, got {d}"
+        )
+    return (3 * d - 1) * (d - 1) ** (d - 1), (d + 1) * d**d
 
 
 def locality_threshold(d: int) -> float:
     """Largest known-local mixing weight (3d-1)(d-1)^(d-1) / ((d+1) d^d).
 
-    Evaluated in exact integer arithmetic first; d^d overflows double
-    precision near d = 140 if formed naively.
+    Evaluated as one correctly rounded integer division; d^d overflows
+    double precision near d = 140 if formed naively.
     """
-    return float(_threshold_fraction(d))
+    num, den = _threshold_parts(d)
+    return num / den
 
 
 def threshold_copy_gain(d: int) -> float:
     """d times the locality threshold: the per-copy growth factor of the
     violation-ratio bound.  Crosses 1 between d = 7 and d = 8."""
-    return float(d * _threshold_fraction(d))
+    num, den = _threshold_parts(d)
+    return d * num / den
 
 
 @dataclass(frozen=True)

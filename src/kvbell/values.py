@@ -40,6 +40,7 @@ from .states import (
 )
 
 ENUMERATION_GUARD = 10**6
+RESTARTS_GUARD = 1000
 JOINT_DIM_GUARD = 4096
 TABLE_ENTRIES_GUARD = 1 << 24
 EXACT_GAME_SIZES = (2, 4, 8)
@@ -142,6 +143,8 @@ def classical_value_heuristic(
     """
     if restarts < 1:
         raise ValidationError(f"restarts must be >= 1, got {restarts}")
+    if restarts > RESTARTS_GUARD:
+        raise GuardError(f"{restarts} restarts exceed the guard ({RESTARTS_GUARD})")
     n_in, n_out = functional.num_inputs, functional.num_outputs
     dense = functional.dense()
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -357,48 +360,6 @@ def almost_activation_upper_formula(alpha) -> str:
     return f"D*(ln d)^(-{frac}) + 1"
 
 
-@dataclass(frozen=True)
-class ViolationReport:
-    """Classical and quantum values of one functional with method labels."""
-
-    label: str
-    classical_value: float | None
-    classical_method: str
-    quantum_value: float
-    quantum_method: str
-    ratio: float | None
-    classical_upper_bound: float | None = None
-    quantum_lower_bound: float | None = None
-    notes: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.classical_method == "exact" and self.classical_value > 0:
-            expected = self.quantum_value / self.classical_value
-            if self.ratio is None or abs(self.ratio - expected) > 1e-12:
-                raise ValidationError("ratio must equal quantum/classical for exact values")
-
-    def to_json_dict(self) -> dict:
-        bounds = {}
-        if self.classical_upper_bound is not None:
-            bounds["classical_upper_bound"] = {
-                "value": self.classical_upper_bound,
-                "method": "formula-ub",
-            }
-        if self.quantum_lower_bound is not None:
-            bounds["quantum_lower_bound"] = {
-                "value": self.quantum_lower_bound,
-                "method": "formula-lb",
-            }
-        return {
-            "functional": self.label,
-            "classical": {"value": self.classical_value, "method": self.classical_method},
-            "quantum": {"value": self.quantum_value, "method": self.quantum_method},
-            "ratio": self.ratio,
-            "bounds": bounds,
-            "notes": list(self.notes),
-        }
-
-
 @dataclass
 class SeesawResult:
     """Best strategy found by the alternating heuristic and its exact value."""
@@ -465,6 +426,8 @@ def seesaw_lower_bound(
         raise GuardError(f"scenario size N*K = {n_in * n_out} exceeds 64")
     if iters < 1 or restarts < 1:
         raise ValidationError("iters and restarts must be >= 1")
+    if restarts > RESTARTS_GUARD:
+        raise GuardError(f"{restarts} restarts exceed the guard ({RESTARTS_GUARD})")
     dense = functional.dense()
     rng = np.random.Generator(np.random.PCG64(seed))
     best_value = -math.inf

@@ -487,3 +487,63 @@ def test_values_n16_is_formula_only(capsys):
         "quantum_lower_bound": {"value": 0.5203422452514019, "method": "formula-lb"},
     }
     assert res["lv_lower_bound"] == {"value": 0.8620638499117589, "method": "formula-lb"}
+
+
+def test_values_result_pinned(capsys):
+    res = run_json(capsys, ["values", "--l", "2", "--eta", "0.25"])["result"]
+    assert res == {
+        "functional": "coset game n=4 eta=0.25",
+        "classical": {"value": 0.5625, "method": "exact"},
+        "quantum": {"value": 0.4375, "method": "exact"},
+        "ratio": 0.7777777777777778,
+        "bounds": {"classical_upper_bound": {"value": 0.6299605249474366, "method": "formula-ub"}},
+        "notes": [],
+        "closed_form": {"value": 0.4375, "method": "closed-form-validated"},
+    }
+
+
+def test_local_content_result_pinned(capsys):
+    argv = ["local-content", "--dist", "pr-box", "--variant", "local"]
+    res = run_json(capsys, argv)["result"]
+    assert res == {
+        "distribution": "pr-box",
+        "lambda": {"value": 0.6666666666666666, "method": "exact"},
+        "variant": "remainder-local",
+        "weights": [
+            {"alice": [0, 0], "bob": [0, 0], "weight": 0.33333333333333326},
+            {"alice": [0, 1], "bob": [1, 0], "weight": 0.3333333333333334},
+            {"alice": [1, 0], "bob": [1, 1], "weight": 0.3333333333333334},
+        ],
+        "residual_weights": [{"alice": [0, 0], "bob": [1, 0], "weight": 0.33333333333333337}],
+        "reconstruction_error": 1.1102230246251565e-16,
+        "lv": {"value": 2.0, "method": "exact"},
+        "lv_note": "per-distribution quantity for this input, not a state invariant",
+        "residual_distribution": [
+            [[[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+            [[[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+        ],
+    }
+
+
+@pytest.mark.parametrize("d", ["100001", "1000000"])
+def test_superactivation_threshold_guard(capsys, d):
+    assert main(["superactivation", "--d", d]) == 3
+    assert "locality threshold" in capsys.readouterr().err
+
+
+def test_superactivation_explicit_p_skips_threshold_guard(capsys):
+    res = run_json(capsys, ["superactivation", "--d", "1000000", "--p", "0.1", "--k", "1:2"])
+    assert res["result"]["p_source"] == "explicit"
+    assert res["result"]["crossing"]["k_star"]["value"] >= 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["values", "--l", "3", "--restarts", "1000000000"],
+        ["local-content", "--dist", "chsh-quantum", "--restarts", "1000000000"],
+    ],
+)
+def test_restarts_guard(capsys, argv):
+    assert main(argv) == 3
+    assert "restarts exceed the guard" in capsys.readouterr().err

@@ -18,9 +18,7 @@ from kvbell import localpolytope
 from kvbell.errors import NumericalError, ValidationError
 from kvbell.localpolytope import (
     LinearProgram,
-    LocalWitness,
     LPResult,
-    is_local,
     local_content,
     lv_from_pi,
     solve_lp,
@@ -362,51 +360,11 @@ def test_vertex_matrix_columns_are_deterministic_boxes():
                 assert np.array_equal(col, want.table.reshape(-1))
 
 
-def test_deterministic_and_uniform_are_local():
-    d = ProbDist.from_assignments([0, 1], [1, 1], 2, 2)
-    w = is_local(d)
-    assert w.local and w.reconstruction_error <= 1e-12
-    w2 = is_local(ProbDist.uniform(2, 2))
-    assert w2.local and w2.reconstruction_error <= 1e-9
-
-
 def _rebuild(weights, N, K):
     out = np.zeros((N, N, K, K))
     for f, g, weight in weights:
         out += weight * ProbDist.from_assignments(f, g, N, K).table
     return out
-
-
-def test_random_vertex_mixtures_are_local(rng):
-    D = vertex_matrix(2, 2)
-    for _ in range(25):
-        picks = rng.integers(0, D.shape[1], size=3)
-        lam = rng.dirichlet(np.ones(3))
-        table = (D[:, picks] @ lam).reshape(2, 2, 2, 2)
-        w = is_local(ProbDist(table))
-        assert w.local
-        assert w.reconstruction_error <= 1e-9
-        # decoded weights rebuild the distribution
-        rebuilt = _rebuild(w.weights, 2, 2)
-        assert np.max(np.abs(rebuilt - table)) <= 1e-8
-
-
-def test_pr_box_is_not_local():
-    w = is_local(pr_box_dist())
-    assert not w.local
-    assert w.gap > 0.1
-    # independent re-check of the separating functional
-    D = vertex_matrix(2, 2)
-    vals = w.functional.reshape(-1) @ D
-    assert w.value_at_target > vals.max() + 0.05
-
-
-def test_tsirelson_point_is_not_local():
-    res = seesaw_lower_bound(chsh_functional(), dim=2, seed=0, iters=30, restarts=5)
-    dist = quantum_prob(make_mes(2), res.alice, res.bob)
-    w = is_local(dist)
-    assert not w.local
-    assert w.gap > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +433,11 @@ def test_local_content_remainder_local_variant():
 
 
 def test_local_content_variant_names():
-    with pytest.raises(ValidationError):
-        local_content(ProbDist.uniform(2, 2), "bogus")
-    a = local_content(ProbDist.uniform(2, 2), "remainder-free")
-    assert a.variant == "remainder-free"
+    for spelling in ("bogus", "remainder-free", "remainder-local"):
+        with pytest.raises(ValidationError):
+            local_content(ProbDist.uniform(2, 2), spelling)
+    assert local_content(ProbDist.uniform(2, 2), "free").variant == "remainder-free"
+    assert local_content(ProbDist.uniform(2, 2), "local").variant == "remainder-local"
 
 
 def test_lv_from_pi():

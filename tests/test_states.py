@@ -12,6 +12,7 @@ from kvbell.errors import GuardError, ValidationError
 from kvbell.states import (
     ENTANGLED,
     MIXED,
+    THRESHOLD_DIM_GUARD,
     DensityMatrix,
     StateExpansion,
     expand_tensor_power,
@@ -67,11 +68,20 @@ def test_isotropic_endpoints_and_marginals():
 
 
 def test_locality_threshold_formula():
-    for d in range(2, 11):
+    for d in [*range(2, 11), 1000]:
         want = Fraction(3 * d - 1) * Fraction(d - 1) ** (d - 1)
         want /= Fraction(d + 1) * Fraction(d) ** d
         assert locality_threshold(d) == float(want)
+        assert threshold_copy_gain(d) == float(d * want)
     assert locality_threshold(2) == float(Fraction(5, 12))
+
+
+def test_threshold_dimension_guard():
+    assert locality_threshold(THRESHOLD_DIM_GUARD) > 0.0
+    with pytest.raises(GuardError):
+        locality_threshold(THRESHOLD_DIM_GUARD + 1)
+    with pytest.raises(GuardError):
+        threshold_copy_gain(THRESHOLD_DIM_GUARD + 1)
 
 
 def test_threshold_copy_gain_crossing():

@@ -34,8 +34,8 @@ from kvbell.states import (
     make_mes,
 )
 from kvbell.values import (
+    RESTARTS_GUARD,
     ProbDist,
-    ViolationReport,
     almost_activation_exponent,
     almost_activation_lower_factor,
     almost_activation_mix_weight,
@@ -472,34 +472,15 @@ def test_seesaw_guards():
         seesaw_lower_bound(game, dim=32, seed=0)
 
 
+def test_restarts_guard():
+    with pytest.raises(GuardError):
+        classical_value_heuristic(chsh_functional(), restarts=RESTARTS_GUARD + 1)
+    with pytest.raises(GuardError):
+        seesaw_lower_bound(chsh_functional(), dim=2, restarts=RESTARTS_GUARD + 1)
+
+
 # ---------------------------------------------------------------------------
-# reports and reference boxes
-
-
-def test_violation_report_checks_ratio():
-    with pytest.raises(ValidationError):
-        ViolationReport(
-            label="x",
-            classical_value=0.5,
-            classical_method="exact",
-            quantum_value=1.0,
-            quantum_method="exact",
-            ratio=3.0,
-        )
-    rep = ViolationReport(
-        label="x",
-        classical_value=0.5,
-        classical_method="exact",
-        quantum_value=1.0,
-        quantum_method="exact",
-        ratio=2.0,
-        classical_upper_bound=0.6,
-        quantum_lower_bound=0.9,
-    )
-    doc = rep.to_json_dict()
-    assert doc["classical"]["method"] == "exact"
-    assert doc["bounds"]["classical_upper_bound"]["method"] == "formula-ub"
-    assert doc["bounds"]["quantum_lower_bound"]["method"] == "formula-lb"
+# reference boxes
 
 
 def test_pr_box_wins_chsh_outright():
