@@ -61,7 +61,12 @@ from .values import (
     superactivation_crossing,
     superactivation_monotone_from,
     superactivation_ratio_bound,
+    _check_restarts,
 )
+
+# game-file entries formatted per write (under 0.5 MB of text at n = 8)
+GAME_FILE_BLOCK = 4096
+
 
 def _tagged(value, method: str) -> dict:
     return {"value": value, "method": method}
@@ -83,9 +88,11 @@ def _meta(command: str) -> dict:
     }
 
 
-def _write_file(path: str, text: str) -> None:
+def _write_file(path: str, pieces) -> None:
+    """Write the strings of pieces to path, one after another."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
@@ -93,7 +100,7 @@ def _write_file(path: str, text: str) -> None:
 def _emit(args, command: str, result: dict, lines: list[str], write_out: bool = True) -> None:
     doc = {"meta": _meta(command), "result": result}
     if write_out and getattr(args, "out", None):
-        _write_file(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_file(args.out, (json.dumps(doc, indent=2, sort_keys=True), "\n"))
     if args.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
@@ -206,6 +213,26 @@ def _header(doc: dict, key: str, types: tuple, what: str):
 # kv-build
 
 
+def _game_file_pieces(doc: dict):
+    """The text of json.dumps(doc, sort_keys=True) + "\\n" for a kv_game_to_json
+    dict, in pieces of GAME_FILE_BLOCK entries so the whole text is never held
+    at once.
+
+    A coefficient depends only on the noise weight, so it takes at most n + 1
+    values; each is formatted once.
+    """
+    entries = doc["entries"]
+    coef_text = {c: json.dumps(c) for c in set(map(itemgetter("c"), entries))}
+    fields = itemgetter("a", "b", "c", "x", "y")
+    row = '{"a": %d, "b": %d, "c": %s, "x": %d, "y": %d}'
+    yield '{"K": %s, "N": %s, "entries": [' % (json.dumps(doc["K"]), json.dumps(doc["N"]))
+    for lo in range(0, len(entries), GAME_FILE_BLOCK):
+        block = map(fields, entries[lo : lo + GAME_FILE_BLOCK])
+        rows = ", ".join([row % (a, b, coef_text[c], x, y) for a, b, c, x, y in block])
+        yield ", " + rows if lo else rows
+    yield '], "eta": %s, "n": %s}\n' % (json.dumps(doc["eta"]), json.dumps(doc["n"]))
+
+
 def cmd_kv_build(args) -> int:
     n = _resolve_block_length(args)
     if n > 8:
@@ -219,8 +246,7 @@ def cmd_kv_build(args) -> int:
     table = build_hadamard_subgroup(n.bit_length() - 1)
     game = kv_functional(table, eta)
     doc = kv_game_to_json(game)
-    # no indent: with one, json falls back to its pure-Python encoder
-    _write_file(args.out, json.dumps(doc, sort_keys=True) + "\n")
+    _write_file(args.out, _game_file_pieces(doc))
     marginal_total = float(kv_question_marginal(game).sum())
     mass = game.total()
     result = {
@@ -253,6 +279,16 @@ def _reject_entries(entries, bad: np.ndarray, problem: str) -> None:
         raise ValidationError(f"game entry {entries[int(np.argmax(bad))]!r} {problem}")
 
 
+def _entry_column(entries, key: str, types: set, what: str) -> list:
+    """Every entry's value under key, each of a type in types; type() rather
+    than isinstance, so JSON booleans (bool subclasses int) are refused."""
+    values = list(map(itemgetter(key), entries))
+    if not set(map(type, values)) <= types:
+        bad = next(e for e, v in zip(entries, values) if type(v) not in types)
+        raise ValidationError(f"game entry {bad!r} needs {what} under {key!r}")
+    return values
+
+
 def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
     doc = _load_json(path)
     for key in ("n", "eta", "N", "K", "entries"):
@@ -269,18 +305,21 @@ def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
     shape = (N, N, K, K)
     try:
         # one array per key, so every check below runs on whole columns
-        index = [np.array(list(map(itemgetter(key), entries))) for key in "xyab"]
-        coef = np.fromiter(map(itemgetter("c"), entries), dtype=np.float64, count=len(entries))
-    except (KeyError, TypeError, ValueError) as exc:
+        index = [
+            np.fromiter(_entry_column(entries, key, {int}, "an integer index"), np.int64)
+            for key in "xyab"
+        ]
+        # null (how JavaScript writes NaN and infinities) becomes NaN, refused below
+        numbers = {int, float, type(None)}
+        coef = np.fromiter(_entry_column(entries, "c", numbers, "a number"), np.float64)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValidationError(f"bad game entry: {exc!r}") from None
-    if entries and any(col.dtype.kind not in "iu" for col in index):
-        raise ValidationError("every game entry index must be an integer")
     outside = np.zeros(len(entries), dtype=bool)
     for col, size in zip(index, shape):
         outside |= (col < 0) | (col >= size)
     _reject_entries(entries, outside, f"has an index outside {shape}")
     _reject_entries(entries, ~np.isfinite(coef), "has a non-finite coefficient")
-    flat = np.ravel_multi_index([col.astype(np.int64) for col in index], shape)
+    flat = np.ravel_multi_index(index, shape)
     _reject_entries(entries, np.bincount(flat)[flat] > 1, "appears more than once")
     dense = np.zeros(shape)
     dense.flat[flat] = coef
@@ -766,6 +805,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+        if hasattr(args, "restarts"):  # checked here: only some routes reach the heuristics
+            _check_restarts(args.restarts)
         return args.func(args)
     except KvBellError as exc:
         print(f"error: {exc}", file=sys.stderr)

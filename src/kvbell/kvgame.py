@@ -331,12 +331,10 @@ def kv_game_to_json(functional: BellFunctional) -> dict:
     """Serializable dict with every nonzero entry, sorted by (x, y, a, b)."""
     table = _require_coset_game(functional)
     dense = functional.dense()
-    entries = []
-    nz = np.argwhere(dense != 0.0)
-    for x, y, a, b in nz:
-        entries.append(
-            {"x": int(x), "y": int(y), "a": int(a), "b": int(b), "c": float(dense[x, y, a, b])}
-        )
+    # one Python list per column: np.nonzero walks the table in C order
+    nz = np.nonzero(dense)
+    columns = [col.tolist() for col in nz] + [dense[nz].tolist()]
+    entries = [{"x": x, "y": y, "a": a, "b": b, "c": c} for x, y, a, b, c in zip(*columns)]
     return {
         "n": table.n,
         "eta": functional.meta["eta"],

@@ -132,6 +132,14 @@ def classical_value_exact(functional: BellFunctional) -> float:
     return best
 
 
+def _check_restarts(restarts: int) -> None:
+    """Refuse a restart count below 1 (exit 2) or above RESTARTS_GUARD (exit 3)."""
+    if restarts < 1:
+        raise ValidationError(f"restarts must be >= 1, got {restarts}")
+    if restarts > RESTARTS_GUARD:
+        raise GuardError(f"{restarts} restarts exceed the guard ({RESTARTS_GUARD})")
+
+
 def classical_value_heuristic(
     functional: BellFunctional, restarts: int = 50, seed: int = 0
 ) -> float:
@@ -141,10 +149,7 @@ def classical_value_heuristic(
     exact best responses until a sweep leaves the assignment unchanged.
     Runs on the functional and its negation; deterministic given seed.
     """
-    if restarts < 1:
-        raise ValidationError(f"restarts must be >= 1, got {restarts}")
-    if restarts > RESTARTS_GUARD:
-        raise GuardError(f"{restarts} restarts exceed the guard ({RESTARTS_GUARD})")
+    _check_restarts(restarts)
     n_in, n_out = functional.num_inputs, functional.num_outputs
     dense = functional.dense()
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -424,10 +429,9 @@ def seesaw_lower_bound(
     n_in, n_out = functional.num_inputs, functional.num_outputs
     if n_in * n_out > 64:
         raise GuardError(f"scenario size N*K = {n_in * n_out} exceeds 64")
-    if iters < 1 or restarts < 1:
-        raise ValidationError("iters and restarts must be >= 1")
-    if restarts > RESTARTS_GUARD:
-        raise GuardError(f"{restarts} restarts exceed the guard ({RESTARTS_GUARD})")
+    if iters < 1:
+        raise ValidationError(f"iters must be >= 1, got {iters}")
+    _check_restarts(restarts)
     dense = functional.dense()
     rng = np.random.Generator(np.random.PCG64(seed))
     best_value = -math.inf

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from kvbell.errors import GuardError, ValidationError
-from kvbell.kvgame import CosetTable, noise_weights, popcount
+from kvbell.kvgame import CosetTable, _require_coset_game, noise_weights, popcount
 from kvbell.states import REALIZE_MAX_DIM, DensityMatrix, interleave_to_blocked
 from kvbell.values import assignment_table
 
@@ -160,3 +160,23 @@ def per_pair_answers(table, draws, u) -> tuple[np.ndarray, np.ndarray]:
             pa[mask] = flat // K
             pb[mask] = flat % K
     return pa, pb
+
+
+def kv_game_to_json_per_entry(functional) -> dict:
+    """The game-file dict built one nonzero entry at a time, converting each
+    numpy scalar on its own; kv_game_to_json builds it from whole columns."""
+    table = _require_coset_game(functional)
+    dense = functional.dense()
+    entries = []
+    nz = np.argwhere(dense != 0.0)
+    for x, y, a, b in nz:
+        entries.append(
+            {"x": int(x), "y": int(y), "a": int(a), "b": int(b), "c": float(dense[x, y, a, b])}
+        )
+    return {
+        "n": table.n,
+        "eta": functional.meta["eta"],
+        "N": functional.num_inputs,
+        "K": functional.num_outputs,
+        "entries": entries,
+    }

@@ -32,12 +32,15 @@ def test_every_traced_layer_is_a_kvbell_function():
         assert inspect.isfunction(_resolve(layer)), layer
 
 
-def test_traced_commands_fill_the_layer_counters():
-    # the counters read call arguments (solve_lp's rows, for one), so a
-    # signature change breaks them even when every name still resolves
+def test_traced_commands_fill_the_layer_counters(tmp_path):
+    # the counters read call arguments (solve_lp's rows, for one) and return
+    # values (kv_game_to_json's entries), so a signature change breaks them
+    # even when every name still resolves
+    game = tmp_path / "game.json"
     commands = (
         ["superactivation", "--d", "2", "--k", "1:2"],
         ["local-content", "--dist", "pr-box"],
+        ["kv-build", "--l", "2", "--out", str(game)],
     )
     tracer = tracing.Tracer()
     with tracer.installed():
@@ -45,6 +48,8 @@ def test_traced_commands_fill_the_layer_counters():
             code, out, err = tracer.run(argv)
             assert code == 0, err
     totals = tracing.layer_totals(tracer.spans)
-    assert totals["cli.commands"] == 2
+    assert totals["cli.commands"] == 3
+    assert totals["kvgame.kv_game_to_json.entries"] == 256
+    assert totals["cli.kv_build.file_bytes"] == game.stat().st_size
     assert totals["values.kv_value_for_expansion.calls"] == 2
     assert totals["localpolytope.solve_lp.rows"] == totals["localpolytope.solve_lp.cols"] == 16

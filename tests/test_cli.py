@@ -8,10 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import per_pair_answers
+from oracles import kv_game_to_json_per_entry, per_pair_answers
 
-from kvbell.cli import _draw_answers, main
-from kvbell.kvgame import RefereeSamples, build_hadamard_subgroup, kv_measurements, referee_sample
+from kvbell.cli import _draw_answers, _game_file_pieces, main
+from kvbell.kvgame import (
+    RefereeSamples,
+    asymptotic_eta,
+    build_hadamard_subgroup,
+    kv_functional,
+    kv_game_to_json,
+    kv_measurements,
+    referee_sample,
+)
 from kvbell.states import make_mes
 from kvbell.values import quantum_prob
 
@@ -547,3 +555,65 @@ def test_superactivation_explicit_p_skips_threshold_guard(capsys):
 def test_restarts_guard(capsys, argv):
     assert main(argv) == 3
     assert "restarts exceed the guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "l,eta",
+    [(l, eta) for l in (1, 2, 3) for eta in (0.05, 0.25, 0.45, 0.5)] + [(3, asymptotic_eta(8))],
+)
+def test_game_file_bytes_match_json_dumps(tmp_path, capsys, l, eta):
+    # the streaming writer gives exactly the bytes of one json.dumps call;
+    # at eta = 1/2 every coefficient is the same number
+    path = tmp_path / "game.json"
+    run_json(capsys, ["kv-build", "--l", str(l), "--eta", repr(eta), "--out", str(path)])
+    game = kv_functional(build_hadamard_subgroup(l), eta)
+    want = json.dumps(kv_game_to_json_per_entry(game), sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    l=st.sampled_from([1, 2]),
+    eta=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+)
+def test_game_file_pieces_match_json_dumps(l, eta):
+    doc = kv_game_to_json(kv_functional(build_hadamard_subgroup(l), eta))
+    assert "".join(_game_file_pieces(doc)) == json.dumps(doc, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("l,eta", [(1, "0.25"), (2, "0.1"), (3, "auto")])
+def test_values_of_a_game_file_match_values_by_size(tmp_path, capsys, l, eta):
+    path = tmp_path / "game.json"
+    run_json(capsys, ["kv-build", "--l", str(l), "--eta", eta, "--out", str(path)])
+    loaded = run_json(capsys, ["values", "--game", str(path), "--seed", "3"])["result"]
+    direct = run_json(capsys, ["values", "--l", str(l), "--eta", eta, "--seed", "3"])["result"]
+    assert loaded["classical"] == direct["classical"]
+    assert loaded["quantum"] == direct["quantum"]
+
+
+@pytest.mark.parametrize("key,value", [("x", True), ("a", True), ("c", True), ("c", "0.5")])
+def test_game_file_entry_of_wrong_json_type_rejected(tmp_path, capsys, key, value):
+    # json loads true as True, which numpy would take for 1, a valid x and a here
+    def edit(entries):
+        assert entries[71]["x"] == entries[71]["a"] == 1
+        entries[71][key] = value
+
+    path = _game_file(tmp_path, capsys, edit)
+    assert main(["values", "--game", path]) == 2
+    assert f"under {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["values", "--l", "2", "--restarts", "0"], 2, "restarts must be >= 1"),
+        (["values", "--l", "2", "--restarts", "1000000000"], 3, "restarts exceed the guard"),
+        (["values", "--l", "4", "--restarts", "1001"], 3, "restarts exceed the guard"),
+        (["local-content", "--dist", "pr-box", "--restarts", "-5"], 2, "restarts must be >= 1"),
+        (["local-content", "--dist", "pr-box", "--restarts", "1001"], 3, "restarts exceed the guard"),
+    ],
+)
+def test_restarts_checked_on_every_route(capsys, argv, code, message):
+    # the heuristics check --restarts too, but only some routes reach them
+    assert main(argv) == code
+    assert message in capsys.readouterr().err

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import direct_coefficient_table_numpy
+from oracles import direct_coefficient_table_numpy, kv_game_to_json_per_entry
 
 from kvbell.errors import GuardError, ValidationError
 from kvbell.kvgame import (
@@ -245,3 +245,14 @@ def test_game_json_roundtrip():
     for e in doc["entries"]:
         dense[e["x"], e["y"], e["a"], e["b"]] = e["c"]
     assert np.array_equal(dense, game.dense())
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("eta", [0.05, 0.25, 0.45, 0.5])
+def test_game_json_matches_per_entry_oracle(l, eta):
+    game = kv_functional(build_hadamard_subgroup(l), eta)
+    doc = kv_game_to_json(game)
+    assert doc == kv_game_to_json_per_entry(game)
+    # Python scalars, not numpy ones, so json and the game-file writer take them
+    for entry in doc["entries"]:
+        assert [type(entry[key]) for key in "xyabc"] == [int, int, int, int, float]
