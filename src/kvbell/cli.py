@@ -333,7 +333,10 @@ def cmd_values(args) -> int:
         functional, table, eta = _load_game(args.game)
         n = table.n
         label = f"game file {Path(args.game).name}"
+        # the coset-game formulas describe a file only when its entries are that game
+        coset_game = np.array_equal(functional.dense(), kv_functional(table, eta).dense())
     else:
+        coset_game = True
         n = _resolve_block_length(args)
         eta = _resolve_eta(args.eta, n)
         label = f"coset game n={n} eta={eta:.6g}"
@@ -343,6 +346,11 @@ def cmd_values(args) -> int:
             functional = kv_functional(table, eta)
     closed = quantum_value_kv_closed_form(n, eta)
     notes = []
+    if not coset_game:
+        notes.append(
+            f"the entries are not the coset game at eta={eta:.6g}; "
+            "its formula values are left out"
+        )
     if functional is None:
         # n = 16 has no dense game table: both values come from the formulas
         classical = None
@@ -368,9 +376,9 @@ def cmd_values(args) -> int:
         quantum = pair(functional, quantum_prob(make_mes(n), measurements, measurements))
         quantum_method = "exact"
     classical_ub = kv_classical_upper_bound(n, eta)
-    bounds = {"classical_upper_bound": _tagged(classical_ub, "formula-ub")}
+    bounds = {"classical_upper_bound": _tagged(classical_ub, "formula-ub")} if coset_game else {}
     quantum_lb = None
-    if n >= 8 and abs(eta - asymptotic_eta(n)) <= 1e-12:
+    if coset_game and n >= 8 and abs(eta - asymptotic_eta(n)) <= 1e-12:
         quantum_lb = entangled_lower_bound_asymptotic(n)
         bounds["quantum_lower_bound"] = _tagged(quantum_lb, "formula-lb")
     if classical_method == "exact" and classical > 0:
@@ -388,18 +396,18 @@ def cmd_values(args) -> int:
         "ratio": ratio,
         "bounds": bounds,
         "notes": notes,
-        "closed_form": _tagged(closed, "closed-form-validated"),
     }
-    if classical_method != "exact" and classical_ub > 0:
+    if coset_game:
+        result["closed_form"] = _tagged(closed, "closed-form-validated")
+    if coset_game and classical_method != "exact" and classical_ub > 0:
         result["lv_lower_bound"] = _tagged(quantum / classical_ub, "formula-lb")
     classical_text = "not computed" if classical is None else f"{classical:.12g}"
-    lines = [
-        label,
-        f"  classical value   {classical_text} [{classical_method}]",
-        f"  classical upper   {classical_ub:.12g} [formula-ub]",
-        f"  quantum value     {quantum:.12g} [{quantum_method}]",
-        f"  closed form       {_fmt_tagged(result['closed_form'])}",
-    ]
+    lines = [label, f"  classical value   {classical_text} [{classical_method}]"]
+    if coset_game:
+        lines.append(f"  classical upper   {classical_ub:.12g} [formula-ub]")
+    lines.append(f"  quantum value     {quantum:.12g} [{quantum_method}]")
+    if coset_game:
+        lines.append(f"  closed form       {_fmt_tagged(result['closed_form'])}")
     if quantum_lb is not None:
         lines.append(f"  quantum lower     {quantum_lb:.12g} [formula-lb]")
     lines.append(f"  ratio             {ratio if ratio is not None else 'undefined'}")

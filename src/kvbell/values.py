@@ -43,6 +43,7 @@ ENUMERATION_GUARD = 10**6
 RESTARTS_GUARD = 1000
 JOINT_DIM_GUARD = 4096
 TABLE_ENTRIES_GUARD = 1 << 24
+SEESAW_BLOCK_BYTES = 1 << 20
 EXACT_GAME_SIZES = (2, 4, 8)
 
 
@@ -384,30 +385,24 @@ def _random_projective(rng, dim: int, n_out: int) -> Measurement:
     return Measurement(dim, operators=ops)
 
 
-def _greedy_response(rewards: np.ndarray) -> Measurement:
-    """Projective measurement from per-outcome reward operators.
+def _greedy_responses(rewards: np.ndarray) -> np.ndarray:
+    """Projective measurements from reward operators rewards[..., a, :, :].
 
-    Diagonalizes an outcome-weighted combination, then gives each
-    eigenvector to the outcome whose reward is largest on it.
-    """
-    n_out, dim = rewards.shape[0], rewards.shape[1]
-    mixer = np.einsum("a,aij->ij", np.arange(1, n_out + 1, dtype=float), rewards)
-    mixer = (mixer + mixer.conj().T) / 2.0
+    Diagonalizes each outcome-weighted combination, then gives each
+    eigenvector to the outcome whose reward is largest on it.  Projectors are
+    built as np.outer does and added in ascending eigenvector order."""
+    n_out, dim = rewards.shape[-3], rewards.shape[-1]
+    mixer = np.einsum("a,...aij->...ij", np.arange(1, n_out + 1, dtype=float), rewards)
+    mixer = (mixer + mixer.conj().swapaxes(-1, -2)) / 2.0
     _, vecs = np.linalg.eigh(mixer)
-    ops = np.zeros((n_out, dim, dim), dtype=complex)
+    scores = np.einsum("...ic,...aij,...jc->...ca", vecs.conj(), rewards, vecs).real
+    choice = scores.argmax(axis=-1)
+    lead = tuple(np.indices(choice.shape[:-1]))
+    ops = np.zeros(rewards.shape, dtype=complex)
     for col in range(dim):
-        v = vecs[:, col]
-        scores = np.einsum("i,aij,j->a", v.conj(), rewards, v).real
-        ops[int(scores.argmax())] += np.outer(v, v.conj())
-    return Measurement(dim, operators=ops)
-
-
-def _mes_strategy_value(dense: np.ndarray, alice, bob, dim: int) -> float:
-    # tr((E o F) MES) = tr(E F^T)/dim collapses the pairing to 2-index sums
-    ea = np.stack([m.operators for m in alice])
-    fb = np.stack([m.operators for m in bob])
-    overlap = np.einsum("xaij,ybij->xyab", ea, fb).real / dim
-    return float(np.sum(dense * overlap))
+        v = vecs[..., col]
+        ops[(*lead, choice[..., col])] += v[..., :, None] * v.conj()[..., None, :]
+    return ops
 
 
 def seesaw_lower_bound(
@@ -420,9 +415,11 @@ def seesaw_lower_bound(
     """Heuristic lower bound on the quantum value over maximally entangled
     strategies, by alternating greedy measurement updates.
 
-    Keeps the best iterate seen (single updates need not improve), and
-    returns the pairing of the reported strategy computed through
-    quantum_prob, so the value is exactly what the certificate achieves.
+    Restarts run in blocks of at most SEESAW_BLOCK_BYTES of operators, and
+    each half-step updates a whole block at once.  Starts are drawn restart
+    by restart and the first strict best iterate is kept (single updates
+    need not improve), so blocking leaves the result unchanged.  The value
+    is the pairing of the returned strategy, computed through quantum_prob.
     """
     if dim > 16:
         raise GuardError(f"joint search dimension {dim} exceeds 16")
@@ -434,29 +431,30 @@ def seesaw_lower_bound(
     _check_restarts(restarts)
     dense = functional.dense()
     rng = np.random.Generator(np.random.PCG64(seed))
-    best_value = -math.inf
-    best_pair = None
-    for _ in range(restarts):
-        alice = [_random_projective(rng, dim, n_out) for _ in range(n_in)]
-        bob = [_random_projective(rng, dim, n_out) for _ in range(n_in)]
+    block = max(1, SEESAW_BLOCK_BYTES // (32 * n_in * n_out * dim * dim))
+    best_value, best_ops = -math.inf, None
+    for start in range(0, restarts, block):
+        count = min(block, restarts - start)  # ops[r]: Alice's n_in measurements, then Bob's
+        draws = [_random_projective(rng, dim, n_out).operators for _ in range(2 * n_in * count)]
+        ops = np.array(draws).reshape(count, 2 * n_in, n_out, dim, dim)
+        alice, bob = ops[:, :n_in], ops[:, n_in:]
+        kept_value, kept_ops = np.full(count, -math.inf), ops.copy()
         for _ in range(iters):
-            fb = np.stack([m.operators for m in bob])
-            for x in range(n_in):
-                rewards = np.einsum("yab,ybij->aji", dense[x], fb) / dim
-                alice[x] = _greedy_response(rewards)
-            value = _mes_strategy_value(dense, alice, bob, dim)
-            if value > best_value:
-                best_value = value
-                best_pair = ([m for m in alice], [m for m in bob])
-            ea = np.stack([m.operators for m in alice])
-            for y in range(n_in):
-                rewards = np.einsum("xab,xaij->bji", dense[:, y], ea) / dim
-                bob[y] = _greedy_response(rewards)
-            value = _mes_strategy_value(dense, alice, bob, dim)
-            if value > best_value:
-                best_value = value
-                best_pair = ([m for m in alice], [m for m in bob])
-    alice, bob = best_pair
+            for mover, spec, other in (
+                (alice, "xyab,rybij->rxaji", bob),
+                (bob, "xyab,rxaij->rybji", alice),
+            ):
+                mover[...] = _greedy_responses(np.einsum(spec, dense, other) / dim)
+                # tr((E o F) MES) = tr(E F^T)/dim collapses the pairing to 2-index sums
+                overlap = np.einsum("rxaij,rybij->rxyab", alice, bob).real / dim
+                value = np.array([np.sum(dense * o) for o in overlap])
+                better = value > kept_value
+                kept_value[better], kept_ops[better] = value[better], ops[better]
+        r = int(np.argmax(kept_value))
+        if kept_value[r] > best_value:
+            best_value, best_ops = kept_value[r], kept_ops[r]
+    alice = [Measurement(dim, operators=op) for op in best_ops[:n_in]]
+    bob = [Measurement(dim, operators=op) for op in best_ops[n_in:]]
     exact_value = pair(functional, quantum_prob(make_mes(dim), alice, bob))
     return SeesawResult(value=exact_value, alice=alice, bob=bob)
 

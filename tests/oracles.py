@@ -12,9 +12,21 @@ import math
 import numpy as np
 
 from kvbell.errors import GuardError, ValidationError
-from kvbell.kvgame import CosetTable, _require_coset_game, noise_weights, popcount
-from kvbell.states import REALIZE_MAX_DIM, DensityMatrix, interleave_to_blocked
-from kvbell.values import assignment_table
+from kvbell.kvgame import (
+    CosetTable,
+    Measurement,
+    _require_coset_game,
+    noise_weights,
+    popcount,
+)
+from kvbell.states import REALIZE_MAX_DIM, DensityMatrix, interleave_to_blocked, make_mes
+from kvbell.values import (
+    SeesawResult,
+    _random_projective,
+    assignment_table,
+    pair,
+    quantum_prob,
+)
 
 ORACLE_GUARD = 4096
 
@@ -180,3 +192,62 @@ def kv_game_to_json_per_entry(functional) -> dict:
         "K": functional.num_outputs,
         "entries": entries,
     }
+
+
+def _greedy_response(rewards: np.ndarray) -> Measurement:
+    """Projective measurement from per-outcome reward operators.
+
+    Diagonalizes an outcome-weighted combination, then gives each
+    eigenvector to the outcome whose reward is largest on it.
+    """
+    n_out, dim = rewards.shape[0], rewards.shape[1]
+    mixer = np.einsum("a,aij->ij", np.arange(1, n_out + 1, dtype=float), rewards)
+    mixer = (mixer + mixer.conj().T) / 2.0
+    _, vecs = np.linalg.eigh(mixer)
+    ops = np.zeros((n_out, dim, dim), dtype=complex)
+    for col in range(dim):
+        v = vecs[:, col]
+        scores = np.einsum("i,aij,j->a", v.conj(), rewards, v).real
+        ops[int(scores.argmax())] += np.outer(v, v.conj())
+    return Measurement(dim, operators=ops)
+
+
+def _mes_strategy_value(dense: np.ndarray, alice, bob, dim: int) -> float:
+    # tr((E o F) MES) = tr(E F^T)/dim collapses the pairing to 2-index sums
+    ea = np.stack([m.operators for m in alice])
+    fb = np.stack([m.operators for m in bob])
+    overlap = np.einsum("xaij,ybij->xyab", ea, fb).real / dim
+    return float(np.sum(dense * overlap))
+
+
+def seesaw_per_restart(functional, dim: int, seed: int = 0, iters: int = 50, restarts: int = 20):
+    """The seesaw one restart, one input and one greedy response at a time;
+    seesaw_lower_bound runs the same steps on whole blocks of restarts."""
+    dense = functional.dense()
+    n_in, n_out = functional.num_inputs, functional.num_outputs
+    rng = np.random.Generator(np.random.PCG64(seed))
+    best_value = -math.inf
+    best_pair = None
+    for _ in range(restarts):
+        alice = [_random_projective(rng, dim, n_out) for _ in range(n_in)]
+        bob = [_random_projective(rng, dim, n_out) for _ in range(n_in)]
+        for _ in range(iters):
+            fb = np.stack([m.operators for m in bob])
+            for x in range(n_in):
+                rewards = np.einsum("yab,ybij->aji", dense[x], fb) / dim
+                alice[x] = _greedy_response(rewards)
+            value = _mes_strategy_value(dense, alice, bob, dim)
+            if value > best_value:
+                best_value = value
+                best_pair = ([m for m in alice], [m for m in bob])
+            ea = np.stack([m.operators for m in alice])
+            for y in range(n_in):
+                rewards = np.einsum("xab,xaij->bji", dense[:, y], ea) / dim
+                bob[y] = _greedy_response(rewards)
+            value = _mes_strategy_value(dense, alice, bob, dim)
+            if value > best_value:
+                best_value = value
+                best_pair = ([m for m in alice], [m for m in bob])
+    alice, bob = best_pair
+    exact_value = pair(functional, quantum_prob(make_mes(dim), alice, bob))
+    return SeesawResult(value=exact_value, alice=alice, bob=bob)

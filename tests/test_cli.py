@@ -591,6 +591,27 @@ def test_values_of_a_game_file_match_values_by_size(tmp_path, capsys, l, eta):
     assert loaded["quantum"] == direct["quantum"]
 
 
+@pytest.mark.parametrize("l,eta", [(2, "0.25"), (3, "auto")])
+def test_coset_game_formulas_only_for_the_coset_game(tmp_path, capsys, l, eta):
+    path = tmp_path / "game.json"
+    run_json(capsys, ["kv-build", "--l", str(l), "--eta", eta, "--out", str(path)])
+    direct = run_json(capsys, ["values", "--l", str(l), "--eta", eta, "--seed", "3"])["result"]
+    loaded = run_json(capsys, ["values", "--game", str(path), "--seed", "3"])["result"]
+    formulas = ("bounds", "closed_form", "lv_lower_bound")
+    assert [loaded.get(key) for key in formulas] == [direct.get(key) for key in formulas]
+    # every coefficient tripled: a valid file, but not the coset game at its eta
+    doc = json.loads(path.read_text())
+    for entry in doc["entries"]:
+        entry["c"] *= 3
+    path.write_text(json.dumps(doc))
+    tripled = run_json(capsys, ["values", "--game", str(path), "--seed", "3"])["result"]
+    upper = direct["bounds"]["classical_upper_bound"]["value"]
+    assert tripled["classical"]["value"] > upper
+    assert tripled["bounds"] == {}
+    assert "closed_form" not in tripled and "lv_lower_bound" not in tripled
+    assert any("entries are not the coset game" in note for note in tripled["notes"])
+
+
 @pytest.mark.parametrize("key,value", [("x", True), ("a", True), ("c", True), ("c", "0.5")])
 def test_game_file_entry_of_wrong_json_type_rejected(tmp_path, capsys, key, value):
     # json loads true as True, which numpy would take for 1, a valid x and a here
