@@ -235,16 +235,11 @@ def _game_file_pieces(doc: dict):
 
 def cmd_kv_build(args) -> int:
     n = _resolve_block_length(args)
-    if n > 8:
-        raise GuardError(
-            "full materialization supports n <= 8; larger games are served by "
-            "the closed-form paths in the values subcommand"
-        )
     eta = _resolve_eta(args.eta, n)
-    if args.out is None:
-        raise ValidationError("kv-build writes a game file; --out is required")
     table = build_hadamard_subgroup(n.bit_length() - 1)
     game = kv_functional(table, eta)
+    if args.out is None:
+        raise ValidationError("kv-build writes a game file; --out is required")
     doc = kv_game_to_json(game)
     _write_file(args.out, _game_file_pieces(doc))
     marginal_total = float(kv_question_marginal(game).sum())
@@ -324,8 +319,7 @@ def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
     dense = np.zeros(shape)
     dense.flat[flat] = coef
     eta = float(_header(doc, "eta", (int, float), "a number"))
-    meta = {"kind": "coset-game", "n": n, "eta": eta, "coset_table": table}
-    return BellFunctional(N, K, table=dense, meta=meta), table, eta
+    return BellFunctional(N, K, table=dense), table, eta
 
 
 def cmd_values(args) -> int:
@@ -405,12 +399,12 @@ def cmd_values(args) -> int:
     lines = [label, f"  classical value   {classical_text} [{classical_method}]"]
     if coset_game:
         lines.append(f"  classical upper   {classical_ub:.12g} [formula-ub]")
-    lines.append(f"  quantum value     {quantum:.12g} [{quantum_method}]")
+    lines.append(f"  quantum (MES strategy) {quantum:.12g} [{quantum_method}]")
     if coset_game:
         lines.append(f"  closed form       {_fmt_tagged(result['closed_form'])}")
     if quantum_lb is not None:
         lines.append(f"  quantum lower     {quantum_lb:.12g} [formula-lb]")
-    lines.append(f"  ratio             {ratio if ratio is not None else 'undefined'}")
+    lines.append(f"  ratio (MES / classical) {ratio if ratio is not None else 'undefined'}")
     if "lv_lower_bound" in result:
         lines.append(f"  violation >=      {_fmt_tagged(result['lv_lower_bound'])}")
     for note in notes:
@@ -519,13 +513,13 @@ def cmd_almost_activation(args) -> int:
         delta = args.delta
         if not (math.isfinite(delta) and delta > 0):
             raise ValidationError(f"--delta must be a positive finite number, got {delta}")
+        if almost_activation_lower_factor(2, frac) > delta:
+            # d = 2 is the smallest dimension, so there is no d where the factor crosses delta
+            raise ValidationError(
+                f"the lower factor already exceeds delta={delta:g} at d = 2, "
+                "the smallest dimension; no crossing"
+            )
         if exponent <= 0:
-            # The factor does not grow with d, so d = 2 gives its largest value.
-            if almost_activation_lower_factor(2, frac) > delta:
-                raise ValidationError(
-                    f"the lower factor already exceeds delta={delta:g} at d = 2 and "
-                    f"does not grow with d (exponent {exponent} <= 0); no crossing"
-                )
             ln_d_required = d_required = _tagged("never", "exact")
             text = f"never exceeds delta={delta:g} (exponent {exponent} <= 0: no growth in d)"
         else:
@@ -587,14 +581,12 @@ def _draw_answers(probs: np.ndarray, draws, rng) -> tuple[np.ndarray, np.ndarray
 
 def cmd_referee_sim(args) -> int:
     n = _resolve_block_length(args)
-    if n > 8:
-        raise GuardError("referee simulation supports n <= 8")
     eta = _resolve_eta(args.eta, n)
+    table = build_hadamard_subgroup(n.bit_length() - 1)
+    game = kv_functional(table, eta)
     samples = int(args.samples)
     if samples < 1:
         raise ValidationError(f"--samples must be >= 1, got {samples}")
-    table = build_hadamard_subgroup(n.bit_length() - 1)
-    game = kv_functional(table, eta)
     draws = referee_sample(table, eta, args.seed, count=samples)
     N, K = table.num_cosets, n
     strategy = args.strategy

@@ -85,26 +85,20 @@ class CosetTable:
             raise GuardError(f"coset tables support l <= {MAX_LOG}, got {l}")
         n = 1 << l
         size = 1 << n
-        subgroup = np.zeros(n, dtype=np.int64)
-        for s in range(n):
-            h = 0
-            for i in range(n):
-                h = (h << 1) | (popcount(s & i) & 1)
-            subgroup[s] = h
-        coset_of = np.full(size, -1, dtype=np.int64)
-        rows = []
-        for v in range(size):
-            if coset_of[v] >= 0:
-                continue
-            members = np.sort(v ^ subgroup)
-            coset_of[members] = len(rows)
-            rows.append(members)
+        # h_s packs the parities <bin(s), bin(i)> with i = 0 as the top bit
+        idx = np.arange(n)
+        place = np.int64(1) << (n - 1 - idx)
+        subgroup = (popcount(idx[:, None] & idx[None, :]) & 1) @ place
+        # row v lists v's coset in ascending order; a coset's rows all start at its minimum
+        members = np.sort(np.arange(size)[:, None] ^ subgroup[None, :], axis=1)
+        rows = members[members[:, 0] == np.arange(size)]
+        coset_of = np.searchsorted(rows[:, 0], members[:, 0])
         self.l = l
         self.n = n
         self.size = size
         self.num_cosets = size // n
         self.subgroup = subgroup
-        self.elems = np.array(rows, dtype=np.min_scalar_type(size - 1))
+        self.elems = rows.astype(np.min_scalar_type(size - 1))
         self.coset_of = coset_of.astype(np.min_scalar_type(self.num_cosets - 1))
 
     def __repr__(self) -> str:
@@ -166,10 +160,13 @@ def kv_functional(table: CosetTable, eta: float) -> BellFunctional:
     is checked in tests against the direct average over noise strings
     (tests/oracles.py).  Refused above n = DENSE_GAME_MAX_N.
     """
-    eta = _check_eta(eta)
     n = table.n
     if n > DENSE_GAME_MAX_N:
-        raise GuardError(f"dense game tables support n <= {DENSE_GAME_MAX_N}, got {n}")
+        raise GuardError(
+            f"dense game tables support n <= {DENSE_GAME_MAX_N}, got {n}; "
+            "use quantum_value_kv_closed_form for large coset games"
+        )
+    eta = _check_eta(eta)
     per_weight = noise_weights(n, eta) / table.num_cosets
     xor_all = table.elems[:, None, :, None] ^ table.elems[None, :, None, :]
     meta = {"kind": "coset-game", "n": n, "eta": eta, "coset_table": table}
@@ -195,12 +192,9 @@ def kv_question_marginal(functional: BellFunctional) -> np.ndarray:
 
 
 class Measurement:
-    """Projective measurement given by rows of an orthonormal-ish matrix.
-
-    Either vectors (K, dim) for rank-one outcomes or explicit operators
-    (K, dim, dim) can back an instance; operators are built lazily from
-    vectors when first requested.
-    """
+    """Projective measurement held as operators (K, dim, dim), given directly
+    or built at construction as the outer products of the rows of vectors
+    (K, dim), one rank-one outcome per row."""
 
     def __init__(self, dim, vectors=None, operators=None):
         self.dim = int(dim)
@@ -210,42 +204,13 @@ class Measurement:
             vectors = np.asarray(vectors)
             if vectors.ndim != 2 or vectors.shape[1] != self.dim:
                 raise ValidationError(f"vectors must be (K, {self.dim})")
-        if operators is not None:
-            operators = np.asarray(operators)
-            if operators.ndim != 3 or operators.shape[1:] != (self.dim, self.dim):
-                raise ValidationError(f"operators must be (K, {self.dim}, {self.dim})")
+            operators = np.einsum("ki,kj->kij", vectors, vectors.conj())
+        operators = np.asarray(operators)
+        if operators.ndim != 3 or operators.shape[1:] != (self.dim, self.dim):
+            raise ValidationError(f"operators must be (K, {self.dim}, {self.dim})")
         self.vectors = vectors
-        self._operators = operators
-
-    @property
-    def num_outcomes(self) -> int:
-        if self.vectors is not None:
-            return self.vectors.shape[0]
-        return self._operators.shape[0]
-
-    @property
-    def operators(self) -> np.ndarray:
-        if self._operators is None:
-            v = self.vectors
-            self._operators = np.einsum("ki,kj->kij", v, v.conj())
-        return self._operators
-
-    def completeness_defect(self) -> float:
-        total = self.operators.sum(axis=0)
-        return float(np.max(np.abs(total - np.eye(self.dim))))
-
-    def validate(self, tol: float = 1e-10) -> None:
-        ops = self.operators
-        herm = float(np.max(np.abs(ops - ops.conj().transpose(0, 2, 1))))
-        if herm > tol:
-            raise ValidationError(f"measurement operators not hermitian (defect {herm:.3e})")
-        for op in ops:
-            low = float(np.linalg.eigvalsh(op)[0])
-            if low < -tol:
-                raise ValidationError(f"measurement operator has eigenvalue {low:.3e} < 0")
-        defect = self.completeness_defect()
-        if defect > tol:
-            raise ValidationError(f"measurement does not sum to identity (defect {defect:.3e})")
+        self.operators = operators
+        self.num_outcomes = operators.shape[0]
 
 
 def kv_measurements(table: CosetTable) -> list[Measurement]:

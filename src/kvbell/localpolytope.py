@@ -283,58 +283,44 @@ def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
             senses=("<=",) * n_entries,
             rhs=p_flat,
         )
-        result = solve_lp(lp)
-        if result.status != "optimal":
-            raise NumericalError(f"local-content LP returned {result.status}")
-        q = np.clip(result.x, 0.0, None)
-        lam = float(result.value)
-        overshoot = float(np.max(D @ result.x - p_flat))
-        err = max(0.0, overshoot)
-        residual = None
-        if lam < 1.0 - CERT_TOL:
-            residual = ProbDist(
-                (dist.table - (D @ q).reshape(dist.table.shape)) / (1.0 - lam),
-                neg_tol=1e-8,
-                norm_tol=1e-7,
-            )
-        return LocalContentResult(
-            lam=lam,
-            variant="remainder-free",
-            weights=_decode_weights(q, N, K),
-            residual_weights=None,
-            residual_distribution=residual,
-            reconstruction_error=err,
+    else:
+        rows = np.zeros((n_entries + 2, 1 + 2 * n_pairs))
+        rows[:n_entries, 0] = p_flat
+        rows[:n_entries, 1 : 1 + n_pairs] = -D
+        rows[:n_entries, 1 + n_pairs :] = D
+        rows[n_entries, 1 : 1 + n_pairs] = 1.0
+        rows[n_entries + 1, 0] = 1.0
+        rows[n_entries + 1, 1 + n_pairs :] = 1.0
+        rhs = np.concatenate([np.zeros(n_entries), [1.0, 1.0]])
+        objective = np.zeros(1 + 2 * n_pairs)
+        objective[0] = 1.0
+        lp = LinearProgram(
+            objective=objective, rows=rows, senses=("=",) * (n_entries + 2), rhs=rhs
         )
-    rows = np.zeros((n_entries + 2, 1 + 2 * n_pairs))
-    rows[:n_entries, 0] = p_flat
-    rows[:n_entries, 1 : 1 + n_pairs] = -D
-    rows[:n_entries, 1 + n_pairs :] = D
-    rows[n_entries, 1 : 1 + n_pairs] = 1.0
-    rows[n_entries + 1, 0] = 1.0
-    rows[n_entries + 1, 1 + n_pairs :] = 1.0
-    rhs = np.concatenate([np.zeros(n_entries), [1.0, 1.0]])
-    objective = np.zeros(1 + 2 * n_pairs)
-    objective[0] = 1.0
-    lp = LinearProgram(
-        objective=objective, rows=rows, senses=("=",) * (n_entries + 2), rhs=rhs
-    )
     result = solve_lp(lp)
     if result.status != "optimal":
         raise NumericalError(f"local-content LP returned {result.status}")
-    lam = float(result.x[0])
-    q = np.clip(result.x[1 : 1 + n_pairs], 0.0, None)
-    r = np.clip(result.x[1 + n_pairs :], 0.0, None)
-    err = float(np.max(np.abs(lam * p_flat - D @ q + D @ r)))
+    if variant == "free":
+        lam = float(result.value)
+        q, r = np.clip(result.x, 0.0, None), None
+        err = max(0.0, float(np.max(D @ result.x - p_flat)))
+        leftover = p_flat - D @ q
+    else:
+        lam = float(result.x[0])
+        q = np.clip(result.x[1 : 1 + n_pairs], 0.0, None)
+        r = np.clip(result.x[1 + n_pairs :], 0.0, None)
+        leftover = D @ r
+        err = float(np.max(np.abs(lam * p_flat - D @ q + leftover)))
     residual = None
     if lam < 1.0 - CERT_TOL:
         residual = ProbDist(
-            (D @ r).reshape(dist.table.shape) / (1.0 - lam), neg_tol=1e-8, norm_tol=1e-7
+            leftover.reshape(dist.table.shape) / (1.0 - lam), neg_tol=1e-8, norm_tol=1e-7
         )
     return LocalContentResult(
         lam=lam,
-        variant="remainder-local",
+        variant=f"remainder-{variant}",
         weights=_decode_weights(q, N, K),
-        residual_weights=_decode_weights(r, N, K),
+        residual_weights=None if r is None else _decode_weights(r, N, K),
         residual_distribution=residual,
         reconstruction_error=err,
     )

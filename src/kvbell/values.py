@@ -194,7 +194,7 @@ def quantum_prob(rho: DensityMatrix, alice, bob) -> ProbDist:
     are the rows (x, a) of E, Bob's transposed operators the rows (y, b)
     of F, rho is permuted into R[(i, j), (l, k)] = rho[(j, l), (i, k)],
     and E R F^T is the whole table.  Rank-1 measurements enter through
-    Measurement.operators, which caches the outer products of their vectors.
+    Measurement.operators, the outer products of their vectors.
     """
     alice = list(alice)
     bob = list(bob)
@@ -321,11 +321,7 @@ def superactivation_crossing(d: int, alpha: float, k_limit: int = 10**7) -> int 
 
 
 def _to_fraction(alpha) -> Fraction:
-    if isinstance(alpha, Fraction):
-        return alpha
-    if isinstance(alpha, int):
-        return Fraction(alpha)
-    if isinstance(alpha, str):
+    if isinstance(alpha, (Fraction, int, str)):
         return Fraction(alpha)
     # floats go through repr so 0.1 means the decimal 1/10, not its binary image
     return Fraction(repr(float(alpha)))

@@ -251,3 +251,38 @@ def seesaw_per_restart(functional, dim: int, seed: int = 0, iters: int = 50, res
     alice, bob = best_pair
     exact_value = pair(functional, quantum_prob(make_mes(dim), alice, bob))
     return SeesawResult(value=exact_value, alice=alice, bob=bob)
+
+
+def coset_table_by_loop(l: int):
+    """(subgroup, elems, coset_of) built one subgroup string and one coset at
+    a time; CosetTable builds the same arrays by whole-array operations."""
+    n = 1 << l
+    size = 1 << n
+    subgroup = np.zeros(n, dtype=np.int64)
+    for s in range(n):
+        h = 0
+        for i in range(n):
+            h = (h << 1) | (popcount(s & i) & 1)
+        subgroup[s] = h
+    coset_of = np.full(size, -1, dtype=np.int64)
+    rows = []
+    for v in range(size):
+        if coset_of[v] >= 0:
+            continue
+        members = np.sort(v ^ subgroup)
+        coset_of[members] = len(rows)
+        rows.append(members)
+    num_cosets = size // n
+    elems = np.array(rows, dtype=np.min_scalar_type(size - 1))
+    return subgroup, elems, coset_of.astype(np.min_scalar_type(num_cosets - 1))
+
+
+def assert_projective_measurement(m: Measurement, tol: float = 1e-10) -> None:
+    """Hermitian, positive semidefinite operators that sum to the identity."""
+    ops = m.operators
+    herm = float(np.max(np.abs(ops - ops.conj().transpose(0, 2, 1))))
+    assert herm <= tol, f"measurement operators not hermitian (defect {herm:.3e})"
+    low = min(float(np.linalg.eigvalsh(op)[0]) for op in ops)
+    assert low >= -tol, f"measurement operator has eigenvalue {low:.3e} < 0"
+    defect = float(np.max(np.abs(ops.sum(axis=0) - np.eye(m.dim))))
+    assert defect <= tol, f"measurement does not sum to identity (defect {defect:.3e})"

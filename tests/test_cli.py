@@ -361,6 +361,17 @@ def test_almost_activation_delta_without_growth(capsys, alpha, exponent):
     assert "never exceeds delta=2" in text and "once ln d" not in text
 
 
+@pytest.mark.parametrize(
+    "alpha,delta", [("1/11", "1e-3"), ("1/11", "1e-300"), ("1/10", "1e-3")]
+)
+def test_almost_activation_delta_below_the_factor_at_d2(capsys, alpha, delta):
+    # a growing factor would otherwise report a crossing below ln 2
+    assert main(["almost-activation", "--alpha", alpha, "--delta", delta]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "already exceeds delta" in captured.err and "at d = 2" in captured.err
+
+
 def _game_file(tmp_path, capsys, edit):
     path = tmp_path / "game.json"
     run_json(capsys, ["kv-build", "--l", "2", "--eta", "0.25", "--out", str(path)])
@@ -407,6 +418,28 @@ def test_game_file_duplicate_entry_rejected(tmp_path, capsys):
 def test_block_length_refused_before_allocation(capsys, argv):
     assert main(argv) == 3
     assert "block length is limited" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kv-build", "--l", "4"],
+        ["kv-build", "--n", "16", "--eta", "0.9", "--out", "never-written.json"],
+        ["referee-sim", "--l", "4", "--samples", "0"],
+        ["referee-sim", "--l", "4", "--eta", "auto"],
+    ],
+)
+def test_dense_size_refused_by_the_game_table(capsys, argv):
+    # kv_functional's guard is the one refusal, ahead of the eta range, --out and --samples
+    assert main(argv) == 3
+    assert "use quantum_value_kv_closed_form" in capsys.readouterr().err
+
+
+def test_values_text_names_the_mes_strategy(capsys):
+    assert main(["values", "--l", "2", "--eta", "0.25"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "  quantum (MES strategy) 0.4375 [exact]" in lines
+    assert "  ratio (MES / classical) 0.7777777777777778" in lines
 
 
 @pytest.mark.parametrize(
@@ -529,6 +562,24 @@ def test_local_content_result_pinned(capsys):
         "residual_distribution": [
             [[[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
             [[[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+        ],
+    }
+
+
+def test_local_content_free_result_pinned(capsys):
+    res = run_json(capsys, ["local-content", "--dist", "pr-box", "--variant", "free"])["result"]
+    assert res == {
+        "distribution": "pr-box",
+        "lambda": {"value": 0.0, "method": "exact"},
+        "variant": "remainder-free",
+        "weights": [],
+        "residual_weights": None,
+        "reconstruction_error": 0.0,
+        "lv": None,
+        "lv_note": "undefined (local weight 0)",
+        "residual_distribution": [
+            [[[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]]],
+            [[[0.5, 0.0], [0.0, 0.5]], [[0.0, 0.5], [0.5, 0.0]]],
         ],
     }
 

@@ -10,7 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import direct_coefficient_table_numpy, kv_game_to_json_per_entry
+from oracles import (
+    assert_projective_measurement,
+    coset_table_by_loop,
+    direct_coefficient_table_numpy,
+    kv_game_to_json_per_entry,
+)
 
 from kvbell.errors import GuardError, ValidationError
 from kvbell.kvgame import (
@@ -33,6 +38,15 @@ from kvbell.kvgame import (
 def test_subgroup_small_examples():
     assert build_hadamard_subgroup(1).subgroup.tolist() == [0, 1]
     assert build_hadamard_subgroup(2).subgroup.tolist() == [0, 5, 3, 6]
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_coset_table_matches_loop(l):
+    table = build_hadamard_subgroup(l)
+    got = (table.subgroup, table.elems, table.coset_of)
+    for g, w in zip(got, coset_table_by_loop(l)):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
@@ -109,9 +123,11 @@ def test_total_mass_is_n(l, eta):
 
 
 def test_kv_functional_refuses_n16():
-    # (4096 * 16)**2 coefficients: n = 16 is served by the closed forms only
-    with pytest.raises(GuardError):
-        kv_functional(build_hadamard_subgroup(4), 0.2)
+    # (4096 * 16)**2 coefficients: n = 16 is served by the closed forms only,
+    # and the refusal comes before the eta check and names that route
+    for eta in (0.2, 0.9):
+        with pytest.raises(GuardError, match="quantum_value_kv_closed_form"):
+            kv_functional(build_hadamard_subgroup(4), eta)
 
 
 def _marginal_bruteforce(table, eta):
@@ -144,7 +160,7 @@ def test_measurements_validate_and_overlap_formula(l):
     meas = kv_measurements(table)
     assert len(meas) == table.num_cosets
     for m in meas:
-        m.validate()
+        assert_projective_measurement(m)
     # cross-coset overlap only depends on the xor weight
     for x in (0, table.num_cosets - 1):
         for y in range(table.num_cosets):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    assert_projective_measurement,
     classical_value_bruteforce,
     kv_mes_value_direct,
     seesaw_per_restart,
@@ -455,7 +456,7 @@ def test_seesaw_reaches_tsirelson_on_chsh():
     assert res.value <= tsirelson + 1e-9
     assert res.value >= tsirelson - 1e-6
     for m in res.alice + res.bob:
-        m.validate()
+        assert_projective_measurement(m)
     # reported value is the exact value of the returned strategy
     redo = pair(chsh_functional(), quantum_prob(make_mes(2), res.alice, res.bob))
     assert abs(res.value - redo) < 1e-12
