@@ -680,9 +680,8 @@ def cmd_local_content(args) -> int:
         dist = _load_distribution(args.dist)
         label = Path(args.dist).name
     outcome = local_content(dist, args.variant)
-    lam = min(max(outcome.lam, 0.0), 1.0)
-    if lam > 1e-9:
-        lv = _tagged(lv_from_pi(lam), "exact")
+    if outcome.lam > 1e-9:
+        lv = _tagged(lv_from_pi(outcome.lam), "exact")
         lv_note = "per-distribution quantity for this input, not a state invariant"
     else:
         lv = None

@@ -16,7 +16,11 @@ Farkas vector.  A singular basis, a vanishing pivot, a failed certificate
 or the iteration limit raise NumericalError.
 
 On top of the solver: the two readings of the local-content quantity lambda,
-which also decide membership in the local polytope (lambda = 1).
+which also decide membership in the local polytope (lambda = 1).  Their
+columns are deterministic strategy pairs built by one column builder: all
+K^(2N) of them for the local reading (vertex_matrix), only those inside P's
+support for the free one.  VERTEX_GUARD bounds the assignments per party,
+DENSE_LP_GUARD the entries of the matrix actually built.
 """
 
 from __future__ import annotations
@@ -215,38 +219,55 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> LPResult:
 # Local polytope proper.
 
 
+def _assignments(N: int, K: int) -> np.ndarray:
+    """assignment_table(N, K), refused past VERTEX_GUARD assignments per party."""
+    if K**N > VERTEX_GUARD:
+        raise GuardError(f"{K}^{N} assignments per party exceed the guard ({VERTEX_GUARD})")
+    return assignment_table(N, K)
+
+
+def _pair_columns(digits: np.ndarray, K: int, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Columns of the deterministic pairs (digits[alice], digits[bob]), flattened
+    over (x,y,a,b); the index arrays broadcast together and the pairs are read
+    in C order.  Refused past DENSE_LP_GUARD entries."""
+    N = digits.shape[1]
+    n_rows, n_cols = N * N * K * K, np.broadcast(alice, bob).size
+    if n_rows * n_cols > DENSE_LP_GUARD:
+        raise GuardError("dense vertex matrix would exceed the memory guard")
+    hits = np.eye(K)[digits]  # (assignment, x, a) one-hot
+    columns = np.einsum("...xa,...yb->xyab...", hits[alice], hits[bob], order="C")
+    return columns.reshape(n_rows, n_cols)
+
+
 def vertex_matrix(N: int, K: int) -> np.ndarray:
     """Columns are deterministic strategy pairs, flattened over (x,y,a,b).
 
     Column order is Alice-major: s = fa * K**N + gb with each assignment
     read as a base-K counter (input 0 most significant).
     """
-    total = K**N
-    if total > VERTEX_GUARD:
-        raise GuardError(f"{K}^{N} assignments per party exceed the guard ({VERTEX_GUARD})")
-    if (N * N * K * K) * total * total > DENSE_LP_GUARD:
-        raise GuardError("dense vertex matrix would exceed the memory guard")
-    digits = assignment_table(N, K)
-    hits = np.zeros((total, N, K))
-    hits[np.arange(total)[:, None], np.arange(N)[None, :], digits] = 1.0
-    full = np.einsum("fxa,gyb->xyabfg", hits, hits)
-    return full.reshape(N * N * K * K, total * total)
+    digits = _assignments(N, K)
+    every = np.arange(len(digits))
+    return _pair_columns(digits, K, every[:, None], every[None, :])
 
 
-def _decode_weights(q: np.ndarray, N: int, K: int):
-    digits = assignment_table(N, K)
-    total = digits.shape[0]
-    out = []
-    for s in np.flatnonzero(q > 1e-12):
-        fa, gb = divmod(int(s), total)
-        out.append(
-            (
-                tuple(int(v) for v in digits[fa]),
-                tuple(int(v) for v in digits[gb]),
-                float(q[s]),
-            )
-        )
-    return out
+def _support_pairs(table: np.ndarray, digits: np.ndarray):
+    """Alice's and Bob's assignment indices of the pairs with P > 0 wherever
+    they put mass, in vertex_matrix's Alice-major order."""
+    N = table.shape[0]
+    support = table > 0.0
+    # bob_ok[f, y, b]: (f(x), b) lies in the support of (x, y) for every x
+    bob_ok = support[np.arange(N), :, digits, :].all(axis=1)
+    keep = np.ones((len(digits),) * 2, dtype=bool)
+    for y in range(N):
+        keep &= bob_ok[:, y, digits[:, y]]
+    return np.nonzero(keep)
+
+
+def _decode_weights(q: np.ndarray, digits: np.ndarray, alice: np.ndarray, bob: np.ndarray):
+    return [
+        (tuple(digits[alice[s]].tolist()), tuple(digits[bob[s]].tolist()), float(q[s]))
+        for s in np.flatnonzero(q > 1e-12)
+    ]
 
 
 @dataclass(frozen=True)
@@ -264,19 +285,25 @@ def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
 
     free (reported as remainder-free): max total weight of a subconvex
     combination of deterministic pairs fitting under the distribution
-    entrywise.
+    entrywise.  Only the pairs inside P's support become columns: a pair
+    that puts mass on a zero of P has weight 0 in every feasible point.
     local (reported as remainder-local): max lambda such that
     lambda P + (1-lambda) P' is a convex combination of deterministic pairs
     with P' itself one; both multipliers are LP variables, so a single solve
-    suffices.
+    suffices.  Its columns are all of vertex_matrix.
+
+    Both LPs bound lambda by 1 (sum q <= 1, or lambda + sum r = 1 with
+    r >= 0), so lambda is returned clipped to [0, 1]; a float reading past
+    either end is rounding.
     """
     if variant not in ("free", "local"):
         raise ValidationError(f"variant must be free or local, got {variant!r}")
-    N, K = dist.N, dist.K
-    D = vertex_matrix(N, K)
-    n_entries, n_pairs = D.shape
+    digits = _assignments(dist.N, dist.K)
     p_flat = dist.table.reshape(-1)
     if variant == "free":
+        alice, bob = _support_pairs(dist.table, digits)
+        D = _pair_columns(digits, dist.K, alice, bob)
+        n_entries, n_pairs = D.shape
         lp = LinearProgram(
             objective=np.ones(n_pairs),
             rows=D,
@@ -284,6 +311,9 @@ def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
             rhs=p_flat,
         )
     else:
+        D = vertex_matrix(dist.N, dist.K)
+        n_entries, n_pairs = D.shape
+        alice, bob = np.divmod(np.arange(n_pairs), len(digits))
         rows = np.zeros((n_entries + 2, 1 + 2 * n_pairs))
         rows[:n_entries, 0] = p_flat
         rows[:n_entries, 1 : 1 + n_pairs] = -D
@@ -311,6 +341,7 @@ def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
         r = np.clip(result.x[1 + n_pairs :], 0.0, None)
         leftover = D @ r
         err = float(np.max(np.abs(lam * p_flat - D @ q + leftover)))
+    lam = min(max(lam, 0.0), 1.0)
     residual = None
     if lam < 1.0 - CERT_TOL:
         residual = ProbDist(
@@ -319,8 +350,8 @@ def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
     return LocalContentResult(
         lam=lam,
         variant=f"remainder-{variant}",
-        weights=_decode_weights(q, N, K),
-        residual_weights=None if r is None else _decode_weights(r, N, K),
+        weights=_decode_weights(q, digits, alice, bob),
+        residual_weights=None if r is None else _decode_weights(r, digits, alice, bob),
         residual_distribution=residual,
         reconstruction_error=err,
     )

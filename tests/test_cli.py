@@ -21,7 +21,7 @@ from kvbell.kvgame import (
     referee_sample,
 )
 from kvbell.states import make_mes
-from kvbell.values import quantum_prob
+from kvbell.values import ProbDist, quantum_prob
 
 METHOD_TAGS = {
     "exact",
@@ -234,6 +234,24 @@ def test_local_content_subcommand(tmp_path, capsys):
     dist_file.write_text(json.dumps({"N": 2, "K": 2, "table": table}))
     doc3 = run_json(capsys, ["local-content", "--dist", str(dist_file)])
     assert abs(doc3["result"]["lambda"]["value"] - 1.0) <= 1e-9
+
+
+def test_local_content_dense_guard_counts_pairs_inside_the_support(tmp_path, capsys):
+    # (N, K) = (5, 4): 400 entries and 1,048,576 deterministic pairs, past the
+    # dense guard as a whole; a mixture of three pairs keeps only a few of them
+    N, K = 5, 4
+    mixture = sum(
+        ProbDist.from_assignments(f, g, N, K).table / 3.0
+        for f, g in (([0, 1, 2, 3, 0], [1, 1, 2, 2, 3]), ([3, 2, 1, 0, 0], [0] * 5), ([1] * 5, [2] * 5))
+    )
+    path = tmp_path / "mix54.json"
+    path.write_text(json.dumps({"N": N, "K": K, "table": mixture.tolist()}))
+    res = run_json(capsys, ["local-content", "--dist", str(path)])["result"]
+    assert abs(res["lambda"]["value"] - 1.0) <= 1e-9
+    assert res["reconstruction_error"] <= 1e-9
+    path.write_text(json.dumps({"N": N, "K": K, "table": np.full((N, N, K, K), 1 / 16).tolist()}))
+    assert main(["local-content", "--dist", str(path)]) == 3
+    assert "memory guard" in capsys.readouterr().err
 
 
 def test_input_files_are_labelled_by_file_name(tmp_path, capsys, monkeypatch):

@@ -7,6 +7,7 @@ with numpy.linalg.solve, so it shares no code with the simplex path.
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from gen import random_mes_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvbell import localpolytope
+from kvbell import build_hadamard_subgroup, kv_measurements, localpolytope
 from kvbell.errors import NumericalError, ValidationError
 from kvbell.localpolytope import (
     LinearProgram,
@@ -430,6 +431,80 @@ def test_local_content_remainder_local_variant():
     assert abs(out.lam + r_mass - 1.0) <= 1e-8
     lhs = out.lam * pr_box_dist().table
     assert np.max(np.abs(lhs - (q_part - r_part))) <= 1e-8
+
+
+def _pr_type_box(N, K, shift):
+    """b - a = shift[x][y] mod K, with a uniform: K nonzero entries per (x, y)."""
+    table = np.zeros((N, N, K, K))
+    a = np.arange(K)
+    for x in range(N):
+        for y in range(N):
+            table[x, y, a, (a + shift[x][y]) % K] = 1.0 / K
+    return table
+
+
+@st.composite
+def _sparse_mixtures(draw):
+    N, K = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3)]))
+    answers = st.lists(st.integers(0, K - 1), min_size=N, max_size=N)
+    pairs = draw(st.lists(st.tuples(answers, answers), min_size=1, max_size=3))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(pairs), max_size=len(pairs)))
+    pr_weight = draw(st.sampled_from([0, 1, 3]))
+    shift = draw(st.lists(answers, min_size=N, max_size=N))
+    table = pr_weight * _pr_type_box(N, K, shift)
+    for (f, g), w in zip(pairs, weights):
+        table = table + w * ProbDist.from_assignments(f, g, N, K).table
+    return ProbDist(table / (pr_weight + sum(weights)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dist=_sparse_mixtures())
+def test_free_lp_over_the_support_matches_the_full_vertex_lp(dist):
+    N, K = dist.N, dist.K
+    D = vertex_matrix(N, K)
+    p_flat = dist.table.reshape(-1)
+    full = solve_lp(LinearProgram(np.ones(D.shape[1]), D, ("<=",) * D.shape[0], p_flat))
+    out = local_content(dist, "free")
+    assert abs(out.lam - full.value) <= 1e-12
+    assert out.reconstruction_error <= 1e-9
+    xs = np.arange(N)
+    for f, g, _ in out.weights:
+        assert np.all(dist.table[xs[:, None], xs[None, :], np.array(f)[:, None], g] > 0.0)
+
+
+def test_free_lp_of_kv_n4_on_all_four_cosets(monkeypatch):
+    # (N, K) = (4, 4): 65,536 deterministic pairs, 16 of them inside the support
+    table = build_hadamard_subgroup(2)
+    meas = kv_measurements(table)
+    dist = quantum_prob(make_mes(table.n), meas, meas)
+    shapes = []
+
+    def record(lp):
+        shapes.append(lp.rows.shape)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(localpolytope, "solve_lp", record)
+    start = time.perf_counter()
+    out = local_content(dist, "free")
+    assert time.perf_counter() - start < 2.0
+    assert shapes == [(256, 16)]
+    assert abs(out.lam - 1.0) <= 1e-9
+    assert out.reconstruction_error <= 1e-9
+
+
+def test_lambda_read_past_one_is_clipped():
+    # the LP rows bound lambda by 1; a solve can still read it 1 + rounding:
+    # the local variant read 1 + 5e-10 here (true value 1 - 5e-10), the free
+    # one 1 + 2e-16 on the random MES(3) draw of gen.py seed 1, pass 2
+    det = ProbDist.from_assignments([0, 0], [0, 0], 2, 2).table
+    near_det = ProbDist((1.0 - 1e-9) * det + 1e-9 * pr_box_dist().table)
+    draw = ProbDist(
+        random_mes_table(np.random.default_rng([1, 2]), 3, 3), neg_tol=1e-9, norm_tol=1e-8
+    )
+    for dist, variant in ((near_det, "local"), (draw, "free")):
+        out = local_content(dist, variant)
+        assert 1.0 - 1e-9 <= out.lam <= 1.0
+        assert out.reconstruction_error <= 1e-9
 
 
 def test_local_content_variant_names():
