@@ -59,6 +59,7 @@ from .values import (
     quantum_value_kv_closed_form,
     seesaw_lower_bound,
     superactivation_crossing,
+    superactivation_log_ratio_bound,
     superactivation_monotone_from,
     superactivation_ratio_bound,
     _check_restarts,
@@ -149,8 +150,8 @@ def _resolve_p(token, d: int) -> tuple[float, str]:
         p = float(token)
     except ValueError:
         raise ValidationError(f"--p must be a number or 'threshold', got {token!r}") from None
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"--p must lie in [0, 1], got {p}")
+    if not 0.0 < p <= 1.0:
+        raise ValidationError(f"--p must lie in (0, 1], got {p}")
     return p, "explicit"
 
 
@@ -431,11 +432,12 @@ def cmd_superactivation(args) -> int:
     ]
     for k in ks:
         bound = superactivation_ratio_bound(d, k, alpha)
-        row = {
-            "k": k,
-            "alpha": _tagged(alpha, "exact"),
-            "ratio_bound": _tagged(bound, "formula-lb"),
-        }
+        if math.isinf(bound):  # past float range: kept as exp(log of the bound)
+            symbolic = f"exp({superactivation_log_ratio_bound(d, k, alpha):.6g})"
+            ratio_bound, bound_text = _tagged(symbolic, "formula-symbolic"), f"{symbolic:>14}"
+        else:
+            ratio_bound, bound_text = _tagged(bound, "formula-lb"), f"{bound:>14.6e}"
+        row = {"k": k, "alpha": _tagged(alpha, "exact"), "ratio_bound": ratio_bound}
         mes_text = total_text = f"{'-':>14}"
         if d**k in EXACT_GAME_SIZES:
             n = d**k
@@ -447,7 +449,7 @@ def cmd_superactivation(args) -> int:
             mes_text = f"{value.mes_term:>14.8g}"
             total_text = f"{value.total:>14.8g}"
         rows.append(row)
-        lines.append(f"  {k:>6}  {bound:>14.6e}  {mes_text}  {total_text}")
+        lines.append(f"  {k:>6}  {bound_text}  {mes_text}  {total_text}")
     result = {"d": d, "p": _tagged(p, "exact"), "p_source": p_source, "rows": rows}
     if alpha > 1.0:
         k_star = superactivation_crossing(d, alpha)
@@ -610,10 +612,11 @@ def cmd_referee_sim(args) -> int:
     wins = (answers_a ^ answers_b) == draws.z
     rate = float(wins.mean())
     stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / samples)
-    if stderr > 0:
-        sigmas = (rate - exact) / stderr
-    else:
-        sigmas = 0.0 if rate == exact else math.inf
+    # a run that wins every round (or none) has no spread of its own: measure
+    # it by the spread of the exact value, which is 0 only when every round
+    # must end the same way
+    scale = stderr or math.sqrt(max(exact * (1.0 - exact), 0.0) / samples)
+    sigmas = (rate - exact) / scale if scale > 0 else 0.0
     result = {
         "n": n,
         "eta": eta,
@@ -749,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("superactivation", help="per-copy ratio bounds and crossing scan")
     p.add_argument("--d", type=int, required=True, help="local dimension")
     p.add_argument("--k", default="1:8", help="copy count or range lo:hi to tabulate")
-    p.add_argument("--p", help="mixing weight in [0, 1], or 'threshold' (default)")
+    p.add_argument("--p", help="mixing weight in (0, 1], or 'threshold' (default)")
     p.add_argument("--eta", help="noise rate for the exact columns, or 'auto'")
     add_common(p)
     p.set_defaults(func=cmd_superactivation)

@@ -1,19 +1,20 @@
 """Local-polytope computations on a hand-rolled two-phase revised simplex.
 
-The solver maximizes over nonnegative variables subject to <= and = rows
-with nonnegative right-hand sides, the form of every LP built here.  It
-keeps the basis, the basic values and an explicit basis inverse with a
-rank-1 update per pivot, and recomputes both from the original columns
-every REFACTOR_EVERY pivots, before it declares optimal or unbounded, and
-before it uses a pivot entry below FRESH_PIVOT_MIN.  Bland's rule (lowest
-eligible column in, lowest basis variable among minimal ratios out) keeps
-it from cycling.  Artificials leave first among tied ratios and never
-return; in phase 2 a basic artificial blocks at ratio 0 in any row the
-entering column reaches, and one that no column reaches marks a redundant
-= row.  Optima are certified by reduced costs and primal residuals
-recomputed from the original data; infeasible problems return a verified
-Farkas vector.  A singular basis, a vanishing pivot, a failed certificate
-or the iteration limit raise NumericalError.
+The solver maximizes over nonnegative variables subject to rows that are
+all <= or all =, with nonnegative right-hand sides: the form of the two
+local-content LPs, which are always feasible and bounded.  It keeps the
+basis, the basic values and an explicit basis inverse with a rank-1 update
+per pivot, and recomputes both from the original columns every
+REFACTOR_EVERY pivots, before it declares optimal, and before it uses a
+pivot entry below FRESH_PIVOT_MIN.  Bland's rule (lowest eligible column
+in, lowest basis variable among minimal ratios out) keeps it from cycling.
+Artificials leave first among tied ratios and never return; in phase 2 a
+basic artificial blocks at ratio 0 in any row the entering column reaches,
+and one that no column reaches marks a redundant = row.  Optima are
+certified by reduced costs and primal residuals recomputed from the
+original data.  Anything else raises NumericalError: a singular basis, an
+entering column that no row blocks, phase 1 ending with artificial mass, a
+failed certificate or the iteration limit.
 
 On top of the solver: the two readings of the local-content quantity lambda,
 which also decide membership in the local polytope (lambda = 1).  Their
@@ -39,31 +40,29 @@ ENTER_TOL = 1e-9
 CERT_TOL = 1e-9
 VERTEX_GUARD = 4096
 DENSE_LP_GUARD = 1 << 24
-SENSES = ("<=", "=")
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max objective . x subject to rows[i] . x (sense_i) rhs[i], x >= 0,
-    with every sense "<=" or "=" and every rhs >= 0."""
+    """max objective . x subject to rows . x <= rhs, or rows . x = rhs when
+    equality is set, and x >= 0, with every rhs >= 0."""
 
     objective: np.ndarray
     rows: np.ndarray
-    senses: tuple[str, ...]
     rhs: np.ndarray
+    equality: bool
 
     def __post_init__(self):
         objective = np.asarray(self.objective, dtype=np.float64)
         rows = np.asarray(self.rows, dtype=np.float64)
         rhs = np.asarray(self.rhs, dtype=np.float64)
-        senses = tuple(self.senses)
         if rows.ndim != 2:
             raise ValidationError("constraint rows must form a matrix")
         m, n = rows.shape
-        if objective.shape != (n,) or rhs.shape != (m,) or len(senses) != m:
-            raise ValidationError("objective/rows/senses/rhs dimensions disagree")
-        if any(s not in SENSES for s in senses):
-            raise ValidationError(f"senses must be among {SENSES}")
+        if objective.shape != (n,) or rhs.shape != (m,):
+            raise ValidationError("objective/rows/rhs dimensions disagree")
+        if not isinstance(self.equality, bool):
+            raise ValidationError(f"equality must be True or False, got {self.equality!r}")
         for arr in (objective, rows, rhs):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError("linear program contains non-finite entries")
@@ -71,39 +70,33 @@ class LinearProgram:
             raise ValidationError("right-hand sides must be nonnegative")
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "senses", senses)
         object.__setattr__(self, "rhs", rhs)
 
 
 @dataclass(frozen=True)
 class LPResult:
-    """status is optimal/infeasible/unbounded; dual holds row multipliers:
-    the optimal duals when optimal, a verified separating (Farkas) vector
-    when infeasible."""
+    """A certified optimum: its value, the point x and the optimal row
+    multipliers (duals)."""
 
-    status: str
-    value: float | None
-    x: np.ndarray | None
-    dual: np.ndarray | None
+    value: float
+    x: np.ndarray
+    dual: np.ndarray
 
 
 class _Standard:
-    """Equality form max c.x, A x = b, x >= 0: the original columns, then a
-    slack column for each <= row, then an artificial column for each = row,
-    each in row order.  The slacks and artificials form the starting basis."""
+    """Equality form max c.x, A x = b, x >= 0: the original columns, then one
+    identity column per row, slacks of a <= LP or artificials of an = LP.
+    Those columns form the starting basis."""
 
     def __init__(self, lp: LinearProgram):
         m, n0 = lp.rows.shape
-        slack = np.array([sense == "<=" for sense in lp.senses], dtype=bool)
-        order = np.concatenate([np.flatnonzero(slack), np.flatnonzero(~slack)])
-        self.matrix = np.hstack([lp.rows, np.eye(m)[:, order]])
+        self.matrix = np.hstack([lp.rows, np.eye(m)])
         self.costs = np.concatenate([lp.objective, np.zeros(m)])
         self.rhs = lp.rhs
-        self.basis0 = np.empty(m, dtype=np.int64)
-        self.basis0[order] = n0 + np.arange(m)
+        self.basis0 = n0 + np.arange(m)
         self.n_orig = n0
         self.artificial = np.zeros(n0 + m, dtype=bool)
-        self.artificial[n0 + int(slack.sum()) :] = True
+        self.artificial[n0:] = lp.equality
 
 
 def _factorize(std: _Standard, basis: np.ndarray):
@@ -119,8 +112,8 @@ def _simplex(std, costs, basis, allowed, max_iters, hold_artificials):
     """Maximize costs . x from basis (updated in place) over the allowed
     columns; an artificial that leaves is struck from allowed.  With
     hold_artificials (phase 2) a basic artificial blocks at ratio 0 in every
-    row the entering column reaches.  Returns the status with a fresh
-    factorization of the final basis."""
+    row the entering column reaches.  Returns a fresh factorization of the
+    optimal basis."""
     since_fresh = REFACTOR_EVERY  # pivots since the last factorization; this forces one
     for _ in range(max_iters):
         if since_fresh >= REFACTOR_EVERY:
@@ -130,7 +123,7 @@ def _simplex(std, costs, basis, allowed, max_iters, hold_artificials):
         eligible = np.flatnonzero(allowed & (costs - y @ std.matrix > ENTER_TOL))
         if eligible.size == 0:
             if since_fresh == 0:
-                return "optimal", inverse, x_basic
+                return inverse, x_basic
             since_fresh = REFACTOR_EVERY
             continue
         enter = int(eligible[0])
@@ -145,10 +138,7 @@ def _simplex(std, costs, basis, allowed, max_iters, hold_artificials):
             if since_fresh:
                 since_fresh = REFACTOR_EVERY
                 continue
-            top = float(d.max(initial=0.0))
-            if top > 1e-13:
-                raise NumericalError(f"numerical breakdown: best pivot {top:.3e} < {PIVOT_EPS:.0e}")
-            return "unbounded", inverse, x_basic
+            raise NumericalError(f"numerical breakdown: no row blocks entering column {enter}")
         ties = np.flatnonzero(ratios == ratios.min())
         if artificial[ties].any():  # it never returns, so this cannot cycle
             ties = ties[artificial[ties]]
@@ -174,8 +164,8 @@ def _simplex(std, costs, basis, allowed, max_iters, hold_artificials):
 def _certify_primal(lp: LinearProgram, x: np.ndarray) -> None:
     """Raise unless x satisfies every row and x >= 0 within CERT_TOL."""
     excess = lp.rows @ x - lp.rhs
-    equality = np.array([sense == "=" for sense in lp.senses], dtype=bool)
-    excess[equality] = np.abs(excess[equality])
+    if lp.equality:
+        excess = np.abs(excess)
     worst = max(float(excess.max(initial=0.0)), float(-x.min(initial=0.0)))
     if worst > CERT_TOL:
         raise NumericalError(f"primal certification failed: residual {worst:.3e}")
@@ -188,21 +178,14 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> LPResult:
     if max_iters is None:
         max_iters = 2000 + 200 * (m + nt)
     basis = std.basis0.copy()
-    if std.artificial.any():
+    if lp.equality:
         phase1_costs = np.where(std.artificial, -1.0, 0.0)
         allowed = np.ones(nt, dtype=bool)
-        status, inverse, x_basic = _simplex(std, phase1_costs, basis, allowed, max_iters, False)
-        if status != "optimal":
-            raise NumericalError("phase 1 terminated without an optimum")
-        if float(phase1_costs[basis] @ x_basic) < -CERT_TOL:
-            farkas = -(phase1_costs[basis] @ inverse)
-            against = farkas @ std.matrix[:, ~std.artificial]
-            if against.max() > 1e-7 or float(farkas @ std.rhs) <= 0.0:
-                raise NumericalError("infeasibility certificate failed re-verification")
-            return LPResult("infeasible", None, None, farkas)
-    status, inverse, x_basic = _simplex(std, std.costs, basis, ~std.artificial, max_iters, True)
-    if status == "unbounded":
-        return LPResult("unbounded", None, None, None)
+        _, x_basic = _simplex(std, phase1_costs, basis, allowed, max_iters, False)
+        mass = -float(phase1_costs[basis] @ x_basic)
+        if mass > CERT_TOL:
+            raise NumericalError(f"phase 1 ended with artificial mass {mass:.3e}: no feasible point")
+    inverse, x_basic = _simplex(std, std.costs, basis, ~std.artificial, max_iters, True)
     y = std.costs[basis] @ inverse
     reduced = std.costs - y @ std.matrix
     worst = float(reduced[~std.artificial].max())
@@ -212,7 +195,7 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> LPResult:
     x_std[basis] = x_basic
     x = x_std[: std.n_orig]
     _certify_primal(lp, x)
-    return LPResult("optimal", float(lp.objective @ x), x, y)
+    return LPResult(float(lp.objective @ x), x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +286,7 @@ def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
     if variant == "free":
         alice, bob = _support_pairs(dist.table, digits)
         D = _pair_columns(digits, dist.K, alice, bob)
-        n_entries, n_pairs = D.shape
-        lp = LinearProgram(
-            objective=np.ones(n_pairs),
-            rows=D,
-            senses=("<=",) * n_entries,
-            rhs=p_flat,
-        )
+        lp = LinearProgram(np.ones(D.shape[1]), D, p_flat, equality=False)
     else:
         D = vertex_matrix(dist.N, dist.K)
         n_entries, n_pairs = D.shape
@@ -324,12 +301,8 @@ def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
         rhs = np.concatenate([np.zeros(n_entries), [1.0, 1.0]])
         objective = np.zeros(1 + 2 * n_pairs)
         objective[0] = 1.0
-        lp = LinearProgram(
-            objective=objective, rows=rows, senses=("=",) * (n_entries + 2), rhs=rhs
-        )
+        lp = LinearProgram(objective, rows, rhs, equality=True)
     result = solve_lp(lp)
-    if result.status != "optimal":
-        raise NumericalError(f"local-content LP returned {result.status}")
     if variant == "free":
         lam = float(result.value)
         q, r = np.clip(result.x, 0.0, None), None

