@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -42,6 +43,7 @@ from .kvgame import (
 from .localpolytope import local_content, lv_from_pi
 from .states import expand_tensor_power, locality_threshold, make_mes
 from .values import (
+    ALMOST_ACTIVATION_CONSTANT,
     ENUMERATION_GUARD,
     EXACT_GAME_SIZES,
     ProbDist,
@@ -177,14 +179,17 @@ def _parse_k_values(token: str) -> list[int]:
     return [k]
 
 
+def _check_dimension(d: int, option: str) -> int:
+    """d >= 2 (else exit 2) and within float range, as the bound formulas need (else exit 3)."""
+    if d < 2:
+        raise ValidationError(f"{option} must be >= 2, got {d}")
+    if d > sys.float_info.max:
+        raise GuardError(f"{option} must not exceed {sys.float_info.max:.6g}, the float range")
+    return d
+
+
 def _parse_d_grid(token: str) -> list[int]:
-    out = []
-    for piece in token.split(","):
-        d = _parse_int(piece, "--d-grid")
-        if d < 2:
-            raise ValidationError(f"dimensions must be >= 2, got {d}")
-        out.append(d)
-    return out
+    return [_check_dimension(_parse_int(p, "--d-grid"), "--d-grid") for p in token.split(",")]
 
 
 def _load_json(path: str) -> dict:
@@ -419,9 +424,7 @@ def cmd_values(args) -> int:
 
 
 def cmd_superactivation(args) -> int:
-    d = int(args.d)
-    if d < 2:
-        raise ValidationError(f"--d must be >= 2, got {d}")
+    d = _check_dimension(args.d, "--d")
     p, p_source = _resolve_p(args.p, d)
     alpha = d * p
     ks = _parse_k_values(args.k)
@@ -526,8 +529,7 @@ def cmd_almost_activation(args) -> int:
             text = f"never exceeds delta={delta:g} (exponent {exponent} <= 0: no growth in d)"
         else:
             # Solve C''*(ln d)^exponent > delta for ln d, in log space.
-            c2 = almost_activation_lower_factor(3, frac) / math.log(3) ** float(exponent)
-            log_ln_d = math.log(delta / c2) / float(exponent)
+            log_ln_d = math.log(delta / ALMOST_ACTIVATION_CONSTANT) / float(exponent)
             if log_ln_d > 700.0:
                 ln_d_required = _tagged(f"exp({log_ln_d:.6g})", "formula-symbolic")
                 d_required = _tagged(f"exp(exp({log_ln_d:.6g}))", "formula-symbolic")
@@ -655,8 +657,12 @@ def _load_distribution(path: str) -> ProbDist:
             raise ValidationError(f"distribution file missing key {key!r}")
     N, K = (_header(doc, key, (int,), "an integer") for key in "NK")
     try:
-        table = np.asarray(doc["table"], dtype=np.float64)
-    except (TypeError, ValueError):
+        table = np.asarray(doc["table"], dtype=object)
+        # type() as in _entry_column: JSON booleans and strings are not numbers
+        if not set(map(type, table.flat)) <= {int, float}:
+            raise TypeError
+        table = table.astype(np.float64)
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError("distribution 'table' must be a nested list of numbers") from None
     if table.shape != (N, N, K, K):
         raise ValidationError(
@@ -809,10 +815,16 @@ def main(argv=None) -> int:
             raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         if hasattr(args, "restarts"):  # checked here: only some routes reach the heuristics
             _check_restarts(args.restarts)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except KvBellError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # reader gone (`| head`): the Python docs' recipe, so the exit flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

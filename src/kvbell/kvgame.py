@@ -25,25 +25,6 @@ MAX_LOG = 4  # coset tables hold all 2**(2**l) strings, so l stays small
 REFEREE_ROUNDS_GUARD = 10**7  # rounds per run; every round keeps several small integers
 NOISE_ROW_BLOCK = 1 << 16  # noise bits are drawn this many rounds at a time
 
-# 16-bit lookup covers every string length used in this package: n <= 2**MAX_LOG.
-# Vectorized because every import builds it: a per-value bin() loop costs ~20 ms.
-_POPCOUNT16 = (
-    np.unpackbits(np.arange(1 << 16, dtype=">u2").view(np.uint8))
-    .reshape(-1, 16)
-    .sum(axis=1, dtype=np.uint8)
-)
-
-
-def popcount(values):
-    """Number of set bits, elementwise, for ints or arrays below 2**16."""
-    arr = np.asarray(values)
-    if arr.size and (arr.min() < 0 or arr.max() >= 1 << 16):
-        raise ValidationError("popcount input out of the 16-bit range")
-    counts = _POPCOUNT16[arr]
-    if arr.ndim == 0:
-        return int(counts)
-    return counts.astype(np.int64)
-
 
 @dataclass(frozen=True)
 class BoundConstants:
@@ -75,6 +56,8 @@ class CosetTable:
     its members in ascending integer order, so coset 0 is the subgroup
     itself and elems[x, 0] is the canonical representative of coset x.
     elems and coset_of are held in the smallest unsigned types that fit.
+    place[i] = 2**(n - 1 - i) is the value of bit i of a string, so bit 0
+    is the top bit.
     """
 
     def __init__(self, l: int):
@@ -88,7 +71,7 @@ class CosetTable:
         # h_s packs the parities <bin(s), bin(i)> with i = 0 as the top bit
         idx = np.arange(n)
         place = np.int64(1) << (n - 1 - idx)
-        subgroup = (popcount(idx[:, None] & idx[None, :]) & 1) @ place
+        subgroup = (np.bitwise_count(idx[:, None] & idx[None, :]) & 1) @ place
         # row v lists v's coset in ascending order; a coset's rows all start at its minimum
         members = np.sort(np.arange(size)[:, None] ^ subgroup[None, :], axis=1)
         rows = members[members[:, 0] == np.arange(size)]
@@ -97,6 +80,7 @@ class CosetTable:
         self.n = n
         self.size = size
         self.num_cosets = size // n
+        self.place = place
         self.subgroup = subgroup
         self.elems = rows.astype(np.min_scalar_type(size - 1))
         self.coset_of = coset_of.astype(np.min_scalar_type(self.num_cosets - 1))
@@ -120,7 +104,7 @@ def noise_weights(n: int, eta: float) -> np.ndarray:
 def noise_string_probs(n: int, eta: float) -> np.ndarray:
     """Probability of every noise string in {0,1}^n, indexed by encoding."""
     per_weight = noise_weights(n, eta)
-    return per_weight[popcount(np.arange(1 << n))]
+    return per_weight[np.bitwise_count(np.arange(1 << n))]
 
 
 class BellFunctional:
@@ -169,13 +153,15 @@ def kv_functional(table: CosetTable, eta: float) -> BellFunctional:
     eta = _check_eta(eta)
     per_weight = noise_weights(n, eta) / table.num_cosets
     xor_all = table.elems[:, None, :, None] ^ table.elems[None, :, None, :]
-    meta = {"kind": "coset-game", "n": n, "eta": eta, "coset_table": table}
-    return BellFunctional(table.num_cosets, n, table=per_weight[popcount(xor_all)], meta=meta)
+    meta = {"eta": eta, "coset_table": table}
+    return BellFunctional(table.num_cosets, n, per_weight[np.bitwise_count(xor_all)], meta)
 
 
 def _require_coset_game(functional: BellFunctional) -> CosetTable:
+    """The coset table of a functional built by kv_functional, the only
+    functionals whose meta holds one."""
     table = functional.meta.get("coset_table")
-    if functional.meta.get("kind") != "coset-game" or table is None:
+    if table is None:
         raise ValidationError("expected a functional built by kv_functional")
     return table
 
@@ -185,7 +171,7 @@ def kv_question_marginal(functional: BellFunctional) -> np.ndarray:
     table = _require_coset_game(functional)
     eta = functional.meta["eta"]
     per_weight = noise_weights(table.n, eta)
-    coset_mass = per_weight[popcount(table.elems)].sum(axis=1)
+    coset_mass = per_weight[np.bitwise_count(table.elems)].sum(axis=1)
     reps = table.elems[:, 0]
     pair_coset = table.coset_of[reps[:, None] ^ reps[None, :]]
     return coset_mass[pair_coset] / table.num_cosets
@@ -220,14 +206,9 @@ def kv_measurements(table: CosetTable) -> list[Measurement]:
     coset any two answers differ on exactly n/2 positions, so the rows
     are orthonormal and each measurement is a complete projective one.
     """
-    n = table.n
-    shifts = n - 1 - np.arange(n)
-    scale = 1.0 / math.sqrt(n)
-    out = []
-    for x in range(table.num_cosets):
-        bits = (table.elems[x][:, None] >> shifts[None, :]) & 1
-        out.append(Measurement(n, vectors=(1.0 - 2.0 * bits) * scale))
-    return out
+    scale = 1.0 / math.sqrt(table.n)
+    bits = (table.elems[:, :, None] & table.place) != 0
+    return [Measurement(table.n, vectors=(1.0 - 2.0 * b) * scale) for b in bits]
 
 
 def kv_classical_upper_bound(n: int, eta: float) -> float:
@@ -281,13 +262,11 @@ def referee_sample(table: CosetTable, eta: float, seed: int, count: int = 1) -> 
     if count > REFEREE_ROUNDS_GUARD:
         raise GuardError(f"{count} rounds exceed the referee guard ({REFEREE_ROUNDS_GUARD})")
     rng = np.random.Generator(np.random.PCG64(seed))
-    n = table.n
     xs = rng.integers(0, table.num_cosets, size=count, dtype=np.int64).astype(table.coset_of.dtype)
-    place = np.int64(1) << (n - 1 - np.arange(n, dtype=np.int64))
     zs = np.empty(count, dtype=table.elems.dtype)
     for lo in range(0, count, NOISE_ROW_BLOCK):  # same stream order as one (count, n) draw
-        flips = rng.random((min(NOISE_ROW_BLOCK, count - lo), n)) < eta
-        zs[lo : lo + len(flips)] = flips @ place
+        flips = rng.random((min(NOISE_ROW_BLOCK, count - lo), table.n)) < eta
+        zs[lo : lo + len(flips)] = flips @ table.place
     ys = table.coset_of[table.elems[xs, 0] ^ zs]
     return RefereeSamples(x=xs, y=ys, z=zs)
 

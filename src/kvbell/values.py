@@ -45,6 +45,10 @@ JOINT_DIM_GUARD = 4096
 TABLE_ENTRIES_GUARD = 1 << 24
 SEESAW_BLOCK_BYTES = 1 << 20
 EXACT_GAME_SIZES = (2, 4, 8)
+# log(C'/C), the constant term of the log super-activation ratio bound
+LOG_PREFACTOR = math.log(BOUND_CONSTANTS.entangled) - math.log(BOUND_CONSTANTS.classical)
+# C'' = (C'/C)/25, the constant of the almost-activation lower factor
+ALMOST_ACTIVATION_CONSTANT = BOUND_CONSTANTS.entangled / BOUND_CONSTANTS.classical / 25.0
 
 
 class ProbDist:
@@ -275,6 +279,10 @@ def kv_value_for_expansion(expansion: StateExpansion, eta: float) -> ExpansionVa
     return ExpansionValue(total=total, mes_term=mes_term)
 
 
+def _log_ratio_bound(k: int, log_alpha: float, ln_d: float) -> float:
+    return LOG_PREFACTOR + k * log_alpha - 2.0 * math.log(k * ln_d)
+
+
 def superactivation_log_ratio_bound(d: int, k: int, alpha: float) -> float:
     """Natural log of the bound (C'/C) * alpha**k / (k ln d)**2 on the
     violation ratio of the k-fold power; finite at every k."""
@@ -285,12 +293,7 @@ def superactivation_log_ratio_bound(d: int, k: int, alpha: float) -> float:
     alpha = float(alpha)
     if alpha <= 0.0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
-    return (
-        math.log(BOUND_CONSTANTS.entangled)
-        - math.log(BOUND_CONSTANTS.classical)
-        + k * math.log(alpha)
-        - 2.0 * math.log(k * math.log(d))
-    )
+    return _log_ratio_bound(k, math.log(alpha), math.log(d))
 
 
 def superactivation_ratio_bound(d: int, k: int, alpha: float) -> float:
@@ -316,11 +319,13 @@ def superactivation_crossing(d: int, alpha: float, k_limit: int = 10**7) -> int 
     alpha = float(alpha)
     if alpha <= 1.0:
         return None
-    log_prefactor = math.log(BOUND_CONSTANTS.entangled) - math.log(BOUND_CONSTANTS.classical)
-    log_alpha = math.log(alpha)
-    log_ln_d = math.log(math.log(d))
-    for k in range(1, k_limit + 1):
-        if log_prefactor + k * log_alpha - 2.0 * (math.log(k) + log_ln_d) > 0.0:
+    log_alpha, ln_d = math.log(alpha), math.log(d)
+    if _log_ratio_bound(1, log_alpha, ln_d) > 0.0:
+        return 1
+    # the log bound is convex in k with its minimum at 2 / ln alpha: when k = 1
+    # fails, so does every k below monotone_from
+    for k in range(superactivation_monotone_from(d, alpha), k_limit + 1):
+        if _log_ratio_bound(k, log_alpha, ln_d) > 0.0:
             return k
     raise GuardError(f"no crossing found up to k = {k_limit}")
 
@@ -353,12 +358,11 @@ def almost_activation_exponent(alpha) -> Fraction:
 
 
 def almost_activation_lower_factor(d: int, alpha) -> float:
-    """Numeric lower-bound factor C'' * (ln d)^(1/2 - 5*alpha), C'' = (C'/C)/25."""
+    """Numeric lower-bound factor C'' * (ln d)^(1/2 - 5*alpha)."""
     if d < 2:
         raise ValidationError(f"local dimension must be >= 2, got {d}")
     exponent = almost_activation_exponent(alpha)
-    c2 = BOUND_CONSTANTS.entangled / BOUND_CONSTANTS.classical / 25.0
-    return c2 * math.log(d) ** float(exponent)
+    return ALMOST_ACTIVATION_CONSTANT * math.log(d) ** float(exponent)
 
 
 def almost_activation_upper_formula(alpha) -> str:
@@ -467,7 +471,7 @@ def _xor_win_mask() -> np.ndarray:
 
 def chsh_functional() -> BellFunctional:
     """Two-input two-output win functional: weight 1/4 on a xor b = x and y."""
-    return BellFunctional(2, 2, table=0.25 * _xor_win_mask(), meta={"kind": "chsh"})
+    return BellFunctional(2, 2, table=0.25 * _xor_win_mask())
 
 
 def pr_box_dist() -> ProbDist:

@@ -17,7 +17,6 @@ from kvbell.kvgame import (
     Measurement,
     _require_coset_game,
     noise_weights,
-    popcount,
 )
 from kvbell.states import REALIZE_MAX_DIM, DensityMatrix, interleave_to_blocked, make_mes
 from kvbell.values import (
@@ -100,7 +99,8 @@ def kv_mes_value_direct(table: CosetTable, eta: float) -> float:
     shifts = n - 1 - np.arange(n)
     signs = (1.0 - 2.0 * ((values[:, None] >> shifts[None, :]) & 1)) / math.sqrt(n)
     overlaps = signs @ signs.T
-    weights = per_weight[popcount(values[:, None] ^ values[None, :])]
+    bit_counts = np.array([bin(v).count("1") for v in range(table.size)])
+    weights = per_weight[bit_counts[values[:, None] ^ values[None, :]]]
     return float(np.sum(weights * overlaps**2) / (table.num_cosets * n))
 
 
@@ -262,7 +262,7 @@ def coset_table_by_loop(l: int):
     for s in range(n):
         h = 0
         for i in range(n):
-            h = (h << 1) | (popcount(s & i) & 1)
+            h = (h << 1) | (bin(s & i).count("1") & 1)
         subgroup[s] = h
     coset_of = np.full(size, -1, dtype=np.int64)
     rows = []

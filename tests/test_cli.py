@@ -3,6 +3,10 @@ method tags on every computed number."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import kv_game_to_json_per_entry, per_pair_answers
 
+import kvbell
 from kvbell.cli import _draw_answers, _game_file_pieces, main
 from kvbell.kvgame import (
     RefereeSamples,
@@ -512,6 +517,11 @@ def _table_with(entry):
     return table
 
 
+def _deterministic_table(one, zero):
+    # both parties answer 0: a distribution once one and zero read as 1 and 0
+    return [[[[one, zero], [zero, zero]] for _ in range(2)] for _ in range(2)]
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -522,6 +532,10 @@ def _table_with(entry):
         {"N": "x", "K": 2, "table": _uniform_table()},
         {"N": 2, "K": 2.5, "table": _uniform_table()},
         [2, 2],
+        # JSON strings and booleans are not numbers, even where numpy would read them as one
+        {"N": 2, "K": 2, "table": _table_with("0.25")},
+        {"N": 2, "K": 2, "table": _deterministic_table(True, 0)},
+        {"N": 2, "K": 2, "table": _deterministic_table(1, False)},
     ],
 )
 def test_distribution_file_header_rejected(tmp_path, capsys, doc):
@@ -777,3 +791,103 @@ def test_superactivation_bound_past_float_range_is_symbolic(capsys):
 def test_superactivation_refuses_p_outside_its_range(capsys, p):
     assert main(["superactivation", "--d", "3", "--p", p]) == 2
     assert "--p must lie in (0, 1]" in capsys.readouterr().err
+
+
+BEYOND_FLOAT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["superactivation", "--d", BEYOND_FLOAT, "--p", "0.5"],
+        ["almost-activation", "--d-grid", f"8,{BEYOND_FLOAT}"],
+    ],
+)
+def test_dimension_past_float_range_refused(capsys, argv):
+    assert main(argv) == 3
+    assert "float range" in capsys.readouterr().err
+
+
+def test_closed_pipe_ends_without_traceback():
+    # the document is far larger than a pipe buffer, so the writer meets the closed end
+    env = {**os.environ, "PYTHONPATH": str(Path(kvbell.__file__).parents[1])}
+    argv = ["superactivation", "--d", "8", "--k", "1:2000", "--format", "json"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kvbell.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_superactivation_crossing_result_pinned(capsys):
+    res = run_json(capsys, ["superactivation", "--d", "8", "--k", "6055:6057"])["result"]
+    alpha = {"method": "exact", "value": 1.0035561985439725}
+    assert res == {
+        "crossing": {
+            "bound_at_k_star": {"method": "formula-lb", "value": 1.0026246531225722},
+            "bound_before": {"method": "formula-lb", "value": 0.9994017817784566},
+            "k_star": {"method": "exact", "value": 6056},
+            "monotone_from_k": {"method": "exact", "value": 564},
+        },
+        "d": 8,
+        "p": {"method": "exact", "value": 0.12544452481799656},
+        "p_source": "threshold",
+        "rows": [
+            {
+                "alpha": alpha,
+                "k": 6055,
+                "ratio_bound": {"method": "formula-lb", "value": 0.9994017817784566},
+            },
+            {
+                "alpha": alpha,
+                "k": 6056,
+                "ratio_bound": {"method": "formula-lb", "value": 1.0026246531225722},
+            },
+            {
+                "alpha": alpha,
+                "k": 6057,
+                "ratio_bound": {"method": "formula-lb", "value": 1.0058579724360492},
+            },
+        ],
+    }
+
+
+def test_almost_activation_delta_result_pinned(capsys):
+    res = run_json(capsys, ["almost-activation", "--alpha", "1/11", "--delta", "1"])["result"]
+    rows = [
+        (4, 0.0029743360185660005, 0.2857404908388747),
+        (8, 0.0030296619911954594, 0.16864719568244588),
+        (16, 0.0030695393978717967, 0.09485504396735792),
+        (64, 0.0031266362597097462, 0.02799224764132315),
+        (256, 0.003167790073574054, 0.007872072435056958),
+        (1024, 0.00320008411628104, 0.002156125796381778),
+        (4096, 0.0032267145077376587, 0.0005807730191142462),
+        (16384, 0.0032494030039358786, 0.00015464424546225524),
+        (100000, 0.003274747116185355, 2.7171988360219586e-05),
+        (1000000, 0.003301998836595379, 2.9276135449580495e-06),
+    ]
+    assert res == {
+        "alpha": "1/11",
+        "delta_crossing": {
+            "d_required": {"method": "formula-symbolic", "value": "exp(5.33672e+55)"},
+            "delta": 1.0,
+            "ln_d_required": {"method": "exact", "value": 5.336724566877755e55},
+        },
+        "exponent": {"fraction": "1/22", "method": "exact", "value": 0.045454545454545456},
+        "rows": [
+            {
+                "d": d,
+                "lower_factor": {"method": "formula-lb", "value": factor},
+                "mix_weight": {"method": "exact", "value": weight},
+            }
+            for d, factor, weight in rows
+        ],
+        "upper_bound": {"method": "formula-symbolic", "value": "D*(ln d)^(-1/11) + 1"},
+    }

@@ -20,6 +20,7 @@ from oracles import (
 from kvbell.errors import GuardError, ValidationError
 from kvbell.kvgame import (
     BOUND_CONSTANTS,
+    BellFunctional,
     asymptotic_eta,
     build_hadamard_subgroup,
     entangled_lower_bound_asymptotic,
@@ -30,7 +31,6 @@ from kvbell.kvgame import (
     kv_question_marginal,
     noise_string_probs,
     noise_weights,
-    popcount,
     referee_sample,
 )
 
@@ -142,6 +142,15 @@ def _marginal_bruteforce(table, eta):
     return out
 
 
+@pytest.mark.parametrize("reader", [kv_question_marginal, kv_game_to_json])
+def test_coset_game_readers_need_the_coset_table(reader):
+    # the same entries without the coset table in meta are refused
+    game = kv_functional(build_hadamard_subgroup(1), 0.25)
+    bare = BellFunctional(game.num_inputs, game.num_outputs, game.dense(), {"eta": 0.25})
+    with pytest.raises(ValidationError, match="built by kv_functional"):
+        reader(bare)
+
+
 @pytest.mark.parametrize("l,eta", [(1, 0.4), (2, 0.25), (3, 0.05)])
 def test_question_marginal_against_bruteforce(l, eta):
     table = build_hadamard_subgroup(l)
@@ -165,7 +174,7 @@ def test_measurements_validate_and_overlap_formula(l):
     for x in (0, table.num_cosets - 1):
         for y in range(table.num_cosets):
             dots = meas[x].vectors @ meas[y].vectors.T
-            w = popcount(table.elems[x][:, None] ^ table.elems[y][None, :])
+            w = np.bitwise_count(table.elems[x][:, None] ^ table.elems[y][None, :])
             assert np.max(np.abs(dots - (n - 2.0 * w) / n)) < 1e-12
 
 
@@ -175,7 +184,7 @@ def test_within_coset_distance_is_half_n(l):
     n = table.n
     for x in range(min(table.num_cosets, 8)):
         row = table.elems[x]
-        w = popcount(row[:, None] ^ row[None, :])
+        w = np.bitwise_count(row[:, None] ^ row[None, :])
         off = w[~np.eye(n, dtype=bool)]
         assert np.all(off == n // 2)
 
@@ -242,7 +251,7 @@ def test_referee_sample_statistics():
     count = 100000
     s = referee_sample(table, eta, seed=7, count=count)
     # mean xor weight concentrates at n * eta
-    mean_w = popcount(s.z).mean()
+    mean_w = np.bitwise_count(s.z).mean()
     sigma = math.sqrt(4 * eta * (1 - eta) / count)
     assert abs(mean_w - 4 * eta) < 5 * sigma
     # questions are uniform over cosets

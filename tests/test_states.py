@@ -1,5 +1,6 @@
-"""States layer: entangled and isotropic density matrices, the locality
-threshold, and the tensor-power expansion identity."""
+"""States layer: entangled and isotropic density matrices and their
+hermiticity and eigenvalue checks, the locality threshold, the tensor-power
+expansion identity, and the partial-trace oracle these tests rely on."""
 
 import math
 from fractions import Fraction
@@ -12,6 +13,7 @@ from kvbell.errors import GuardError, ValidationError
 from kvbell.states import (
     ENTANGLED,
     MIXED,
+    PSD_CHECK_MAX_DIM,
     THRESHOLD_DIM_GUARD,
     DensityMatrix,
     StateExpansion,
@@ -33,6 +35,32 @@ def test_density_matrix_validation(rng):
         DensityMatrix(np.eye(2))  # trace 2
     with pytest.raises(ValidationError):
         DensityMatrix(np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+def test_hermiticity_checks():
+    h = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+    assert DensityMatrix(h).dim == 2
+    assert DensityMatrix(h + np.array([[0.0, 1e-13], [0.0, 0.0]])).dim == 2
+    for bad in (np.array([[0.5, 1.0], [0.0, 0.5]]), h + np.array([[0.0, 1e-11], [0.0, 0.0]])):
+        with pytest.raises(ValidationError, match="not hermitian"):
+            DensityMatrix(bad)
+
+
+def test_min_eigenvalue(rng):
+    # unit-trace hermitian matrices whose smallest eigenvalue is set exactly
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    for low, accepted in ((-1e-11, True), (-1e-9, False)):
+        eigs = np.array([low, 0.1, 0.2, 0.3, 0.4 - low])
+        m = (q * eigs) @ q.T
+        if accepted:
+            assert DensityMatrix(m).dim == 5
+        else:
+            with pytest.raises(ValidationError, match="eigenvalue"):
+                DensityMatrix(m)
+    # above PSD_CHECK_MAX_DIM the eigenvalue check is skipped
+    dim = PSD_CHECK_MAX_DIM + 1
+    big = np.diag(np.concatenate([[-0.5], np.full(dim - 1, 1.5 / (dim - 1))]))
+    assert DensityMatrix(big).dim == dim
 
 
 def test_mes_vector_and_state():
@@ -179,3 +207,30 @@ def test_expansion_reconstructs_isotropic_power(rng):
                 total += w * realize_term(pat, d, k).matrix
             want = tensor_power_blocked(make_isotropic(d, float(p)), d, k).matrix
             assert np.max(np.abs(total - want)) < 1e-12
+
+
+def test_partial_trace_product_state(rng):
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    a = a @ a.conj().T
+    a /= np.trace(a).real
+    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    b = b @ b.conj().T
+    b /= np.trace(b).real
+    rho = np.kron(a, b)
+    assert np.allclose(partial_trace(rho, [2, 3], [0]), a)
+    assert np.allclose(partial_trace(rho, [2, 3], [1]), b)
+    assert np.allclose(partial_trace(rho, [2, 3], [0, 1]), rho)
+
+
+def test_partial_trace_three_factors_einsum_oracle(rng):
+    dims = [2, 3, 2]
+    rho = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    rho = rho @ rho.conj().T
+    rho /= np.trace(rho).real
+    t = rho.reshape(2, 3, 2, 2, 3, 2)
+    keep_middle = np.einsum("ijkilk->jl", t)
+    assert np.allclose(partial_trace(rho, dims, [1]), keep_middle)
+    keep_outer = np.einsum("ijkljm->iklm", t).reshape(4, 4)
+    assert np.allclose(partial_trace(rho, dims, [0, 2]), keep_outer)
+    # trace is preserved no matter what is kept
+    assert abs(np.trace(partial_trace(rho, dims, [2])) - 1.0) < 1e-12

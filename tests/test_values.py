@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     assert_projective_measurement,
@@ -58,6 +58,7 @@ from kvbell.values import (
     quantum_value_kv_closed_form,
     seesaw_lower_bound,
     superactivation_crossing,
+    superactivation_log_ratio_bound,
     superactivation_monotone_from,
     superactivation_ratio_bound,
 )
@@ -398,6 +399,17 @@ def test_crossing_structure():
     assert superactivation_crossing(8, 0.99) is None
     with pytest.raises(GuardError):
         superactivation_crossing(8, 1.0000000001, k_limit=100)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 10**6), alpha=st.floats(1.001, 64.0))
+@example(d=2, alpha=7.0)  # k = 1 crosses although monotone_from is 2
+def test_crossing_is_the_first_k_with_a_positive_log_bound(d, alpha):
+    # every k up to the crossing, so the skip past the convex minimum is checked too
+    k_star = superactivation_crossing(d, alpha)
+    logs = [superactivation_log_ratio_bound(d, k, alpha) for k in range(1, k_star + 1)]
+    assert logs[-1] > 0.0
+    assert all(v <= 0.0 for v in logs[:-1])
 
 
 def test_crossing_value_for_threshold_weight():
