@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import GuardError, KvBellError, ValidationError
 from .kvgame import (
+    EXACT_GAME_SIZES,
     MAX_LOG,
     BellFunctional,
     CosetTable,
@@ -39,13 +40,13 @@ from .kvgame import (
     kv_measurements,
     kv_question_marginal,
     referee_sample,
+    _check_eta,
 )
 from .localpolytope import local_content, lv_from_pi
 from .states import expand_tensor_power, locality_threshold, make_mes
 from .values import (
     ALMOST_ACTIVATION_CONSTANT,
     ENUMERATION_GUARD,
-    EXACT_GAME_SIZES,
     ProbDist,
     almost_activation_exponent,
     almost_activation_lower_factor,
@@ -131,6 +132,13 @@ def _resolve_block_length(args) -> int:
     raise ValidationError("one of --l or --n is required")
 
 
+def _eta_number(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ValidationError(f"--eta must be a number or 'auto', got {token!r}") from None
+
+
 def _resolve_eta(token, n: int) -> float:
     """Explicit number, the rule token "auto", or the documented default:
     0.25 below n = 8, the 1/2 - 1/ln(n) rule from n = 8 on."""
@@ -138,11 +146,7 @@ def _resolve_eta(token, n: int) -> float:
         return 0.25 if n < 8 else asymptotic_eta(n)
     if token == "auto":
         return asymptotic_eta(n)
-    try:
-        eta = float(token)
-    except ValueError:
-        raise ValidationError(f"--eta must be a number or 'auto', got {token!r}") from None
-    return eta
+    return _eta_number(token)
 
 
 def _resolve_p(token, d: int) -> tuple[float, str]:
@@ -428,6 +432,8 @@ def cmd_superactivation(args) -> int:
     p, p_source = _resolve_p(args.p, d)
     alpha = d * p
     ks = _parse_k_values(args.k)
+    if args.eta not in (None, "auto"):  # checked here: only rows with exact columns read it
+        _check_eta(_eta_number(args.eta))
     rows = []
     lines = [
         f"superactivation scan d={d} p={p:.10g} ({p_source}) alpha={alpha:.10g}",
@@ -442,8 +448,9 @@ def cmd_superactivation(args) -> int:
             ratio_bound, bound_text = _tagged(bound, "formula-lb"), f"{bound:>14.6e}"
         row = {"k": k, "alpha": _tagged(alpha, "exact"), "ratio_bound": ratio_bound}
         mes_text = total_text = f"{'-':>14}"
-        if d**k in EXACT_GAME_SIZES:
-            n = d**k
+        # d >= 2, so d**k passes the largest exact size 8 = 2**3 once k > 3
+        n = d**k if k <= 3 else None
+        if n in EXACT_GAME_SIZES:
             eta = _resolve_eta(args.eta, n)
             value = kv_value_for_expansion(expand_tensor_power(d, p, k), eta)
             row["eta"] = eta
@@ -466,7 +473,7 @@ def cmd_superactivation(args) -> int:
             )
             if k_star > 1
             else None,
-            "monotone_from_k": _tagged(superactivation_monotone_from(d, alpha), "exact"),
+            "monotone_from_k": _tagged(superactivation_monotone_from(alpha), "exact"),
         }
         lines.append(
             f"  crossing: bound first exceeds 1 at k* = {k_star} "

@@ -22,6 +22,9 @@ import numpy as np
 from .errors import GuardError, ValidationError
 
 MAX_LOG = 4  # coset tables hold all 2**(2**l) strings, so l stays small
+# dense game tables exist up to n = 8; n = 16 would need (4096 * 16)**2
+# entries, far past memory, so n = 16 is served by the closed forms alone
+EXACT_GAME_SIZES = (2, 4, 8)
 REFEREE_ROUNDS_GUARD = 10**7  # rounds per run; every round keeps several small integers
 NOISE_ROW_BLOCK = 1 << 16  # noise bits are drawn this many rounds at a time
 
@@ -101,12 +104,6 @@ def noise_weights(n: int, eta: float) -> np.ndarray:
     return eta**w * (1.0 - eta) ** (n - w)
 
 
-def noise_string_probs(n: int, eta: float) -> np.ndarray:
-    """Probability of every noise string in {0,1}^n, indexed by encoding."""
-    per_weight = noise_weights(n, eta)
-    return per_weight[np.bitwise_count(np.arange(1 << n))]
-
-
 class BellFunctional:
     """Real coefficient table over question pairs and answer pairs, stored
     dense as a (N, N, K, K) array."""
@@ -129,12 +126,6 @@ class BellFunctional:
         return float(self._table.sum())
 
 
-# Dense coset-game tables are kept up to n = 8; n = 16 would need
-# (4096 * 16)**2 entries, far past memory, so n = 16 is served by the
-# closed forms alone.
-DENSE_GAME_MAX_N = 8
-
-
 def kv_functional(table: CosetTable, eta: float) -> BellFunctional:
     """Game table with entry (1/N) * eta^w (1-eta)^(n-w), w = |a xor b|.
 
@@ -142,12 +133,12 @@ def kv_functional(table: CosetTable, eta: float) -> BellFunctional:
     a in [x], b in [y] the only noise string that can match is z = a xor b,
     and its question condition holds automatically.  Validity of the merge
     is checked in tests against the direct average over noise strings
-    (tests/oracles.py).  Refused above n = DENSE_GAME_MAX_N.
+    (tests/oracles.py).  Refused for n outside EXACT_GAME_SIZES.
     """
     n = table.n
-    if n > DENSE_GAME_MAX_N:
+    if n not in EXACT_GAME_SIZES:
         raise GuardError(
-            f"dense game tables support n <= {DENSE_GAME_MAX_N}, got {n}; "
+            f"dense game tables support n in {EXACT_GAME_SIZES}, got {n}; "
             "use quantum_value_kv_closed_form for large coset games"
         )
     eta = _check_eta(eta)

@@ -108,19 +108,19 @@ def _factorize(std: _Standard, basis: np.ndarray):
     return inverse, inverse @ std.rhs
 
 
-def _simplex(std, costs, basis, allowed, max_iters, hold_artificials):
-    """Maximize costs . x from basis (updated in place) over the allowed
-    columns; an artificial that leaves is struck from allowed.  With
-    hold_artificials (phase 2) a basic artificial blocks at ratio 0 in every
-    row the entering column reaches.  Returns a fresh factorization of the
-    optimal basis."""
+def _simplex(std, costs, basis, max_iters, hold_artificials):
+    """Maximize costs . x from basis (updated in place); only columns that are
+    not artificial may enter.  With hold_artificials (phase 2) a basic
+    artificial blocks at ratio 0 in every row the entering column reaches.
+    Returns a fresh factorization of the optimal basis."""
+    enterable = ~std.artificial
     since_fresh = REFACTOR_EVERY  # pivots since the last factorization; this forces one
     for _ in range(max_iters):
         if since_fresh >= REFACTOR_EVERY:
             inverse, x_basic = _factorize(std, basis)
             since_fresh = 0
         y = costs[basis] @ inverse
-        eligible = np.flatnonzero(allowed & (costs - y @ std.matrix > ENTER_TOL))
+        eligible = np.flatnonzero(enterable & (costs - y @ std.matrix > ENTER_TOL))
         if eligible.size == 0:
             if since_fresh == 0:
                 return inverse, x_basic
@@ -154,8 +154,6 @@ def _simplex(std, costs, basis, allowed, max_iters, hold_artificials):
         row = inverse[leave] / d[leave]
         inverse -= np.outer(d, row)
         inverse[leave] = row
-        if artificial[leave]:
-            allowed[basis[leave]] = False
         basis[leave] = enter
         since_fresh += 1
     raise NumericalError(f"simplex did not terminate within {max_iters} pivots")
@@ -180,12 +178,11 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> LPResult:
     basis = std.basis0.copy()
     if lp.equality:
         phase1_costs = np.where(std.artificial, -1.0, 0.0)
-        allowed = np.ones(nt, dtype=bool)
-        _, x_basic = _simplex(std, phase1_costs, basis, allowed, max_iters, False)
+        _, x_basic = _simplex(std, phase1_costs, basis, max_iters, False)
         mass = -float(phase1_costs[basis] @ x_basic)
         if mass > CERT_TOL:
             raise NumericalError(f"phase 1 ended with artificial mass {mass:.3e}: no feasible point")
-    inverse, x_basic = _simplex(std, std.costs, basis, ~std.artificial, max_iters, True)
+    inverse, x_basic = _simplex(std, std.costs, basis, max_iters, True)
     y = std.costs[basis] @ inverse
     reduced = std.costs - y @ std.matrix
     worst = float(reduced[~std.artificial].max())

@@ -1,5 +1,6 @@
-"""Bipartite states: maximally entangled, isotropic, and the symbolic
-expansion of an isotropic tensor power into product terms.
+"""Bipartite states: the maximally entangled state, the locality threshold
+of its noisy mixtures, and the symbolic expansion of an isotropic tensor
+power into product terms.
 
 Joint systems with k copies per party are always laid out blocked, as
 (party-1 copy 1 ... party-1 copy k) x (party-2 copy 1 ... party-2 copy k).
@@ -73,16 +74,6 @@ def make_mes(d: int) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v))
 
 
-def make_isotropic(d: int, p: float) -> DensityMatrix:
-    """Mixture p * MES + (1-p) * I/d^2."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"mixing weight must be in [0, 1], got {p}")
-    d = int(d)
-    mes = make_mes(d).matrix
-    return DensityMatrix(p * mes + (1.0 - p) * np.eye(d * d) / (d * d))
-
-
 def _threshold_parts(d: int) -> tuple[int, int]:
     """Numerator and denominator of (3d-1)(d-1)^(d-1) / ((d+1) d^d)."""
     d = int(d)
@@ -103,13 +94,6 @@ def locality_threshold(d: int) -> float:
     """
     num, den = _threshold_parts(d)
     return num / den
-
-
-def threshold_copy_gain(d: int) -> float:
-    """d times the locality threshold: the per-copy growth factor of the
-    violation-ratio bound.  Crosses 1 between d = 7 and d = 8."""
-    num, den = _threshold_parts(d)
-    return d * num / den
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from . import kernels
 from .errors import GuardError, ValidationError
 from .kvgame import (
     BOUND_CONSTANTS,
+    EXACT_GAME_SIZES,
     BellFunctional,
     Measurement,
     build_hadamard_subgroup,
@@ -44,7 +45,6 @@ RESTARTS_GUARD = 1000
 JOINT_DIM_GUARD = 4096
 TABLE_ENTRIES_GUARD = 1 << 24
 SEESAW_BLOCK_BYTES = 1 << 20
-EXACT_GAME_SIZES = (2, 4, 8)
 # log(C'/C), the constant term of the log super-activation ratio bound
 LOG_PREFACTOR = math.log(BOUND_CONSTANTS.entangled) - math.log(BOUND_CONSTANTS.classical)
 # C'' = (C'/C)/25, the constant of the almost-activation lower factor
@@ -76,10 +76,6 @@ class ProbDist:
         self.table = table
         self.N = table.shape[0]
         self.K = table.shape[2]
-
-    @classmethod
-    def uniform(cls, N: int, K: int) -> "ProbDist":
-        return cls(np.full((N, N, K, K), 1.0 / (K * K)))
 
     @classmethod
     def from_assignments(cls, alice, bob, N: int, K: int) -> "ProbDist":
@@ -305,7 +301,7 @@ def superactivation_ratio_bound(d: int, k: int, alpha: float) -> float:
     return math.exp(log_bound)
 
 
-def superactivation_monotone_from(d: int, alpha: float) -> int:
+def superactivation_monotone_from(alpha: float) -> int:
     """Smallest k0 = ceil(2 / ln alpha) past which the bound strictly grows."""
     if alpha <= 1.0:
         raise ValidationError("the bound only grows for alpha > 1")
@@ -324,7 +320,7 @@ def superactivation_crossing(d: int, alpha: float, k_limit: int = 10**7) -> int 
         return 1
     # the log bound is convex in k with its minimum at 2 / ln alpha: when k = 1
     # fails, so does every k below monotone_from
-    for k in range(superactivation_monotone_from(d, alpha), k_limit + 1):
+    for k in range(superactivation_monotone_from(alpha), k_limit + 1):
         if _log_ratio_bound(k, log_alpha, ln_d) > 0.0:
             return k
     raise GuardError(f"no crossing found up to k = {k_limit}")

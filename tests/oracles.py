@@ -1,6 +1,7 @@
-"""Independent reference implementations the tests compare the package to.
+"""Independent reference implementations the tests compare the package to,
+and the inputs only tests build.
 
-Each one computes a shipped quantity by a different route (the bare
+Each oracle computes a shipped quantity by a different route (the bare
 definition, a full two-sided enumeration, an explicit sum over group
 elements, a direct tensor power) and nothing in src/kvbell calls it.
 """
@@ -20,6 +21,7 @@ from kvbell.kvgame import (
 )
 from kvbell.states import REALIZE_MAX_DIM, DensityMatrix, interleave_to_blocked, make_mes
 from kvbell.values import (
+    ProbDist,
     SeesawResult,
     _random_projective,
     assignment_table,
@@ -28,6 +30,28 @@ from kvbell.values import (
 )
 
 ORACLE_GUARD = 4096
+
+
+def noise_string_probs(n: int, eta: float) -> np.ndarray:
+    """Probability of every noise string in {0,1}^n, indexed by encoding:
+    the referee's noise distribution spelled out string by string."""
+    per_weight = noise_weights(n, eta)
+    return per_weight[np.bitwise_count(np.arange(1 << n))]
+
+
+def make_isotropic(d: int, p: float) -> DensityMatrix:
+    """Dense isotropic state p * MES + (1-p) * I/d^2, the reference for the
+    expansion of its tensor powers into product terms."""
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"mixing weight must be in [0, 1], got {p}")
+    mes = make_mes(d).matrix
+    return DensityMatrix(p * mes + (1.0 - p) * np.eye(d * d) / (d * d))
+
+
+def uniform_dist(N: int, K: int) -> ProbDist:
+    """Every answer pair equally likely on every question pair."""
+    return ProbDist(np.full((N, N, K, K), 1.0 / (K * K)))
 
 
 def direct_coefficient_table_numpy(elems, coset_of, noise_probs):

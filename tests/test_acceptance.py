@@ -17,6 +17,8 @@ from oracles import (
     classical_value_bruteforce,
     direct_coefficient_table_numpy,
     kv_mes_value_direct,
+    make_isotropic,
+    noise_string_probs,
     tensor_power_blocked,
 )
 
@@ -28,16 +30,9 @@ from kvbell.kvgame import (
     kv_classical_upper_bound,
     kv_functional,
     kv_measurements,
-    noise_string_probs,
 )
 from kvbell.localpolytope import LinearProgram, local_content, solve_lp, vertex_matrix
-from kvbell.states import (
-    DensityMatrix,
-    expand_tensor_power,
-    locality_threshold,
-    make_isotropic,
-    threshold_copy_gain,
-)
+from kvbell.states import DensityMatrix, expand_tensor_power, locality_threshold
 from kvbell.values import (
     ProbDist,
     almost_activation_exponent,
@@ -129,10 +124,9 @@ def test_criterion_03_quantum_closed_form():
 
 def test_criterion_04_threshold_crossing():
     with criterion(4, "per-copy gain crosses 1 between d=7 and d=8", 1.0):
-        a7 = threshold_copy_gain(7)
-        a8 = threshold_copy_gain(8)
-        assert a7 == 7 * locality_threshold(7)
-        assert a8 == 8 * locality_threshold(8)
+        # alpha = d * p at the threshold weight, as the superactivation command forms it
+        a7 = 7 * locality_threshold(7)
+        a8 = 8 * locality_threshold(8)
         assert a7 < 1.0 < a8, (a7, a8)
 
 
@@ -151,13 +145,13 @@ def test_criterion_05_expansion_exactness():
 
 def test_criterion_06_divergence_scan():
     with criterion(6, "ratio bound crosses 1 at a finite copy count", 5.0):
-        alpha = threshold_copy_gain(8)
+        alpha = 8 * locality_threshold(8)
         k_star = superactivation_crossing(8, alpha)
         assert k_star is not None and k_star > 1
         b_at = superactivation_ratio_bound(8, k_star, alpha)
         b_before = superactivation_ratio_bound(8, k_star - 1, alpha)
         assert b_at > 1.0 >= b_before, (k_star, b_at, b_before)
-        start = superactivation_monotone_from(8, alpha)
+        start = superactivation_monotone_from(alpha)
         vals = [superactivation_ratio_bound(8, k, alpha) for k in range(start, start + 120)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 

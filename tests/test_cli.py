@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -806,6 +807,28 @@ BEYOND_FLOAT = "1" + "0" * 400
 def test_dimension_past_float_range_refused(capsys, argv):
     assert main(argv) == 3
     assert "float range" in capsys.readouterr().err
+
+
+def test_superactivation_wide_k_at_huge_d_stays_fast(capsys):
+    # only k <= 3 can give an exact size, so the rows past it never form d**k
+    start = time.perf_counter()
+    assert main(["superactivation", "--d", str(10**300), "--p", "0.5", "--k", "1:2000"]) == 0
+    assert time.perf_counter() - start < 10.0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("eta", ["banana", "0.9"])
+@pytest.mark.parametrize("d", ["8", "2"])  # d**2 = 64 has no exact columns, d**2 = 4 has
+def test_superactivation_checks_an_explicit_eta_on_every_route(capsys, d, eta):
+    assert main(["superactivation", "--d", d, "--k", "2", "--eta", eta]) == 2
+    assert "eta" in capsys.readouterr().err
+
+
+def test_superactivation_eta_auto_is_resolved_per_row(capsys):
+    # 1/2 - 1/ln(n) needs n >= 8: no row reads it at d**2 = 64, the exact row does at d = 2
+    assert main(["superactivation", "--d", "8", "--k", "2", "--eta", "auto"]) == 0
+    assert main(["superactivation", "--d", "2", "--k", "2", "--eta", "auto"]) == 2
+    capsys.readouterr()
 
 
 def test_closed_pipe_ends_without_traceback():

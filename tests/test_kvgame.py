@@ -15,6 +15,7 @@ from oracles import (
     coset_table_by_loop,
     direct_coefficient_table_numpy,
     kv_game_to_json_per_entry,
+    noise_string_probs,
 )
 
 from kvbell.errors import GuardError, ValidationError
@@ -29,7 +30,6 @@ from kvbell.kvgame import (
     kv_game_to_json,
     kv_measurements,
     kv_question_marginal,
-    noise_string_probs,
     noise_weights,
     referee_sample,
 )

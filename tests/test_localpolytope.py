@@ -14,6 +14,7 @@ import pytest
 from gen import random_mes_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import uniform_dist
 
 from kvbell import build_hadamard_subgroup, kv_measurements, localpolytope
 from kvbell.errors import NumericalError, ValidationError
@@ -368,7 +369,7 @@ def test_local_content_endpoints():
     assert local_content(pr_box_dist(), "free").lam <= 1e-9
     det = ProbDist.from_assignments([0, 1], [0, 0], 2, 2)
     assert abs(local_content(det, "free").lam - 1.0) <= 1e-9
-    assert abs(local_content(ProbDist.uniform(2, 2), "free").lam - 1.0) <= 1e-9
+    assert abs(local_content(uniform_dist(2, 2), "free").lam - 1.0) <= 1e-9
 
 
 def test_local_content_free_decomposition_identity():
@@ -396,7 +397,7 @@ def test_local_content_of_tsirelson_point_matches_chsh_bound():
 
 
 def test_local_content_decreases_toward_pr_box():
-    u = ProbDist.uniform(2, 2)
+    u = uniform_dist(2, 2)
     pr = pr_box_dist()
     lams = []
     for mu in [0.5, 0.7, 0.9, 1.0]:
@@ -533,9 +534,9 @@ def test_local_variant_near_a_deterministic_pair(weight):
 def test_local_content_variant_names():
     for spelling in ("bogus", "remainder-free", "remainder-local"):
         with pytest.raises(ValidationError):
-            local_content(ProbDist.uniform(2, 2), spelling)
-    assert local_content(ProbDist.uniform(2, 2), "free").variant == "remainder-free"
-    assert local_content(ProbDist.uniform(2, 2), "local").variant == "remainder-local"
+            local_content(uniform_dist(2, 2), spelling)
+    assert local_content(uniform_dist(2, 2), "free").variant == "remainder-free"
+    assert local_content(uniform_dist(2, 2), "local").variant == "remainder-local"
 
 
 def test_lv_from_pi():

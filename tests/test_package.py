@@ -1,11 +1,27 @@
-"""The package's public name list and what importing it loads."""
+"""The package's public name list, what importing it loads, and that the
+commands run every public function."""
 
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import kvbell
+from kvbell.cli import main
+
+# small runs of every command that together reach each public function
+COMMANDS = [
+    ["kv-build", "--l", "2", "--out", "{dir}/game.json"],
+    ["values", "--l", "2"],
+    ["values", "--l", "3", "--restarts", "2"],
+    ["superactivation", "--d", "2", "--k", "1:2"],
+    ["superactivation", "--d", "8", "--k", "2"],
+    ["almost-activation", "--d-grid", "4,8"],
+    ["referee-sim", "--l", "2", "--samples", "1000"],
+    ["local-content", "--dist", "pr-box"],
+    ["local-content", "--dist", "chsh-quantum", "--restarts", "2", "--variant", "local"],
+]
 
 
 def test_all_names_resolve_without_duplicates():
@@ -27,3 +43,22 @@ def test_cli_import_leaves_scipy_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_commands_run_every_public_function(tmp_path, capsys):
+    called = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        codes = [main([part.format(dir=tmp_path) for part in argv]) for argv in COMMANDS]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [0] * len(COMMANDS)
+    public = [getattr(kvbell, name) for name in kvbell.__all__]
+    assert [f.__name__ for f in public if inspect.isfunction(f) and f.__code__ not in called] == []

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import partial_trace, tensor_power_blocked
+from oracles import make_isotropic, partial_trace, tensor_power_blocked
 
 from kvbell.errors import GuardError, ValidationError
 from kvbell.states import (
@@ -20,11 +20,9 @@ from kvbell.states import (
     expand_tensor_power,
     interleave_to_blocked,
     locality_threshold,
-    make_isotropic,
     make_mes,
     mes_vector,
     realize_term,
-    threshold_copy_gain,
 )
 
 
@@ -100,7 +98,6 @@ def test_locality_threshold_formula():
         want = Fraction(3 * d - 1) * Fraction(d - 1) ** (d - 1)
         want /= Fraction(d + 1) * Fraction(d) ** d
         assert locality_threshold(d) == float(want)
-        assert threshold_copy_gain(d) == float(d * want)
     assert locality_threshold(2) == float(Fraction(5, 12))
 
 
@@ -108,17 +105,18 @@ def test_threshold_dimension_guard():
     assert locality_threshold(THRESHOLD_DIM_GUARD) > 0.0
     with pytest.raises(GuardError):
         locality_threshold(THRESHOLD_DIM_GUARD + 1)
-    with pytest.raises(GuardError):
-        threshold_copy_gain(THRESHOLD_DIM_GUARD + 1)
 
 
 def test_threshold_copy_gain_crossing():
-    # the single-copy-local, many-copy-nonlocal window opens at d = 8
-    assert threshold_copy_gain(7) < 1.0 < threshold_copy_gain(8)
-    assert abs(threshold_copy_gain(7) - 0.99142) < 5e-6
-    assert abs(threshold_copy_gain(8) - 1.00356) < 5e-6
+    # the per-copy gain alpha = d * p at the threshold weight, as the
+    # superactivation command forms it; the single-copy-local,
+    # many-copy-nonlocal window opens at d = 8
+    gain = {d: d * locality_threshold(d) for d in (7, 8, 20)}
+    assert gain[7] < 1.0 < gain[8]
+    assert abs(gain[7] - 0.99142) < 5e-6
+    assert abs(gain[8] - 1.00356) < 5e-6
     # gain grows toward its limit 3/e
-    assert threshold_copy_gain(8) < threshold_copy_gain(20) < 3 / math.e
+    assert gain[8] < gain[20] < 3 / math.e
 
 
 def test_expansion_term_structure():

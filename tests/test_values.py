@@ -19,8 +19,10 @@ from oracles import (
     assert_projective_measurement,
     classical_value_bruteforce,
     kv_mes_value_direct,
+    make_isotropic,
     seesaw_per_restart,
     tensor_power_blocked,
+    uniform_dist,
 )
 
 from kvbell.errors import GuardError, ValidationError
@@ -36,7 +38,6 @@ from kvbell.states import (
     DensityMatrix,
     expand_tensor_power,
     locality_threshold,
-    make_isotropic,
     make_mes,
 )
 from kvbell import values
@@ -96,14 +97,14 @@ def test_probdist_rejects_nan(fill):
 
 
 def test_probdist_constructors_and_mix():
-    u3 = ProbDist.uniform(2, 3)
+    u3 = uniform_dist(2, 3)
     assert u3.table.shape == (2, 2, 3, 3)
     assert np.all(u3.table == 1 / 9)
     d = ProbDist.from_assignments([0, 1], [1, 0], 2, 2)
     assert d.table[0, 1, 0, 0] == 1.0
     assert d.table[1, 0, 1, 1] == 1.0
     # a convex mixture of two tables is again a distribution
-    u = ProbDist.uniform(2, 2)
+    u = uniform_dist(2, 2)
     m = ProbDist(0.25 * u.table + 0.75 * d.table)
     assert m.table[0, 1, 0, 0] == 0.25 / 4 + 0.75
 
@@ -111,7 +112,7 @@ def test_probdist_constructors_and_mix():
 def test_pair_is_bilinear(rng):
     tab = rng.normal(size=(2, 2, 2, 2))
     f = BellFunctional(2, 2, table=tab)
-    p = ProbDist.uniform(2, 2)
+    p = uniform_dist(2, 2)
     q = ProbDist.from_assignments([0, 1], [0, 1], 2, 2)
     for lam in [0.0, 0.3, 1.0]:
         want = lam * pair(f, p) + (1 - lam) * pair(f, q)
@@ -326,7 +327,7 @@ def test_closed_form_matches_full_strategy_evaluation(l, eta):
 
 def test_uniform_answers_value():
     game = kv_functional(build_hadamard_subgroup(2), 0.25)
-    assert abs(pair(game, ProbDist.uniform(4, 4)) - 0.25) < 1e-14
+    assert abs(pair(game, uniform_dist(4, 4)) - 0.25) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +394,7 @@ def test_crossing_structure():
     assert k_star is not None
     assert superactivation_ratio_bound(8, k_star, alpha) > 1.0
     assert superactivation_ratio_bound(8, k_star - 1, alpha) <= 1.0
-    m = superactivation_monotone_from(8, alpha)
+    m = superactivation_monotone_from(alpha)
     vals = [superactivation_ratio_bound(8, k, alpha) for k in range(m, m + 100)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
     assert superactivation_crossing(8, 0.99) is None
@@ -410,6 +411,16 @@ def test_crossing_is_the_first_k_with_a_positive_log_bound(d, alpha):
     logs = [superactivation_log_ratio_bound(d, k, alpha) for k in range(1, k_star + 1)]
     assert logs[-1] > 0.0
     assert all(v <= 0.0 for v in logs[:-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 10**6), alpha=st.floats(1.001, 64.0), offset=st.integers(0, 1000))
+def test_log_bound_grows_from_monotone_from(d, alpha, offset):
+    # superactivation_crossing skips to monotone_from because the bound grows from there on
+    k = superactivation_monotone_from(alpha) + offset
+    assert superactivation_log_ratio_bound(d, k + 1, alpha) > superactivation_log_ratio_bound(
+        d, k, alpha
+    )
 
 
 def test_crossing_value_for_threshold_weight():
@@ -526,4 +537,4 @@ def test_restarts_guard():
 
 def test_pr_box_wins_chsh_outright():
     assert pair(chsh_functional(), pr_box_dist()) == 1.0
-    assert abs(pair(chsh_functional(), ProbDist.uniform(2, 2)) - 0.5) < 1e-15
+    assert abs(pair(chsh_functional(), uniform_dist(2, 2)) - 0.5) < 1e-15
