@@ -696,12 +696,12 @@ def cmd_local_content(args) -> int:
         dist = _load_distribution(args.dist)
         label = Path(args.dist).name
     outcome = local_content(dist, args.variant)
-    if outcome.lam > 1e-9:
+    lv, lv_note = None, "undefined (local weight 0)"
+    if args.variant == "free":
+        lv_note = "LV = 2/lambda - 1 takes the local reading of lambda: use --variant local"
+    elif outcome.lam > 1e-9:
         lv = _tagged(lv_from_pi(outcome.lam), "exact")
         lv_note = "per-distribution quantity for this input, not a state invariant"
-    else:
-        lv = None
-        lv_note = "undefined (local weight 0)"
     residual = outcome.residual_weights
     result = {
         "distribution": label,

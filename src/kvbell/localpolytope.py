@@ -2,7 +2,8 @@
 
 The solver maximizes over nonnegative variables subject to rows that are
 all <= or all =, with nonnegative right-hand sides: the form of the two
-local-content LPs, which are always feasible and bounded.  It keeps the
+local-content LPs, both bounded and feasible on the inputs local_content
+solves.  It keeps the
 basis, the basic values and an explicit basis inverse with a rank-1 update
 per pivot, and recomputes both from the original columns every
 REFACTOR_EVERY pivots, before it declares optimal, and before it uses a
@@ -13,15 +14,15 @@ basic artificial blocks at ratio 0 in any row the entering column reaches,
 and one that no column reaches marks a redundant = row.  Optima are
 certified by reduced costs and primal residuals recomputed from the
 original data.  Anything else raises NumericalError: a singular basis, an
-entering column that no row blocks, phase 1 ending with artificial mass, a
-failed certificate or the iteration limit.
+entering column that no row blocks, phase 1 leaving a row more than
+CERT_TOL off, a failed certificate or the iteration limit.
 
 On top of the solver: the two readings of the local-content quantity lambda,
 which also decide membership in the local polytope (lambda = 1).  Their
 columns are deterministic strategy pairs built by one column builder: all
 K^(2N) of them for the local reading (vertex_matrix), only those inside P's
 support for the free one.  VERTEX_GUARD bounds the assignments per party,
-DENSE_LP_GUARD the entries of the matrix actually built.
+DENSE_LP_GUARD the entries of the LP matrix, checked before it is built.
 """
 
 from __future__ import annotations
@@ -179,9 +180,10 @@ def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> LPResult:
     if lp.equality:
         phase1_costs = np.where(std.artificial, -1.0, 0.0)
         _, x_basic = _simplex(std, phase1_costs, basis, max_iters, False)
-        mass = -float(phase1_costs[basis] @ x_basic)
-        if mass > CERT_TOL:
-            raise NumericalError(f"phase 1 ended with artificial mass {mass:.3e}: no feasible point")
+        # basic artificials are the rows' misses, judged one by one as _certify_primal does
+        worst = float(x_basic[std.artificial[basis]].max(initial=0.0))
+        if worst > CERT_TOL:
+            raise NumericalError(f"phase 1 left a row {worst:.3e} off: no feasible point")
     inverse, x_basic = _simplex(std, std.costs, basis, max_iters, True)
     y = std.costs[basis] @ inverse
     reduced = std.costs - y @ std.matrix
@@ -269,12 +271,15 @@ def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
     that puts mass on a zero of P has weight 0 in every feasible point.
     local (reported as remainder-local): max lambda such that
     lambda P + (1-lambda) P' is a convex combination of deterministic pairs
-    with P' itself one; both multipliers are LP variables, so a single solve
-    suffices.  Its columns are all of vertex_matrix.
+    with P' itself one, solved as its Charnes-Cooper homogenization: min
+    t = sum q' subject to D q' - D r' = P, sum q' - sum r' = 1, with D all of
+    vertex_matrix, gives lambda = 1/t, q = q'/t, r = r'/t.  It is feasible
+    exactly when P is no-signalling.  Past a marginal drift of CERT_TOL / 2K
+    P gets lambda 0 without a solve; below it a no-signalling table of mass
+    1 - 2K drift fits under P, so phase 1 ends within CERT_TOL of every row.
 
-    Both LPs bound lambda by 1 (sum q <= 1, or lambda + sum r = 1 with
-    r >= 0), so lambda is returned clipped to [0, 1]; a float reading past
-    either end is rounding.
+    Both LPs bound lambda by 1 (sum q <= 1, or t >= 1), so lambda is
+    returned clipped to [0, 1]; a float reading past either end is rounding.
     """
     if variant not in ("free", "local"):
         raise ValidationError(f"variant must be free or local, got {variant!r}")
@@ -283,32 +288,27 @@ def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
     if variant == "free":
         alice, bob = _support_pairs(dist.table, digits)
         D = _pair_columns(digits, dist.K, alice, bob)
-        lp = LinearProgram(np.ones(D.shape[1]), D, p_flat, equality=False)
-    else:
-        D = vertex_matrix(dist.N, dist.K)
-        n_entries, n_pairs = D.shape
-        alice, bob = np.divmod(np.arange(n_pairs), len(digits))
-        rows = np.zeros((n_entries + 2, 1 + 2 * n_pairs))
-        rows[:n_entries, 0] = p_flat
-        rows[:n_entries, 1 : 1 + n_pairs] = -D
-        rows[:n_entries, 1 + n_pairs :] = D
-        rows[n_entries, 1 : 1 + n_pairs] = 1.0
-        rows[n_entries + 1, 0] = 1.0
-        rows[n_entries + 1, 1 + n_pairs :] = 1.0
-        rhs = np.concatenate([np.zeros(n_entries), [1.0, 1.0]])
-        objective = np.zeros(1 + 2 * n_pairs)
-        objective[0] = 1.0
-        lp = LinearProgram(objective, rows, rhs, equality=True)
-    result = solve_lp(lp)
-    if variant == "free":
+        result = solve_lp(LinearProgram(np.ones(D.shape[1]), D, p_flat, equality=False))
         lam = float(result.value)
         q, r = np.clip(result.x, 0.0, None), None
         err = max(0.0, float(np.max(D @ result.x - p_flat)))
         leftover = p_flat - D @ q
     else:
-        lam = float(result.x[0])
-        q = np.clip(result.x[1 : 1 + n_pairs], 0.0, None)
-        r = np.clip(result.x[1 + n_pairs :], 0.0, None)
+        alice_drift = np.ptp(dist.table.sum(axis=3), axis=1).max()  # Alice's marginal over y
+        bob_drift = np.ptp(dist.table.sum(axis=2), axis=0).max()  # Bob's over x
+        if 2 * dist.K * max(alice_drift, bob_drift) > CERT_TOL:  # signalling: lambda is 0
+            return LocalContentResult(0.0, "remainder-local", [], [], None, 0.0)
+        n_pairs = len(digits) ** 2
+        if (p_flat.size + 1) * 2 * n_pairs > DENSE_LP_GUARD:
+            raise GuardError("dense LP [[D, -D], [1, -1]] would exceed the memory guard")
+        D = vertex_matrix(dist.N, dist.K)
+        alice, bob = np.divmod(np.arange(n_pairs), len(digits))
+        ones = np.ones((1, n_pairs))
+        rows, rhs = np.block([[D, -D], [ones, -ones]]), np.append(p_flat, 1.0)
+        result = solve_lp(LinearProgram(np.repeat([-1.0, 0.0], n_pairs), rows, rhs, equality=True))
+        t = -result.value  # sum q' = 1 / lambda
+        lam = 1.0 / t
+        q, r = np.clip(result.x, 0.0, None).reshape(2, n_pairs) / t
         leftover = D @ r
         err = float(np.max(np.abs(lam * p_flat - D @ q + leftover)))
     lam = min(max(lam, 0.0), 1.0)

@@ -27,7 +27,7 @@ from kvbell.kvgame import (
     referee_sample,
 )
 from kvbell.states import make_mes
-from kvbell.values import ProbDist, quantum_prob, superactivation_log_ratio_bound
+from kvbell.values import ProbDist, pr_box_dist, quantum_prob, superactivation_log_ratio_bound
 
 METHOD_TAGS = {
     "exact",
@@ -233,7 +233,13 @@ def test_local_content_subcommand(tmp_path, capsys):
     doc2 = run_json(capsys, ["local-content", "--dist", "chsh-quantum", "--seed", "0"])
     lam = doc2["result"]["lambda"]["value"]
     assert abs(lam - (2.0 - math.sqrt(2.0))) < 1e-6
-    assert abs(doc2["result"]["lv"]["value"] - (2.0 / lam - 1.0)) < 1e-12
+    # LV = 2/lambda - 1 needs the local reading: the free one would give 1 + sqrt 2
+    assert doc2["result"]["lv"] is None
+    assert "--variant local" in doc2["result"]["lv_note"]
+    argv = ["local-content", "--dist", "chsh-quantum", "--seed", "0", "--variant", "local"]
+    local = run_json(capsys, argv)["result"]
+    assert abs(local["lambda"]["value"] - 2.0 * (math.sqrt(2.0) - 1.0)) < 1e-12
+    assert abs(local["lv"]["value"] - math.sqrt(2.0)) < 1e-12
     # file-based distribution
     dist_file = tmp_path / "dist.json"
     table = np.full((2, 2, 2, 2), 0.25).tolist()
@@ -258,6 +264,39 @@ def test_local_content_dense_guard_counts_pairs_inside_the_support(tmp_path, cap
     path.write_text(json.dumps({"N": N, "K": K, "table": np.full((N, N, K, K), 1 / 16).tolist()}))
     assert main(["local-content", "--dist", str(path)]) == 3
     assert "memory guard" in capsys.readouterr().err
+
+
+def test_local_variant_dense_guard_counts_the_lp_it_builds(tmp_path, capsys):
+    # (N, K) = (4, 4): D has 256 x 65,536 = 2^24 entries, but the local LP
+    # [[D, -D], [1, -1]] has 257 x 131,072; it is refused before D is built
+    path = tmp_path / "uniform44.json"
+    path.write_text(json.dumps({"N": 4, "K": 4, "table": np.full((4, 4, 4, 4), 1 / 16).tolist()}))
+    start = time.perf_counter()
+    assert main(["local-content", "--dist", str(path), "--variant", "local"]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "memory guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-3, 1e-6, 1e-8, 1e-9, 5e-10, 2e-10, 1e-12])
+def test_local_variant_on_signalling_inputs(tmp_path, capsys, eps):
+    # (1 - eps) B + eps S with S a box in which Bob answers Alice's question x:
+    # P signals by eps.  Its exact local weight is 0; below the drift the
+    # solver can tell from rounding the LP fits P within the 1e-9 gate.
+    det = ProbDist.from_assignments([0, 0], [0, 0], 2, 2).table
+    signal = np.zeros((2, 2, 2, 2))
+    for x, y in np.ndindex(2, 2):
+        signal[x, y, 0, x] = 1.0
+    path = tmp_path / "signalling.json"
+    argv = ["local-content", "--dist", str(path), "--variant", "local"]
+    for base in (det, pr_box_dist().table, np.full((2, 2, 2, 2), 0.25)):
+        table = (1.0 - eps) * base + eps * signal
+        path.write_text(json.dumps({"N": 2, "K": 2, "table": table.tolist()}))
+        res = run_json(capsys, argv)["result"]
+        assert res["reconstruction_error"] <= 1e-9
+        if eps >= 1e-9:
+            assert res["lambda"]["value"] == 0.0 and res["lv"] is None
+            assert res["weights"] == res["residual_weights"] == []
+            assert "residual_distribution" not in res
 
 
 def test_input_files_are_labelled_by_file_name(tmp_path, capsys, monkeypatch):
@@ -584,17 +623,17 @@ def test_local_content_result_pinned(capsys):
         "lambda": {"value": 0.6666666666666666, "method": "exact"},
         "variant": "remainder-local",
         "weights": [
-            {"alice": [0, 0], "bob": [0, 0], "weight": 0.33333333333333326},
-            {"alice": [0, 1], "bob": [1, 0], "weight": 0.3333333333333334},
-            {"alice": [1, 0], "bob": [1, 1], "weight": 0.3333333333333334},
+            {"alice": [0, 0], "bob": [0, 0], "weight": 0.3333333333333333},
+            {"alice": [0, 1], "bob": [1, 0], "weight": 0.3333333333333333},
+            {"alice": [1, 0], "bob": [1, 1], "weight": 0.3333333333333333},
         ],
-        "residual_weights": [{"alice": [0, 0], "bob": [1, 0], "weight": 0.33333333333333337}],
-        "reconstruction_error": 1.1102230246251565e-16,
+        "residual_weights": [{"alice": [0, 0], "bob": [1, 0], "weight": 0.3333333333333333}],
+        "reconstruction_error": 0.0,
         "lv": {"value": 2.0, "method": "exact"},
         "lv_note": "per-distribution quantity for this input, not a state invariant",
         "residual_distribution": [
-            [[[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
-            [[[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+            [[[0.0, 0.9999999999999999], [0.0, 0.0]], [[0.9999999999999999, 0.0], [0.0, 0.0]]],
+            [[[0.0, 0.9999999999999999], [0.0, 0.0]], [[0.9999999999999999, 0.0], [0.0, 0.0]]],
         ],
     }
 
@@ -609,7 +648,7 @@ def test_local_content_free_result_pinned(capsys):
         "residual_weights": None,
         "reconstruction_error": 0.0,
         "lv": None,
-        "lv_note": "undefined (local weight 0)",
+        "lv_note": "LV = 2/lambda - 1 takes the local reading of lambda: use --variant local",
         "residual_distribution": [
             [[[0.5, 0.0], [0.0, 0.5]], [[0.5, 0.0], [0.0, 0.5]]],
             [[[0.5, 0.0], [0.0, 0.5]], [[0.0, 0.5], [0.5, 0.0]]],

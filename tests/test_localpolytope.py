@@ -304,12 +304,12 @@ def test_random_mes_draws_certify():
 @pytest.mark.parametrize("seed,draw", [(5, 4), (3, 0), (7, 1)])
 def test_singular_final_basis_is_a_numerical_error(seed, draw, monkeypatch):
     # these draws once ended on a singular basis; a basis that is singular,
-    # here one holding the opposite columns +D_0 and -D_0, still raises
+    # here one holding the opposite columns +D_0 and -D_0 of [D | -D], still raises
     lp, _ = _local_variant_lp(seed, draw, monkeypatch)
     std = localpolytope._Standard(lp)
-    n_pairs = (lp.rows.shape[1] - 1) // 2
+    n_pairs = lp.rows.shape[1] // 2
     basis = std.basis0.copy()
-    basis[:2] = [1, 1 + n_pairs]
+    basis[:2] = [0, n_pairs]
     with pytest.raises(NumericalError, match="singular"):
         localpolytope._factorize(std, basis)
 
@@ -317,8 +317,9 @@ def test_singular_final_basis_is_a_numerical_error(seed, draw, monkeypatch):
 @pytest.mark.parametrize("draw", [1, 2, 5])
 def test_primal_certification_refuses_bad_decompositions(draw, monkeypatch):
     # the dense tableau once answered these draws with decompositions that
-    # missed their = rows by 5.6e-4 to 8.9e-2; shifting lambda by that much
-    # off the certified answer must be refused, and so must a negative weight
+    # missed their = rows by 5.6e-4 to 8.9e-2; shifting the weight q'_0 of the
+    # first pair by that much off the certified answer must be refused, and so
+    # must a negative weight
     lp, result = _local_variant_lp(5, draw, monkeypatch)
     localpolytope._certify_primal(lp, result.x)
     off_rows = result.x.copy()
@@ -487,8 +488,9 @@ def test_free_lp_of_kv_n4_on_all_four_cosets(monkeypatch):
 
 def test_lambda_read_past_one_is_clipped():
     # the LP rows bound lambda by 1; a solve can still read it 1 + rounding:
-    # the local variant read 1 + 5e-10 here (true value 1 - 5e-10), the free
-    # one 1 + 2e-16 on the random MES(3) draw of gen.py seed 1, pass 2
+    # the local variant's [lambda | q | r] form read 1 + 5e-10 here (true
+    # value 1 - 5e-10), the free one 1 + 2e-16 on the random MES(3) draw of
+    # gen.py seed 1, pass 2
     det = ProbDist.from_assignments([0, 0], [0, 0], 2, 2).table
     near_det = ProbDist((1.0 - 1e-9) * det + 1e-9 * pr_box_dist().table)
     draw = ProbDist(
@@ -513,22 +515,90 @@ def _deterministic_mixtures(draw):
 @settings(max_examples=40, deadline=None)
 @given(dist=_deterministic_mixtures(), variant=st.sampled_from(["free", "local"]))
 def test_local_content_solves_every_local_mixture(dist, variant):
-    # both LPs are feasible and bounded (free: q = 0; local: lambda = 0 with
-    # q = r = one deterministic pair), so a local input must never raise
+    # both LPs are feasible and bounded (free: q = 0; local: the input's own
+    # weights as q' with r' = 0, since a local input is no-signalling), so a
+    # local input must never raise
     out = local_content(dist, variant)
     assert abs(out.lam - 1.0) <= 1e-9
     assert out.reconstruction_error <= 1e-9
 
 
-@pytest.mark.xfail(raises=NumericalError, strict=True, reason="degenerate phase-1 stall")
-@pytest.mark.parametrize("weight", [2e-9, 1e-8])
+@settings(max_examples=40, deadline=None)
+@given(weight=st.sampled_from([2e-9, 1e-8]) | st.floats(1e-9, 1.0))
 def test_local_variant_near_a_deterministic_pair(weight):
-    # a deterministic pair mixed with a PR box of tiny weight: the local
-    # variant ends phase 1 on a singular basis, the free variant solves it
+    # a deterministic pair mixed with a PR box of weight w: CHSH reads 2 + 2w,
+    # so LV = 1 + w and lambda = 2 / (2 + w).  With P as an LP column next to
+    # the nearly equal vertex columns, w = 2e-9 and 1e-8 ended phase 1 on a
+    # singular basis.
     det = ProbDist.from_assignments([0, 0], [0, 0], 2, 2).table
     dist = ProbDist((1.0 - weight) * det + weight * pr_box_dist().table)
     assert local_content(dist, "free").lam >= 1.0 - weight - 1e-12
-    local_content(dist, "local")
+    out = local_content(dist, "local")
+    assert abs(out.lam - 1.0 / (1.0 + weight / 2.0)) <= 1e-12
+    assert out.reconstruction_error <= 1e-9
+
+
+def _chsh_boxes():
+    """The 8 PR boxes a + b = xy + alpha x + beta y + gamma (mod 2) and the 16
+    deterministic boxes of the (2, 2) scenario: the no-signalling polytope's
+    vertices."""
+    boxes = []
+    xy = np.arange(2)
+    for alpha, beta, gamma in itertools.product(range(2), repeat=3):
+        box = np.zeros((2, 2, 2, 2))
+        for x, y, a in itertools.product(range(2), repeat=3):
+            box[x, y, a, (a + x * y + alpha * x + beta * y + gamma) % 2] = 0.5
+        boxes.append(box)
+    functions = [xy * 0, xy * 0 + 1, xy, 1 - xy]
+    for f, g in itertools.product(functions, repeat=2):
+        boxes.append(ProbDist.from_assignments(f, g, 2, 2).table)
+    return np.array(boxes)
+
+
+def _chsh_max(table):
+    """Largest of the 8 CHSH expressions sum_xy (-1)^(xy + alpha x + beta y + gamma) E_xy,
+    local bound 2."""
+    signs = np.array([1.0, -1.0, -1.0, 1.0])  # (-1)^(a + b) over (a, b)
+    corr = table.reshape(2, 2, 4) @ signs
+    xy = list(itertools.product(range(2), repeat=2))
+    return max(
+        sum((-1) ** (x * y + alpha * x + beta * y + gamma) * corr[x, y] for x, y in xy)
+        for alpha, beta, gamma in itertools.product(range(2), repeat=3)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(weights=st.lists(st.integers(0, 6), min_size=24, max_size=24).filter(any))
+def test_local_variant_reads_lv_from_chsh_on_no_signalling_boxes(weights):
+    # an NS box of the (2, 2) scenario violates at most one CHSH inequality,
+    # by S - 2; its LV = 2/lambda - 1 is max(1, S/2)
+    w = np.array(weights, dtype=float)
+    dist = ProbDist(np.tensordot(w / w.sum(), _chsh_boxes(), axes=1))
+    out = local_content(dist, "local")
+    assert out.reconstruction_error <= 1e-9
+    assert abs(2.0 / out.lam - 1.0 - max(1.0, _chsh_max(dist.table) / 2.0)) <= 1e-12
+
+
+# lambda of the local variant on gen.py's random MES(3) draws at (3, 3), seed 1,
+# passes 0-5, from an independent LP solver (HiGHS on the [lambda | q | r]
+# form, feasibility tolerances 1e-10)
+_MES33_SEED1_LAMBDA = [
+    0.9439252596172283,
+    0.9570063939529848,
+    1.0,
+    0.9990449178112639,
+    0.9616096795008162,
+    0.9645000741005222,
+]
+
+
+@pytest.mark.parametrize("draw", range(6))
+def test_local_variant_certifies_random_mes3_draws(draw):
+    # with P as an LP column, draws 2 and 3 ended on a singular basis
+    table = random_mes_table(np.random.default_rng([1, draw]), 3, 3)
+    out = local_content(ProbDist(table, neg_tol=1e-9, norm_tol=1e-8), "local")
+    assert abs(out.lam - _MES33_SEED1_LAMBDA[draw]) <= 1e-12
+    assert out.reconstruction_error <= 1e-9
 
 
 def test_local_content_variant_names():
