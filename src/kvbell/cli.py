@@ -101,9 +101,9 @@ def _write_file(path: str, pieces) -> None:
         raise ValidationError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _emit(args, command: str, result: dict, lines: list[str], write_out: bool = True) -> None:
+def _emit(args, command: str, result: dict, lines: list[str]) -> None:
     doc = {"meta": _meta(command), "result": result}
-    if write_out and getattr(args, "out", None):
+    if getattr(args, "out", None):
         _write_file(args.out, (json.dumps(doc, indent=2, sort_keys=True), "\n"))
     if args.format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -113,23 +113,15 @@ def _emit(args, command: str, result: dict, lines: list[str], write_out: bool = 
 
 
 def _resolve_block_length(args) -> int:
-    """Block length from --l or --n, refused above n = 2**MAX_LOG before
-    anything of that size is allocated."""
-    if args.l is not None and args.n is not None:
-        raise ValidationError("give either --l or --n, not both")
-    if args.l is not None:
-        if args.l < 1:
-            raise ValidationError(f"--l must be >= 1, got {args.l}")
-        if args.l > MAX_LOG:
-            raise GuardError(f"block length is limited to --l <= {MAX_LOG}, got {args.l}")
-        return 1 << args.l
-    if args.n is not None:
-        if args.n < 2 or args.n & (args.n - 1):
-            raise ValidationError(f"--n must be a power of two >= 2, got {args.n}")
-        if args.n > 1 << MAX_LOG:
-            raise GuardError(f"block length is limited to --n <= {1 << MAX_LOG}, got {args.n}")
-        return args.n
-    raise ValidationError("one of --l or --n is required")
+    """Block length n = 2**--l, refused above n = 2**MAX_LOG before anything
+    of that size is allocated."""
+    if args.l is None:
+        raise ValidationError("--l is required")
+    if args.l < 1:
+        raise ValidationError(f"--l must be >= 1, got {args.l}")
+    if args.l > MAX_LOG:
+        raise GuardError(f"block length is limited to --l <= {MAX_LOG}, got {args.l}")
+    return 1 << args.l
 
 
 def _eta_number(token: str) -> float:
@@ -248,10 +240,10 @@ def cmd_kv_build(args) -> int:
     eta = _resolve_eta(args.eta, n)
     table = build_hadamard_subgroup(n.bit_length() - 1)
     game = kv_functional(table, eta)
-    if args.out is None:
+    if args.game_file is None:
         raise ValidationError("kv-build writes a game file; --out is required")
     doc = kv_game_to_json(game)
-    _write_file(args.out, _game_file_pieces(doc))
+    _write_file(args.game_file, _game_file_pieces(doc))
     marginal_total = float(kv_question_marginal(game).sum())
     mass = game.total()
     result = {
@@ -261,7 +253,7 @@ def cmd_kv_build(args) -> int:
         "entries": len(doc["entries"]),
         "coefficient_mass": _tagged(mass, "exact"),
         "question_marginal_total": _tagged(marginal_total, "exact"),
-        "game_file": Path(args.out).name,
+        "game_file": Path(args.game_file).name,
     }
     lines = [
         f"coset game n={n} eta={eta:.6g}",
@@ -269,9 +261,9 @@ def cmd_kv_build(args) -> int:
         f"  nonzero entries         {len(doc['entries'])}",
         f"  coefficient mass        {_fmt_tagged(result['coefficient_mass'])}",
         f"  question marginal total {_fmt_tagged(result['question_marginal_total'])}",
-        f"  game file               {args.out}",
+        f"  game file               {args.game_file}",
     ]
-    _emit(args, "kv-build", result, lines, write_out=False)
+    _emit(args, "kv-build", result, lines)
     return 0
 
 
@@ -334,6 +326,8 @@ def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
 
 def cmd_values(args) -> int:
     if args.game:
+        if args.l is not None or args.eta is not None:
+            raise ValidationError("--game takes n and eta from the file; drop --l and --eta")
         functional, table, eta = _load_game(args.game)
         n = table.n
         label = f"game file {Path(args.game).name}"
@@ -739,24 +733,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"kvbell {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--out", help="write the JSON document to this path")
+    def add_common(p, out=True):
+        if out:
+            p.add_argument("--out", help="write the JSON document to this path")
         p.add_argument(
             "--format", choices=("text", "json"), default="text", help="stdout rendering"
         )
 
     p = sub.add_parser("kv-build", help="construct a coset game and write its JSON table")
     p.add_argument("--l", type=int, help="log2 of the block length n")
-    p.add_argument("--n", type=int, help="block length n (power of two)")
     p.add_argument("--eta", help="noise rate in (0, 1/2], or 'auto' for 1/2 - 1/ln(n)")
-    add_common(p)
+    p.add_argument("--out", dest="game_file", help="write the game file to this path (required)")
+    add_common(p, out=False)
     p.set_defaults(func=cmd_kv_build)
 
     p = sub.add_parser("values", help="classical and quantum values with method labels")
     p.add_argument("--l", type=int, help="log2 of the block length n")
-    p.add_argument("--n", type=int, help="block length n (power of two)")
     p.add_argument("--eta", help="noise rate in (0, 1/2], or 'auto'")
-    p.add_argument("--game", help="evaluate a game file written by kv-build instead")
+    p.add_argument("--game", help="evaluate a kv-build game file instead of --l and --eta")
     p.add_argument("--seed", type=int, default=0, help="seed for the heuristic path")
     p.add_argument("--restarts", type=int, default=50, help="heuristic restarts")
     add_common(p)
@@ -785,7 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("referee-sim", help="Monte Carlo run of the game protocol")
     p.add_argument("--l", type=int, help="log2 of the block length n")
-    p.add_argument("--n", type=int, help="block length n (power of two)")
     p.add_argument("--eta", help="noise rate in (0, 1/2], or 'auto'")
     p.add_argument(
         "--strategy",

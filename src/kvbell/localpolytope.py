@@ -84,65 +84,49 @@ class LPResult:
     dual: np.ndarray
 
 
-class _Standard:
-    """Equality form max c.x, A x = b, x >= 0: the original columns, then one
-    identity column per row, slacks of a <= LP or artificials of an = LP.
-    Those columns form the starting basis."""
-
-    def __init__(self, lp: LinearProgram):
-        m, n0 = lp.rows.shape
-        self.matrix = np.hstack([lp.rows, np.eye(m)])
-        self.costs = np.concatenate([lp.objective, np.zeros(m)])
-        self.rhs = lp.rhs
-        self.basis0 = n0 + np.arange(m)
-        self.n_orig = n0
-        self.artificial = np.zeros(n0 + m, dtype=bool)
-        self.artificial[n0:] = lp.equality
-
-
-def _factorize(std: _Standard, basis: np.ndarray):
+def _factorize(matrix: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
     """Basis inverse and basic values computed afresh from the original columns."""
     try:
-        inverse = np.linalg.inv(std.matrix[:, basis])
+        inverse = np.linalg.inv(matrix[:, basis])
     except np.linalg.LinAlgError:
         raise NumericalError("numerical breakdown: the basis is singular") from None
-    return inverse, inverse @ std.rhs
+    return inverse, inverse @ rhs
 
 
-def _simplex(std, costs, basis, max_iters, hold_artificials):
-    """Maximize costs . x from basis (updated in place); only columns that are
-    not artificial may enter.  With hold_artificials (phase 2) a basic
-    artificial blocks at ratio 0 in every row the entering column reaches.
-    Returns a fresh factorization of the optimal basis."""
-    enterable = ~std.artificial
+def _simplex(matrix, rhs, costs, artificial, basis, max_iters, hold_artificials):
+    """Maximize costs . x over matrix x = rhs, x >= 0 from basis (updated in
+    place); only columns that are not artificial may enter.  With hold_artificials
+    (phase 2) a basic artificial blocks at ratio 0 in every row the entering
+    column reaches.  Returns a fresh factorization of the optimal basis."""
+    enterable = ~artificial
     since_fresh = REFACTOR_EVERY  # pivots since the last factorization; this forces one
     for _ in range(max_iters):
         if since_fresh >= REFACTOR_EVERY:
-            inverse, x_basic = _factorize(std, basis)
+            inverse, x_basic = _factorize(matrix, rhs, basis)
             since_fresh = 0
         y = costs[basis] @ inverse
-        eligible = np.flatnonzero(enterable & (costs - y @ std.matrix > ENTER_TOL))
+        eligible = np.flatnonzero(enterable & (costs - y @ matrix > ENTER_TOL))
         if eligible.size == 0:
             if since_fresh == 0:
                 return inverse, x_basic
             since_fresh = REFACTOR_EVERY
             continue
         enter = int(eligible[0])
-        d = inverse @ std.matrix[:, enter]
+        d = inverse @ matrix[:, enter]
         positive = d > PIVOT_EPS
         ratios = np.full(d.shape, np.inf)
         ratios[positive] = np.maximum(x_basic[positive], 0.0) / d[positive]
-        artificial = std.artificial[basis]
+        held = artificial[basis]
         if hold_artificials:
-            ratios[artificial & (np.abs(d) > PIVOT_EPS)] = 0.0
+            ratios[held & (np.abs(d) > PIVOT_EPS)] = 0.0
         if not np.isfinite(ratios).any():
             if since_fresh:
                 since_fresh = REFACTOR_EVERY
                 continue
             raise NumericalError(f"numerical breakdown: no row blocks entering column {enter}")
         ties = np.flatnonzero(ratios == ratios.min())
-        if artificial[ties].any():  # it never returns, so this cannot cycle
-            ties = ties[artificial[ties]]
+        if held[ties].any():  # an artificial never returns, so this cannot cycle
+            ties = ties[held[ties]]
             leave = int(ties[np.argmax(np.abs(d[ties]))])
         else:
             leave = int(ties[np.argmin(basis[ties])])
@@ -172,27 +156,29 @@ def _certify_primal(lp: LinearProgram, x: np.ndarray) -> None:
 
 def solve_lp(lp: LinearProgram, max_iters: int | None = None) -> LPResult:
     """Two-phase revised simplex; see the module docstring for the contract."""
-    std = _Standard(lp)
-    m, nt = std.matrix.shape
+    m, n = lp.rows.shape
+    # [rows | I]: the slacks of a <= LP or the artificials of an = LP start basic
+    matrix = np.hstack([lp.rows, np.eye(m)])
+    costs = np.concatenate([lp.objective, np.zeros(m)])
+    artificial = (np.arange(n + m) >= n) & lp.equality
+    basis = n + np.arange(m)
     if max_iters is None:
-        max_iters = 2000 + 200 * (m + nt)
-    basis = std.basis0.copy()
+        max_iters = 2000 + 200 * (2 * m + n)
     if lp.equality:
-        phase1_costs = np.where(std.artificial, -1.0, 0.0)
-        _, x_basic = _simplex(std, phase1_costs, basis, max_iters, False)
+        phase1_costs = np.where(artificial, -1.0, 0.0)
+        _, x_basic = _simplex(matrix, lp.rhs, phase1_costs, artificial, basis, max_iters, False)
         # basic artificials are the rows' misses, judged one by one as _certify_primal does
-        worst = float(x_basic[std.artificial[basis]].max(initial=0.0))
+        worst = float(x_basic[artificial[basis]].max(initial=0.0))
         if worst > CERT_TOL:
             raise NumericalError(f"phase 1 left a row {worst:.3e} off: no feasible point")
-    inverse, x_basic = _simplex(std, std.costs, basis, max_iters, True)
-    y = std.costs[basis] @ inverse
-    reduced = std.costs - y @ std.matrix
-    worst = float(reduced[~std.artificial].max())
+    inverse, x_basic = _simplex(matrix, lp.rhs, costs, artificial, basis, max_iters, True)
+    y = costs[basis] @ inverse
+    worst = float((costs - y @ matrix)[~artificial].max())
     if worst > CERT_TOL:
         raise NumericalError(f"optimality certification failed: reduced cost {worst:.3e}")
-    x_std = np.zeros(nt)
-    x_std[basis] = x_basic
-    x = x_std[: std.n_orig]
+    x = np.zeros(n + m)
+    x[basis] = x_basic
+    x = x[:n]
     _certify_primal(lp, x)
     return LPResult(float(lp.objective @ x), x, y)
 
@@ -273,10 +259,13 @@ def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
     lambda P + (1-lambda) P' is a convex combination of deterministic pairs
     with P' itself one, solved as its Charnes-Cooper homogenization: min
     t = sum q' subject to D q' - D r' = P, sum q' - sum r' = 1, with D all of
-    vertex_matrix, gives lambda = 1/t, q = q'/t, r = r'/t.  It is feasible
-    exactly when P is no-signalling.  Past a marginal drift of CERT_TOL / 2K
-    P gets lambda 0 without a solve; below it a no-signalling table of mass
-    1 - 2K drift fits under P, so phase 1 ends within CERT_TOL of every row.
+    vertex_matrix, gives lambda = 1/t, q = q'/t, r = r'/t and P' = D r'/sum r'.
+    It is feasible exactly when P is no-signalling.  Past a marginal drift of
+    CERT_TOL / 2K P gets lambda 0 without a solve.  Below it P is divided by
+    its mean block sum: the row sum q' - sum r' = 1 needs weight 1, which a
+    loaded table may miss by its norm_tol.  A no-signalling table of mass
+    1 - 2K drift then fits under P, so phase 1 ends within CERT_TOL of every
+    row.
 
     Both LPs bound lambda by 1 (sum q <= 1, or t >= 1), so lambda is
     returned clipped to [0, 1]; a float reading past either end is rounding.
@@ -289,10 +278,10 @@ def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
         alice, bob = _support_pairs(dist.table, digits)
         D = _pair_columns(digits, dist.K, alice, bob)
         result = solve_lp(LinearProgram(np.ones(D.shape[1]), D, p_flat, equality=False))
-        lam = float(result.value)
+        lam = min(max(float(result.value), 0.0), 1.0)
         q, r = np.clip(result.x, 0.0, None), None
         err = max(0.0, float(np.max(D @ result.x - p_flat)))
-        leftover = p_flat - D @ q
+        leftover, leftover_mass = p_flat - D @ q, 1.0 - lam
     else:
         alice_drift = np.ptp(dist.table.sum(axis=3), axis=1).max()  # Alice's marginal over y
         bob_drift = np.ptp(dist.table.sum(axis=2), axis=0).max()  # Bob's over x
@@ -304,18 +293,19 @@ def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
         D = vertex_matrix(dist.N, dist.K)
         alice, bob = np.divmod(np.arange(n_pairs), len(digits))
         ones = np.ones((1, n_pairs))
+        p_flat = p_flat / dist.table.sum(axis=(2, 3)).mean()
         rows, rhs = np.block([[D, -D], [ones, -ones]]), np.append(p_flat, 1.0)
         result = solve_lp(LinearProgram(np.repeat([-1.0, 0.0], n_pairs), rows, rhs, equality=True))
         t = -result.value  # sum q' = 1 / lambda
-        lam = 1.0 / t
-        q, r = np.clip(result.x, 0.0, None).reshape(2, n_pairs) / t
-        leftover = D @ r
-        err = float(np.max(np.abs(lam * p_flat - D @ q + leftover)))
-    lam = min(max(lam, 0.0), 1.0)
+        lam = min(1.0 / t, 1.0)
+        q_hom, r_hom = np.clip(result.x, 0.0, None).reshape(2, n_pairs)
+        q, r = q_hom / t, r_hom / t
+        err = float(np.max(np.abs(lam * p_flat - D @ q + D @ r)))
+        leftover, leftover_mass = D @ r_hom, r_hom.sum()
     residual = None
     if lam < 1.0 - CERT_TOL:
         residual = ProbDist(
-            leftover.reshape(dist.table.shape) / (1.0 - lam), neg_tol=1e-8, norm_tol=1e-7
+            leftover.reshape(dist.table.shape) / leftover_mass, neg_tol=1e-8, norm_tol=1e-7
         )
     return LocalContentResult(
         lam=lam,

@@ -299,6 +299,23 @@ def test_local_variant_on_signalling_inputs(tmp_path, capsys, eps):
             assert "residual_distribution" not in res
 
 
+@pytest.mark.parametrize("delta", [1e-9, -5e-9, 5e-9, 1e-8])
+def test_local_variant_on_tables_of_mass_one_plus_delta(tmp_path, capsys, delta):
+    # the loader lets every block weigh 1 + delta; the LP's last row asks for
+    # weight 1, so P is solved at its own weight scaled to 1
+    path = tmp_path / "mass.json"
+    argv = ["local-content", "--dist", str(path), "--variant", "local"]
+    det = ProbDist.from_assignments([0, 0], [0, 0], 2, 2).table
+    for base in (det, np.full((2, 2, 2, 2), 0.25), pr_box_dist().table):
+        lams = []
+        for scale in (1.0, 1.0 + delta):
+            path.write_text(json.dumps({"N": 2, "K": 2, "table": (scale * base).tolist()}))
+            res = run_json(capsys, argv)["result"]
+            assert res["reconstruction_error"] <= 1e-9
+            lams.append(res["lambda"]["value"])
+        assert abs(lams[1] - lams[0]) <= 1e-12
+
+
 def test_input_files_are_labelled_by_file_name(tmp_path, capsys, monkeypatch):
     # the same file named three ways gives one result document
     monkeypatch.chdir(tmp_path)
@@ -330,15 +347,18 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["kv-build", "--l", "2"]) == 2  # missing --out
     assert main(["values", "--l", "2", "--eta", "0.6"]) == 2
     assert main(["values", "--l", "2", "--eta", "bogus"]) == 2
-    assert main(["values", "--l", "2", "--n", "4"]) == 2
-    assert main(["values", "--n", "5"]) == 2
     assert main(["referee-sim", "--l", "2", "--samples", "0"]) == 2
     assert main(["referee-sim", "--l", "4", "--samples", "10"]) == 3
     assert main(["values", "--game", str(tmp_path / "missing.json")]) == 2
     assert main(["local-content", "--dist", str(tmp_path / "nope.json")]) == 2
     assert main(["almost-activation", "--alpha", "2/3"]) == 2
     assert main(["superactivation", "--d", "8", "--p", "1.5"]) == 2
+    game = str(tmp_path / "g2.json")
+    assert main(["kv-build", "--l", "2", "--eta", "0.25", "--out", game]) == 0
     capsys.readouterr()
+    for extra in (["--l", "3"], ["--eta", "0.3"]):  # the file fixes n and eta
+        assert main(["values", "--game", game] + extra) == 2
+        assert "drop --l and --eta" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -472,10 +492,10 @@ def test_game_file_duplicate_entry_rejected(tmp_path, capsys):
     [
         ["values", "--l", "5"],
         ["values", "--l", "1000000000000"],
-        ["values", "--n", str(1 << 40)],
+        ["kv-build", "--l", "5", "--out", "never-written.json"],
         ["kv-build", "--l", "1000000000000", "--out", "never-written.json"],
         ["referee-sim", "--l", "1000000000000"],
-        ["referee-sim", "--n", "32"],
+        ["referee-sim", "--l", "5"],
     ],
 )
 def test_block_length_refused_before_allocation(capsys, argv):
@@ -487,7 +507,7 @@ def test_block_length_refused_before_allocation(capsys, argv):
     "argv",
     [
         ["kv-build", "--l", "4"],
-        ["kv-build", "--n", "16", "--eta", "0.9", "--out", "never-written.json"],
+        ["kv-build", "--l", "4", "--eta", "0.9", "--out", "never-written.json"],
         ["referee-sim", "--l", "4", "--samples", "0"],
         ["referee-sim", "--l", "4", "--eta", "auto"],
     ],
@@ -632,8 +652,8 @@ def test_local_content_result_pinned(capsys):
         "lv": {"value": 2.0, "method": "exact"},
         "lv_note": "per-distribution quantity for this input, not a state invariant",
         "residual_distribution": [
-            [[[0.0, 0.9999999999999999], [0.0, 0.0]], [[0.9999999999999999, 0.0], [0.0, 0.0]]],
-            [[[0.0, 0.9999999999999999], [0.0, 0.0]], [[0.9999999999999999, 0.0], [0.0, 0.0]]],
+            [[[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+            [[[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
         ],
     }
 

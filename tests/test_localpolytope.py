@@ -306,12 +306,12 @@ def test_singular_final_basis_is_a_numerical_error(seed, draw, monkeypatch):
     # these draws once ended on a singular basis; a basis that is singular,
     # here one holding the opposite columns +D_0 and -D_0 of [D | -D], still raises
     lp, _ = _local_variant_lp(seed, draw, monkeypatch)
-    std = localpolytope._Standard(lp)
-    n_pairs = lp.rows.shape[1] // 2
-    basis = std.basis0.copy()
-    basis[:2] = [0, n_pairs]
+    m, n = lp.rows.shape
+    matrix = np.hstack([lp.rows, np.eye(m)])
+    basis = n + np.arange(m)  # the identity columns, then two of them swapped out
+    basis[:2] = [0, n // 2]
     with pytest.raises(NumericalError, match="singular"):
-        localpolytope._factorize(std, basis)
+        localpolytope._factorize(matrix, lp.rhs, basis)
 
 
 @pytest.mark.parametrize("draw", [1, 2, 5])
