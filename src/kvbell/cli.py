@@ -29,6 +29,7 @@ from .errors import GuardError, KvBellError, ValidationError
 from .kvgame import (
     EXACT_GAME_SIZES,
     MAX_LOG,
+    NOISE_ROW_BLOCK,
     BellFunctional,
     CosetTable,
     asymptotic_eta,
@@ -567,21 +568,32 @@ def _load_strategy_file(path: str, N: int, K: int) -> tuple[np.ndarray, np.ndarr
     return np.asarray(doc["alice"], dtype=np.int64), np.asarray(doc["bob"], dtype=np.int64)
 
 
-def _draw_answers(probs: np.ndarray, draws, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Answer positions (pa, pb) per round from probs[x, y], an (N, N, K, K) table, with
-    one uniform per round in round order; rounds are grouped by question pair."""
+def _answer_cdf(probs: np.ndarray) -> np.ndarray:
+    """Cumulative answer-pair probabilities of probs, an (N, N, K, K) table:
+    cdf[x, y] holds the running sum over flat index a * K + b, ends at
+    exactly 1.0 and is padded with 1.0 to a power-of-two width."""
     N, _, K, _ = probs.shape
-    u = rng.random(len(draws))
-    key = draws.pair_key(N)
-    order = np.argsort(key, kind="stable")  # numpy radix-sorts 8- and 16-bit keys
-    cum = np.cumsum(probs.reshape(N * N, K * K), axis=1)
-    cum[:, -1] = 1.0  # u < 1, so every flat index stays below K * K
-    flat = np.empty(len(draws), dtype=np.min_scalar_type(K * K - 1))
-    groups = np.split(order, np.cumsum(np.bincount(key, minlength=N * N))[:-1])
-    for xy, rounds in enumerate(groups):
-        if rounds.size:
-            flat[rounds] = np.searchsorted(cum[xy], u[rounds], side="right")
-    return np.divmod(flat, K)
+    cdf = np.ones((N, N, 1 << (K * K - 1).bit_length()))
+    cdf[..., : K * K] = np.cumsum(probs.reshape(N, N, K * K), axis=2)
+    cdf[..., K * K - 1] = 1.0  # u < 1, so every flat index stays below K * K
+    return cdf
+
+
+def _draw_answers(cdf: np.ndarray, K: int, x, y, u) -> tuple[np.ndarray, np.ndarray]:
+    """Answer positions (pa, pb) of a block of rounds with questions x, y and
+    one uniform u each: the flat index searchsorted(row, u, side="right")
+    finds in cdf[x, y], by a branchless bisection over all rows at once."""
+    N, _, width = cdf.shape
+    flat_cdf = cdf.reshape(-1)
+    pos = x.astype(np.intp)
+    pos *= N
+    pos += y
+    pos *= width  # start of the round's row
+    step = width >> 1
+    while step:  # entries up to 1.0 rise, so count those <= u in halving steps
+        pos += step * (flat_cdf[pos + (step - 1)] <= u)
+        step >>= 1
+    return np.divmod((pos & (width - 1)).astype(np.min_scalar_type(K * K - 1)), K)
 
 
 def cmd_referee_sim(args) -> int:
@@ -599,9 +611,13 @@ def cmd_referee_sim(args) -> int:
         measurements = kv_measurements(table)
         dist = quantum_prob(make_mes(n), measurements, measurements)
         exact = pair(game, dist)
+        cdf = _answer_cdf(dist.table)
         outcome_rng = np.random.Generator(np.random.PCG64([args.seed, 1]))
-        pa, pb = _draw_answers(dist.table, draws, outcome_rng)
-        answers_a, answers_b = table.elems[draws.x, pa], table.elems[draws.y, pb]
+
+        def answers(x, y):  # one uniform per round, in round order
+            pa, pb = _draw_answers(cdf, K, x, y, outcome_rng.random(len(x)))
+            return table.elems[x, pa], table.elems[y, pb]
+
     else:
         if strategy == "rep":
             alice = bob = np.zeros(N, dtype=np.int64)
@@ -611,9 +627,17 @@ def cmd_referee_sim(args) -> int:
         dist = ProbDist.from_assignments(alice, bob, N, K)
         exact = pair(game, dist)
         xs = np.arange(N)  # a deterministic strategy gives each coset one answer string
-        answers_a, answers_b = table.elems[xs, alice][draws.x], table.elems[xs, bob][draws.y]
-    wins = (answers_a ^ answers_b) == draws.z
-    rate = float(wins.mean())
+        string_a, string_b = table.elems[xs, alice], table.elems[xs, bob]
+
+        def answers(x, y):
+            return string_a[x], string_b[y]
+
+    wins = 0
+    for lo in range(0, samples, NOISE_ROW_BLOCK):
+        block = slice(lo, lo + NOISE_ROW_BLOCK)
+        answers_a, answers_b = answers(draws.x[block], draws.y[block])
+        wins += int(np.count_nonzero((answers_a ^ answers_b) == draws.z[block]))
+    rate = wins / samples
     stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / samples)
     # a run that wins every round (or none) has no spread of its own: measure
     # it by the spread of the exact value, which is 0 only when every round
@@ -626,7 +650,7 @@ def cmd_referee_sim(args) -> int:
         "strategy": strategy,
         "seed": args.seed,
         "samples": samples,
-        "wins": int(wins.sum()),
+        "wins": wins,
         "win_rate": _tagged(rate, "empirical"),
         "std_error": _tagged(stderr, "empirical"),
         "exact_value": _tagged(exact, "exact"),
@@ -636,7 +660,7 @@ def cmd_referee_sim(args) -> int:
     lines = [
         f"referee simulation n={n} eta={eta:.6g} strategy={strategy} seed={args.seed}",
         f"  samples        {samples}",
-        f"  wins           {int(wins.sum())}",
+        f"  wins           {wins}",
         f"  win rate       {rate:.8g} [empirical]",
         f"  std error      {stderr:.4g} [empirical]",
         f"  exact value    {exact:.12g} [exact]",

@@ -25,8 +25,8 @@ MAX_LOG = 4  # coset tables hold all 2**(2**l) strings, so l stays small
 # dense game tables exist up to n = 8; n = 16 would need (4096 * 16)**2
 # entries, far past memory, so n = 16 is served by the closed forms alone
 EXACT_GAME_SIZES = (2, 4, 8)
-REFEREE_ROUNDS_GUARD = 10**7  # rounds per run; every round keeps several small integers
-NOISE_ROW_BLOCK = 1 << 16  # noise bits are drawn this many rounds at a time
+REFEREE_ROUNDS_GUARD = 10**7  # rounds per run; each keeps 3 bytes (x, y, z) at n <= 8
+NOISE_ROW_BLOCK = 1 << 16  # rounds are drawn and played this many at a time
 
 
 @dataclass(frozen=True)
@@ -227,7 +227,7 @@ def entangled_lower_bound_asymptotic(n: int) -> float:
 @dataclass(frozen=True)
 class RefereeSamples:
     """Question pairs and noise strings in the coset table's narrow dtypes
-    (uint8 at n <= 8), so x * N + y wraps at N = 32 unless widened first, as pair_key does."""
+    (uint8 at n <= 8), so widen x before forming x * N + y, which wraps at N = 32."""
 
     x: np.ndarray
     y: np.ndarray
@@ -236,16 +236,15 @@ class RefereeSamples:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def pair_key(self, num_cosets: int) -> np.ndarray:
-        """x * num_cosets + y per round, in the smallest type that holds it."""
-        return self.x.astype(np.min_scalar_type(num_cosets**2 - 1)) * num_cosets + self.y
-
 
 def referee_sample(table: CosetTable, eta: float, seed: int, count: int = 1) -> RefereeSamples:
     """Draw question pairs the way the referee does.
 
-    Randomness comes from numpy's PCG64(seed), with x drawn as int64 and
-    narrowed after, so a fixed (table, eta, seed, count) fixes the samples.
+    Randomness comes from numpy's PCG64(seed): every x first, then the noise
+    bits, both in blocks of NOISE_ROW_BLOCK rounds.  Each block of x is drawn
+    as int64 and narrowed into the output, and the generator carries its
+    spare 32-bit half from one block to the next, so the samples equal one
+    whole-length draw and a fixed (table, eta, seed, count) fixes them.
     """
     eta = _check_eta(eta)
     if count < 1:
@@ -253,12 +252,17 @@ def referee_sample(table: CosetTable, eta: float, seed: int, count: int = 1) -> 
     if count > REFEREE_ROUNDS_GUARD:
         raise GuardError(f"{count} rounds exceed the referee guard ({REFEREE_ROUNDS_GUARD})")
     rng = np.random.Generator(np.random.PCG64(seed))
-    xs = rng.integers(0, table.num_cosets, size=count, dtype=np.int64).astype(table.coset_of.dtype)
+    blocks = [slice(lo, min(lo + NOISE_ROW_BLOCK, count)) for lo in range(0, count, NOISE_ROW_BLOCK)]
+    xs = np.empty(count, dtype=table.coset_of.dtype)
+    for b in blocks:
+        xs[b] = rng.integers(0, table.num_cosets, size=b.stop - b.start, dtype=np.int64)
     zs = np.empty(count, dtype=table.elems.dtype)
-    for lo in range(0, count, NOISE_ROW_BLOCK):  # same stream order as one (count, n) draw
-        flips = rng.random((min(NOISE_ROW_BLOCK, count - lo), table.n)) < eta
-        zs[lo : lo + len(flips)] = flips @ table.place
-    ys = table.coset_of[table.elems[xs, 0] ^ zs]
+    for b in blocks:  # same stream order as one (count, n) draw
+        flips = rng.random((b.stop - b.start, table.n)) < eta
+        zs[b] = flips @ table.place
+    ys = np.empty_like(xs)  # after the noise, whose float block is the largest array
+    for b in blocks:
+        ys[b] = table.coset_of[table.elems[xs[b], 0] ^ zs[b]]
     return RefereeSamples(x=xs, y=ys, z=zs)
 
 

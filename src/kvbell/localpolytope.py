@@ -303,7 +303,8 @@ def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
         err = float(np.max(np.abs(lam * p_flat - D @ q + D @ r)))
         leftover, leftover_mass = D @ r_hom, r_hom.sum()
     residual = None
-    if lam < 1.0 - CERT_TOL:
+    # lambda can fall short of 1 by P's own norm_tol, leaving nothing to normalize
+    if lam < 1.0 - CERT_TOL and leftover.sum() > CERT_TOL * dist.N**2:
         residual = ProbDist(
             leftover.reshape(dist.table.shape) / leftover_mass, neg_tol=1e-8, norm_tol=1e-7
         )

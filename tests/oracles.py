@@ -14,8 +14,12 @@ import numpy as np
 
 from kvbell.errors import GuardError, ValidationError
 from kvbell.kvgame import (
+    NOISE_ROW_BLOCK,
+    REFEREE_ROUNDS_GUARD,
     CosetTable,
     Measurement,
+    RefereeSamples,
+    _check_eta,
     _require_coset_game,
     noise_weights,
 )
@@ -196,6 +200,47 @@ def per_pair_answers(table, draws, u) -> tuple[np.ndarray, np.ndarray]:
             pa[mask] = flat // K
             pb[mask] = flat % K
     return pa, pb
+
+
+def referee_sample_whole_x(table: CosetTable, eta: float, seed: int, count: int = 1) -> RefereeSamples:
+    """Draw question pairs the way the referee does.
+
+    Randomness comes from numpy's PCG64(seed), with x drawn as int64 and
+    narrowed after, so a fixed (table, eta, seed, count) fixes the samples.
+    (The sampler before x was drawn in blocks; it holds every x as int64.)
+    """
+    eta = _check_eta(eta)
+    if count < 1:
+        raise ValidationError("count must be positive")
+    if count > REFEREE_ROUNDS_GUARD:
+        raise GuardError(f"{count} rounds exceed the referee guard ({REFEREE_ROUNDS_GUARD})")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    xs = rng.integers(0, table.num_cosets, size=count, dtype=np.int64).astype(table.coset_of.dtype)
+    zs = np.empty(count, dtype=table.elems.dtype)
+    for lo in range(0, count, NOISE_ROW_BLOCK):  # same stream order as one (count, n) draw
+        flips = rng.random((min(NOISE_ROW_BLOCK, count - lo), table.n)) < eta
+        zs[lo : lo + len(flips)] = flips @ table.place
+    ys = table.coset_of[table.elems[xs, 0] ^ zs]
+    return RefereeSamples(x=xs, y=ys, z=zs)
+
+
+def draw_answers_grouped(probs: np.ndarray, draws, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Answer positions (pa, pb) per round from probs[x, y], an (N, N, K, K) table, with
+    one uniform per round in round order; rounds are grouped by question pair.
+    (The answer sampler before the bisection, with the pair key it read from
+    RefereeSamples.pair_key written inline.)"""
+    N, _, K, _ = probs.shape
+    u = rng.random(len(draws))
+    key = draws.x.astype(np.min_scalar_type(N**2 - 1)) * N + draws.y
+    order = np.argsort(key, kind="stable")  # numpy radix-sorts 8- and 16-bit keys
+    cum = np.cumsum(probs.reshape(N * N, K * K), axis=1)
+    cum[:, -1] = 1.0  # u < 1, so every flat index stays below K * K
+    flat = np.empty(len(draws), dtype=np.min_scalar_type(K * K - 1))
+    groups = np.split(order, np.cumsum(np.bincount(key, minlength=N * N))[:-1])
+    for xy, rounds in enumerate(groups):
+        if rounds.size:
+            flat[rounds] = np.searchsorted(cum[xy], u[rounds], side="right")
+    return np.divmod(flat, K)
 
 
 def kv_game_to_json_per_entry(functional) -> dict:

@@ -7,17 +7,24 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import kv_game_to_json_per_entry, per_pair_answers
+from oracles import (
+    draw_answers_grouped,
+    kv_game_to_json_per_entry,
+    per_pair_answers,
+    referee_sample_whole_x,
+)
 
 import kvbell
-from kvbell.cli import _draw_answers, _game_file_pieces, main
+from kvbell.cli import _answer_cdf, _draw_answers, _game_file_pieces, main
 from kvbell.kvgame import (
+    NOISE_ROW_BLOCK,
     RefereeSamples,
     asymptotic_eta,
     build_hadamard_subgroup,
@@ -197,8 +204,9 @@ def test_draw_answers_matches_per_pair_loop(l, seed, samples):
     meas = kv_measurements(table)
     probs = quantum_prob(make_mes(table.n), meas, meas).table
     draws = referee_sample(table, 0.2, seed, count=samples)
-    got = _draw_answers(probs, draws, _outcome_rng(seed))
-    want = per_pair_answers(probs, draws, _outcome_rng(seed).random(samples))
+    u = _outcome_rng(seed).random(samples)
+    got = _draw_answers(_answer_cdf(probs), table.n, draws.x, draws.y, u)
+    want = per_pair_answers(probs, draws, u)
     for g, w in zip(got, want):
         assert g.dtype == np.uint8 and np.array_equal(g, w)  # n <= 8 answers fit in 8 bits
     if samples == 40:  # too few rounds to reach every question pair
@@ -221,9 +229,43 @@ def test_draw_answers_matches_per_pair_loop_on_random_tables(N, K, count, seed, 
     probs *= scale  # rows whose float cumsum ends below (or above) 1
     xs = rng.integers(0, N, size=count)
     draws = RefereeSamples(x=xs, y=rng.integers(0, N, size=count), z=np.zeros_like(xs))
-    got = _draw_answers(probs, draws, _outcome_rng(seed))
-    want = per_pair_answers(probs, draws, _outcome_rng(seed).random(count))
+    u = _outcome_rng(seed).random(count)
+    got = _draw_answers(_answer_cdf(probs), K, draws.x, draws.y, u)
+    want = per_pair_answers(probs, draws, u)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("l", [1, 3])
+@pytest.mark.parametrize("strategy", ["mes", "rep"])
+@pytest.mark.parametrize("samples", [1, NOISE_ROW_BLOCK, NOISE_ROW_BLOCK + 1, 2 * NOISE_ROW_BLOCK + 7])
+def test_referee_sim_counts_match_whole_length_draws(capsys, l, strategy, samples):
+    # rounds played block by block win the rounds that the whole-length x
+    # draw and the grouped answer sampler win
+    argv = ["referee-sim", "--l", str(l), "--eta", "0.3", "--strategy", strategy]
+    doc = run_json(capsys, argv + ["--samples", str(samples), "--seed", "3"])["result"]
+    table = build_hadamard_subgroup(l)
+    draws = referee_sample_whole_x(table, 0.3, 3, samples)
+    pa = pb = 0
+    if strategy == "mes":
+        meas = kv_measurements(table)
+        probs = quantum_prob(make_mes(table.n), meas, meas).table
+        pa, pb = draw_answers_grouped(probs, draws, _outcome_rng(3))
+    wins = (table.elems[draws.x, pa] ^ table.elems[draws.y, pb]) == draws.z
+    assert doc["wins"] == int(wins.sum()) and doc["win_rate"]["value"] == float(wins.mean())
+
+
+@pytest.mark.parametrize("strategy", ["mes", "rep"])
+def test_referee_sim_memory_stays_per_block(strategy):
+    # every round keeps 3 bytes (x, y, z); the rest is one block of rounds
+    samples = 3_000_000
+    tracemalloc.start()
+    try:
+        code = main(["referee-sim", "--l", "3", "--samples", str(samples), "--strategy", strategy])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_local_content_subcommand(tmp_path, capsys):
@@ -314,6 +356,22 @@ def test_local_variant_on_tables_of_mass_one_plus_delta(tmp_path, capsys, delta)
             assert res["reconstruction_error"] <= 1e-9
             lams.append(res["lambda"]["value"])
         assert abs(lams[1] - lams[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("variant", ["free", "local"])
+def test_local_tables_of_mass_just_below_one_leave_no_residual(tmp_path, capsys, variant):
+    # (1 - 5e-9) times a local table: the free lambda falls short of 1 by the
+    # table's own mass, so the leftover P - D q holds nothing to normalize
+    path = tmp_path / "short.json"
+    argv = ["local-content", "--dist", str(path), "--variant", variant]
+    det = ProbDist.from_assignments([0, 0], [0, 0], 2, 2).table
+    for base in (det, np.full((2, 2, 2, 2), 0.25)):
+        path.write_text(json.dumps({"N": 2, "K": 2, "table": ((1.0 - 5e-9) * base).tolist()}))
+        res = run_json(capsys, argv)["result"]
+        want = 1.0 - 5e-9 if variant == "free" else 1.0
+        assert abs(res["lambda"]["value"] - want) <= 1e-12
+        assert res["reconstruction_error"] <= 1e-9
+        assert "residual_distribution" not in res
 
 
 def test_input_files_are_labelled_by_file_name(tmp_path, capsys, monkeypatch):

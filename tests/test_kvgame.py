@@ -16,11 +16,13 @@ from oracles import (
     direct_coefficient_table_numpy,
     kv_game_to_json_per_entry,
     noise_string_probs,
+    referee_sample_whole_x,
 )
 
 from kvbell.errors import GuardError, ValidationError
 from kvbell.kvgame import (
     BOUND_CONSTANTS,
+    NOISE_ROW_BLOCK,
     BellFunctional,
     asymptotic_eta,
     build_hadamard_subgroup,
@@ -243,6 +245,20 @@ def test_referee_sample_determinism_and_consistency():
     assert len(s1) == 1000
     # 4 cosets and 4-bit strings: every per-round array fits in 8 bits
     assert s1.x.dtype == s1.y.dtype == s1.z.dtype == np.uint8
+
+
+@pytest.mark.parametrize("l", [1, 3, 4])
+@pytest.mark.parametrize(
+    "count", [NOISE_ROW_BLOCK - 1, NOISE_ROW_BLOCK, NOISE_ROW_BLOCK + 1, 3 * NOISE_ROW_BLOCK + 7]
+)
+def test_blocked_referee_sample_matches_whole_length_draw(l, count):
+    # the generator keeps its spare 32-bit half between blocks of x
+    table = build_hadamard_subgroup(l)
+    got = referee_sample(table, 0.3, seed=11, count=count)
+    want = referee_sample_whole_x(table, 0.3, seed=11, count=count)
+    for key in "xyz":
+        g, w = getattr(got, key), getattr(want, key)
+        assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def test_referee_sample_statistics():
