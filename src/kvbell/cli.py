@@ -37,7 +37,7 @@ from .kvgame import (
     entangled_lower_bound_asymptotic,
     kv_classical_upper_bound,
     kv_functional,
-    kv_game_to_json,
+    kv_game_columns,
     kv_measurements,
     kv_question_marginal,
     referee_sample,
@@ -189,10 +189,10 @@ def _parse_d_grid(token: str) -> list[int]:
     return [_check_dimension(_parse_int(p, "--d-grid"), "--d-grid") for p in token.split(",")]
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, load=json.load) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
@@ -216,24 +216,23 @@ def _header(doc: dict, key: str, types: tuple, what: str):
 # kv-build
 
 
-def _game_file_pieces(doc: dict):
-    """The text of json.dumps(doc, sort_keys=True) + "\\n" for a kv_game_to_json
-    dict, in pieces of GAME_FILE_BLOCK entries so the whole text is never held
-    at once.
+def _game_file_pieces(header: dict, columns):
+    """The text of json.dumps(kv_game_to_json(game), sort_keys=True) + "\\n" from
+    (header, columns) = kv_game_columns(game), formatted GAME_FILE_BLOCK entries
+    at a time from column slices, so neither the whole text nor a Python list
+    of every entry is ever held.
 
     A coefficient depends only on the noise weight, so it takes at most n + 1
     values; each is formatted once.
     """
-    entries = doc["entries"]
-    coef_text = {c: json.dumps(c) for c in set(map(itemgetter("c"), entries))}
-    fields = itemgetter("a", "b", "c", "x", "y")
+    coef_text = {c: json.dumps(c) for c in np.unique(columns[-1]).tolist()}
     row = '{"a": %d, "b": %d, "c": %s, "x": %d, "y": %d}'
-    yield '{"K": %s, "N": %s, "entries": [' % (json.dumps(doc["K"]), json.dumps(doc["N"]))
-    for lo in range(0, len(entries), GAME_FILE_BLOCK):
-        block = map(fields, entries[lo : lo + GAME_FILE_BLOCK])
-        rows = ", ".join([row % (a, b, coef_text[c], x, y) for a, b, c, x, y in block])
+    yield '{"K": %s, "N": %s, "entries": [' % (json.dumps(header["K"]), json.dumps(header["N"]))
+    for lo in range(0, len(columns[-1]), GAME_FILE_BLOCK):
+        block = zip(*(col[lo : lo + GAME_FILE_BLOCK].tolist() for col in columns))
+        rows = ", ".join([row % (a, b, coef_text[c], x, y) for x, y, a, b, c in block])
         yield ", " + rows if lo else rows
-    yield '], "eta": %s, "n": %s}\n' % (json.dumps(doc["eta"]), json.dumps(doc["n"]))
+    yield '], "eta": %s, "n": %s}\n' % (json.dumps(header["eta"]), json.dumps(header["n"]))
 
 
 def cmd_kv_build(args) -> int:
@@ -243,15 +242,16 @@ def cmd_kv_build(args) -> int:
     game = kv_functional(table, eta)
     if args.game_file is None:
         raise ValidationError("kv-build writes a game file; --out is required")
-    doc = kv_game_to_json(game)
-    _write_file(args.game_file, _game_file_pieces(doc))
+    header, columns = kv_game_columns(game)
+    _write_file(args.game_file, _game_file_pieces(header, columns))
+    entries = len(columns[-1])
     marginal_total = float(kv_question_marginal(game).sum())
     mass = game.total()
     result = {
         "n": n,
         "eta": eta,
         "cosets": table.num_cosets,
-        "entries": len(doc["entries"]),
+        "entries": entries,
         "coefficient_mass": _tagged(mass, "exact"),
         "question_marginal_total": _tagged(marginal_total, "exact"),
         "game_file": Path(args.game_file).name,
@@ -259,7 +259,7 @@ def cmd_kv_build(args) -> int:
     lines = [
         f"coset game n={n} eta={eta:.6g}",
         f"  cosets                  {table.num_cosets}",
-        f"  nonzero entries         {len(doc['entries'])}",
+        f"  nonzero entries         {entries}",
         f"  coefficient mass        {_fmt_tagged(result['coefficient_mass'])}",
         f"  question marginal total {_fmt_tagged(result['question_marginal_total'])}",
         f"  game file               {args.game_file}",
@@ -272,23 +272,49 @@ def cmd_kv_build(args) -> int:
 # values
 
 
-def _reject_entries(entries, bad: np.ndarray, problem: str) -> None:
+ENTRY_KEYS = "xyabc"
+_entry_row = itemgetter(*ENTRY_KEYS)
+
+
+def _load_entry_rows(fh) -> dict:
+    """json.load, with each object that holds the keys x, y, a, b and c decoded
+    to the tuple of those values, so no game entry keeps a dict.  The
+    document, the last object decoded, stays a dict."""
+    last = None
+
+    def hook(obj: dict):
+        nonlocal last
+        last = obj
+        try:
+            return _entry_row(obj)
+        except KeyError:
+            return obj
+
+    doc = json.load(fh, object_hook=hook)
+    return last if type(doc) is tuple else doc
+
+
+def _reject_entries(rows: list, bad: np.ndarray, problem: str) -> None:
+    """Refuse the first row where bad holds, shown as the object it was read from."""
     if bad.any():
-        raise ValidationError(f"game entry {entries[int(np.argmax(bad))]!r} {problem}")
+        row = rows[int(np.argmax(bad))]
+        shown = dict(zip(ENTRY_KEYS, row)) if type(row) is tuple else row
+        raise ValidationError(f"game entry {shown!r} {problem}")
 
 
-def _entry_column(entries, key: str, types: set, what: str) -> list:
-    """Every entry's value under key, each of a type in types; type() rather
-    than isinstance, so JSON booleans (bool subclasses int) are refused."""
-    values = list(map(itemgetter(key), entries))
-    if not set(map(type, values)) <= types:
-        bad = next(e for e, v in zip(entries, values) if type(v) not in types)
-        raise ValidationError(f"game entry {bad!r} needs {what} under {key!r}")
-    return values
+def _entry_column(rows: list, key: str, types: set, what: str, dtype) -> np.ndarray:
+    """Every row's value under key as a dtype array, each value of a type in
+    types; type() rather than isinstance, so JSON booleans (bool subclasses
+    int) are refused."""
+    i = ENTRY_KEYS.index(key)
+    if not set(map(type, map(itemgetter(i), rows))) <= types:
+        bad = np.fromiter((type(r[i]) not in types for r in rows), bool, len(rows))
+        _reject_entries(rows, bad, f"needs {what} under {key!r}")
+    return np.fromiter(map(itemgetter(i), rows), dtype, count=len(rows))
 
 
 def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
-    doc = _load_json(path)
+    doc = _load_json(path, _load_entry_rows)
     for key in ("n", "eta", "N", "K", "entries"):
         if key not in doc:
             raise ValidationError(f"game file missing key {key!r}")
@@ -299,26 +325,25 @@ def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
     N, K = (_header(doc, key, (int,), "an integer") for key in "NK")
     if (N, K) != (table.num_cosets, n):
         raise ValidationError(f"game file shape ({N}, {K}) does not match n = {n}")
-    entries = doc["entries"]
+    rows = _header(doc, "entries", (list,), "a list")
+    if not set(map(type, rows)) <= {tuple}:
+        bad = np.fromiter((type(r) is not tuple for r in rows), bool, len(rows))
+        _reject_entries(rows, bad, "is not an object with keys x, y, a, b and c")
     shape = (N, N, K, K)
     try:
         # one array per key, so every check below runs on whole columns
-        index = [
-            np.fromiter(_entry_column(entries, key, {int}, "an integer index"), np.int64)
-            for key in "xyab"
-        ]
+        index = [_entry_column(rows, key, {int}, "an integer index", np.int64) for key in "xyab"]
         # null (how JavaScript writes NaN and infinities) becomes NaN, refused below
-        numbers = {int, float, type(None)}
-        coef = np.fromiter(_entry_column(entries, "c", numbers, "a number"), np.float64)
-    except (KeyError, TypeError, OverflowError) as exc:
+        coef = _entry_column(rows, "c", {int, float, type(None)}, "a number", np.float64)
+    except OverflowError as exc:
         raise ValidationError(f"bad game entry: {exc!r}") from None
-    outside = np.zeros(len(entries), dtype=bool)
+    outside = np.zeros(len(rows), dtype=bool)
     for col, size in zip(index, shape):
         outside |= (col < 0) | (col >= size)
-    _reject_entries(entries, outside, f"has an index outside {shape}")
-    _reject_entries(entries, ~np.isfinite(coef), "has a non-finite coefficient")
+    _reject_entries(rows, outside, f"has an index outside {shape}")
+    _reject_entries(rows, ~np.isfinite(coef), "has a non-finite coefficient")
     flat = np.ravel_multi_index(index, shape)
-    _reject_entries(entries, np.bincount(flat)[flat] > 1, "appears more than once")
+    _reject_entries(rows, np.bincount(flat)[flat] > 1, "appears more than once")
     dense = np.zeros(shape)
     dense.flat[flat] = coef
     eta = float(_header(doc, "eta", (int, float), "a number"))

@@ -240,11 +240,12 @@ class RefereeSamples:
 def referee_sample(table: CosetTable, eta: float, seed: int, count: int = 1) -> RefereeSamples:
     """Draw question pairs the way the referee does.
 
-    Randomness comes from numpy's PCG64(seed): every x first, then the noise
-    bits, both in blocks of NOISE_ROW_BLOCK rounds.  Each block of x is drawn
-    as int64 and narrowed into the output, and the generator carries its
-    spare 32-bit half from one block to the next, so the samples equal one
-    whole-length draw and a fixed (table, eta, seed, count) fixes them.
+    Randomness comes from numpy's PCG64(seed): every x first, in blocks of
+    NOISE_ROW_BLOCK rounds, then the noise bits, in blocks of
+    NOISE_ROW_BLOCK // n rounds.  Each block of x is drawn as int64 and
+    narrowed into the output, and the generator carries its spare 32-bit half
+    from one block to the next, so the samples equal one whole-length draw
+    and a fixed (table, eta, seed, count) fixes them.
     """
     eta = _check_eta(eta)
     if count < 1:
@@ -257,27 +258,34 @@ def referee_sample(table: CosetTable, eta: float, seed: int, count: int = 1) -> 
     for b in blocks:
         xs[b] = rng.integers(0, table.num_cosets, size=b.stop - b.start, dtype=np.int64)
     zs = np.empty(count, dtype=table.elems.dtype)
-    for b in blocks:  # same stream order as one (count, n) draw
-        flips = rng.random((b.stop - b.start, table.n)) < eta
-        zs[b] = flips @ table.place
-    ys = np.empty_like(xs)  # after the noise, whose float block is the largest array
+    rows = NOISE_ROW_BLOCK // table.n  # NOISE_ROW_BLOCK floats (0.5 MiB) per draw at every n
+    for lo in range(0, count, rows):  # same stream order as one (count, n) draw
+        flips = rng.random((min(rows, count - lo), table.n)) < eta
+        zs[lo : lo + len(flips)] = flips @ table.place
+    ys = np.empty_like(xs)
     for b in blocks:
         ys[b] = table.coset_of[table.elems[xs[b], 0] ^ zs[b]]
     return RefereeSamples(x=xs, y=ys, z=zs)
 
 
-def kv_game_to_json(functional: BellFunctional) -> dict:
-    """Serializable dict with every nonzero entry, sorted by (x, y, a, b)."""
+def kv_game_columns(functional: BellFunctional) -> tuple[dict, tuple[np.ndarray, ...]]:
+    """Game-file header (n, eta, N, K) and the x, y, a, b index columns and the
+    coefficient column of every nonzero entry, sorted by (x, y, a, b)."""
     table = _require_coset_game(functional)
     dense = functional.dense()
-    # one Python list per column: np.nonzero walks the table in C order
-    nz = np.nonzero(dense)
-    columns = [col.tolist() for col in nz] + [dense[nz].tolist()]
-    entries = [{"x": x, "y": y, "a": a, "b": b, "c": c} for x, y, a, b, c in zip(*columns)]
-    return {
+    nz = np.nonzero(dense)  # walks the table in C order
+    header = {
         "n": table.n,
         "eta": functional.meta["eta"],
         "N": functional.num_inputs,
         "K": functional.num_outputs,
-        "entries": entries,
     }
+    return header, (*nz, dense[nz])
+
+
+def kv_game_to_json(functional: BellFunctional) -> dict:
+    """Serializable dict with every nonzero entry, sorted by (x, y, a, b)."""
+    header, columns = kv_game_columns(functional)
+    rows = zip(*(col.tolist() for col in columns))
+    entries = [{"x": x, "y": y, "a": a, "b": b, "c": c} for x, y, a, b, c in rows]
+    return {**header, "entries": entries}

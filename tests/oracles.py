@@ -9,18 +9,23 @@ elements, a direct tensor power) and nothing in src/kvbell calls it.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 import numpy as np
 
+from kvbell.cli import _header, _load_json
 from kvbell.errors import GuardError, ValidationError
 from kvbell.kvgame import (
+    EXACT_GAME_SIZES,
     NOISE_ROW_BLOCK,
     REFEREE_ROUNDS_GUARD,
+    BellFunctional,
     CosetTable,
     Measurement,
     RefereeSamples,
     _check_eta,
     _require_coset_game,
+    build_hadamard_subgroup,
     noise_weights,
 )
 from kvbell.states import REALIZE_MAX_DIM, DensityMatrix, interleave_to_blocked, make_mes
@@ -261,6 +266,59 @@ def kv_game_to_json_per_entry(functional) -> dict:
         "K": functional.num_outputs,
         "entries": entries,
     }
+
+
+def _entry_column_per_entry(entries, key: str, types: set, what: str) -> list:
+    values = list(map(itemgetter(key), entries))
+    if not set(map(type, values)) <= types:
+        bad = next(e for e, v in zip(entries, values) if type(v) not in types)
+        raise ValidationError(f"game entry {bad!r} needs {what} under {key!r}")
+    return values
+
+
+def _reject_entries_per_entry(entries, bad: np.ndarray, problem: str) -> None:
+    if bad.any():
+        raise ValidationError(f"game entry {entries[int(np.argmax(bad))]!r} {problem}")
+
+
+def load_game_per_entry(path: str) -> tuple[BellFunctional, CosetTable, float]:
+    """The game-file reader with one dict per entry, as json.load makes them,
+    and one Python list per column; cli._load_game decodes each entry to a
+    tuple as it is parsed.  (The reader before that, plus the check that
+    entries is a list.)"""
+    doc = _load_json(path)
+    for key in ("n", "eta", "N", "K", "entries"):
+        if key not in doc:
+            raise ValidationError(f"game file missing key {key!r}")
+    n = _header(doc, "n", (int,), "an integer")
+    if n not in EXACT_GAME_SIZES:
+        raise ValidationError(f"game files support n in {EXACT_GAME_SIZES}, got {n}")
+    table = build_hadamard_subgroup(n.bit_length() - 1)
+    N, K = (_header(doc, key, (int,), "an integer") for key in "NK")
+    if (N, K) != (table.num_cosets, n):
+        raise ValidationError(f"game file shape ({N}, {K}) does not match n = {n}")
+    entries = _header(doc, "entries", (list,), "a list")
+    shape = (N, N, K, K)
+    try:
+        index = [
+            np.fromiter(_entry_column_per_entry(entries, key, {int}, "an integer index"), np.int64)
+            for key in "xyab"
+        ]
+        numbers = {int, float, type(None)}
+        coef = np.fromiter(_entry_column_per_entry(entries, "c", numbers, "a number"), np.float64)
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise ValidationError(f"bad game entry: {exc!r}") from None
+    outside = np.zeros(len(entries), dtype=bool)
+    for col, size in zip(index, shape):
+        outside |= (col < 0) | (col >= size)
+    _reject_entries_per_entry(entries, outside, f"has an index outside {shape}")
+    _reject_entries_per_entry(entries, ~np.isfinite(coef), "has a non-finite coefficient")
+    flat = np.ravel_multi_index(index, shape)
+    _reject_entries_per_entry(entries, np.bincount(flat)[flat] > 1, "appears more than once")
+    dense = np.zeros(shape)
+    dense.flat[flat] = coef
+    eta = float(_header(doc, "eta", (int, float), "a number"))
+    return BellFunctional(N, K, table=dense), table, eta
 
 
 def _greedy_response(rewards: np.ndarray) -> Measurement:

@@ -13,6 +13,8 @@ import gen
 import numpy as np
 import tracing
 
+import kvbell.kvgame
+
 
 def test_gen_imports_and_builds_its_inputs():
     env = gen.environment()
@@ -35,7 +37,8 @@ def test_every_traced_layer_is_a_kvbell_function():
 def test_traced_commands_fill_the_layer_counters(tmp_path):
     # the counters read call arguments (solve_lp's rows, for one) and return
     # values (kv_game_to_json's entries), so a signature change breaks them
-    # even when every name still resolves
+    # even when every name still resolves; kv-build writes its file from the
+    # table's columns, so kv_game_to_json is called here directly
     game = tmp_path / "game.json"
     commands = (
         ["superactivation", "--d", "2", "--k", "1:2"],
@@ -47,6 +50,8 @@ def test_traced_commands_fill_the_layer_counters(tmp_path):
         for argv in commands:
             code, out, err = tracer.run(argv)
             assert code == 0, err
+        table = kvbell.kvgame.build_hadamard_subgroup(2)
+        kvbell.kvgame.kv_game_to_json(kvbell.kvgame.kv_functional(table, 0.25))
     totals = tracing.layer_totals(tracer.spans)
     assert totals["cli.commands"] == 3
     assert totals["kvgame.kv_game_to_json.entries"] == 256

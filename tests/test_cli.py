@@ -17,18 +17,21 @@ from hypothesis import strategies as st
 from oracles import (
     draw_answers_grouped,
     kv_game_to_json_per_entry,
+    load_game_per_entry,
     per_pair_answers,
     referee_sample_whole_x,
 )
 
 import kvbell
-from kvbell.cli import _answer_cdf, _draw_answers, _game_file_pieces, main
+from kvbell.cli import _answer_cdf, _draw_answers, _game_file_pieces, _load_game, main
+from kvbell.errors import KvBellError
 from kvbell.kvgame import (
     NOISE_ROW_BLOCK,
     RefereeSamples,
     asymptotic_eta,
     build_hadamard_subgroup,
     kv_functional,
+    kv_game_columns,
     kv_game_to_json,
     kv_measurements,
     referee_sample,
@@ -778,8 +781,9 @@ def test_game_file_bytes_match_json_dumps(tmp_path, capsys, l, eta):
     eta=st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
 )
 def test_game_file_pieces_match_json_dumps(l, eta):
-    doc = kv_game_to_json(kv_functional(build_hadamard_subgroup(l), eta))
-    assert "".join(_game_file_pieces(doc)) == json.dumps(doc, sort_keys=True) + "\n"
+    game = kv_functional(build_hadamard_subgroup(l), eta)
+    want = json.dumps(kv_game_to_json(game), sort_keys=True) + "\n"
+    assert "".join(_game_file_pieces(*kv_game_columns(game))) == want
 
 
 @pytest.mark.parametrize("l,eta", [(1, "0.25"), (2, "0.1"), (3, "auto")])
@@ -823,6 +827,106 @@ def test_game_file_entry_of_wrong_json_type_rejected(tmp_path, capsys, key, valu
     path = _game_file(tmp_path, capsys, edit)
     assert main(["values", "--game", path]) == 2
     assert f"under {key!r}" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def kv_build_docs(tmp_path_factory):
+    """The kv-build game files at n = 2 and 4, parsed, and a path to write to."""
+    work = tmp_path_factory.mktemp("games")
+    docs = {}
+    for l in (1, 2):
+        path = work / f"game{l}.json"
+        assert main(["kv-build", "--l", str(l), "--eta", "0.25", "--out", str(path)]) == 0
+        docs[l] = json.loads(path.read_text())
+    return work / "mutated.json", docs
+
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=2),
+    st.integers(-2, 40),
+    st.integers(2**63 - 1, 2**64),
+    st.floats(),
+)
+_MUTATIONS = ("drop", "add", "value", "float index", "nest", "list", "entries", "top", "duplicate")
+
+
+@st.composite
+def _mutated_game_file(draw, doc: dict) -> dict:
+    """A copy of a parsed game file after 1-3 edits, each one of the ways an
+    entry, the entries list or the document can go wrong."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        rows = doc["entries"]
+        if not isinstance(rows, list) or not rows:
+            break
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        entry, other, kind = rows[i], rows[j], draw(st.sampled_from(_MUTATIONS))
+        if not isinstance(entry, dict) or not isinstance(other, dict):
+            continue
+        if kind == "drop":
+            entry.pop(draw(st.sampled_from("xyabc")), None)
+        elif kind == "add":
+            name = draw(st.one_of(st.text(max_size=2), st.sampled_from(["entries", "n", "x"])))
+            entry[name] = draw(_JSON_VALUES)
+        elif kind == "value":
+            entry[draw(st.sampled_from("xyabc"))] = draw(_JSON_VALUES)
+        elif kind == "float index":
+            key = draw(st.sampled_from("xyab"))
+            entry[key] = draw(st.integers(-1, 4)) + draw(st.sampled_from([0.0, 0.5]))
+        elif kind == "nest":
+            entry["c"] = dict(other)
+        elif kind == "list":
+            rows[i] = list(entry.values())
+        elif kind == "entries":
+            not_lists = [{}, "", 0, None, entry, dict.fromkeys("xyabc", entry)]
+            doc["entries"] = draw(st.sampled_from(not_lists))
+        elif kind == "top":
+            doc.update(entry)
+        else:
+            rows[i] = dict(other, c=draw(st.sampled_from([other.get("c"), 0.0, 1.5])))
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), l=st.sampled_from([1, 2]))
+def test_game_file_reader_matches_per_entry_oracle(kv_build_docs, data, l):
+    # the reader decodes entries to tuples as they are parsed; on every file
+    # it must give what one dict per entry gives: the same table or exit 2
+    path, docs = kv_build_docs
+    path.write_text(json.dumps(data.draw(_mutated_game_file(docs[l]))))
+    outcomes = []
+    for load in (_load_game, load_game_per_entry):
+        try:
+            functional, table, eta = load(str(path))
+            outcomes.append((functional.dense(), table.n, eta))
+        except KvBellError as exc:
+            assert exc.exit_code == 2 and str(exc)
+            outcomes.append(None)
+    got, want = outcomes
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+def _traced_peak(argv) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_game_file_memory_holds_no_dict_per_entry(tmp_path, capsys):
+    # the n = 8 file has 65,536 entries, and one dict each would take 11.5 MiB
+    path = str(tmp_path / "game.json")
+    build = _traced_peak(["kv-build", "--l", "3", "--out", path])
+    values = _traced_peak(["values", "--game", path])
+    capsys.readouterr()
+    assert build <= 8 * 2**20, f"kv-build peak {build / 2**20:.1f} MiB"
+    assert values <= 13 * 2**20, f"values --game peak {values / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize(

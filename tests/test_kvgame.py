@@ -249,10 +249,20 @@ def test_referee_sample_determinism_and_consistency():
 
 @pytest.mark.parametrize("l", [1, 3, 4])
 @pytest.mark.parametrize(
-    "count", [NOISE_ROW_BLOCK - 1, NOISE_ROW_BLOCK, NOISE_ROW_BLOCK + 1, 3 * NOISE_ROW_BLOCK + 7]
+    "count",
+    [
+        NOISE_ROW_BLOCK // 16 + 1,
+        NOISE_ROW_BLOCK // 2 + 3,
+        NOISE_ROW_BLOCK - 1,
+        NOISE_ROW_BLOCK,
+        NOISE_ROW_BLOCK + 1,
+        3 * NOISE_ROW_BLOCK + 7,
+    ],
 )
 def test_blocked_referee_sample_matches_whole_length_draw(l, count):
-    # the generator keeps its spare 32-bit half between blocks of x
+    # the generator keeps its spare 32-bit half between blocks of x, and the
+    # noise, drawn NOISE_ROW_BLOCK // n rows at a time (n = 2, 8, 16 here),
+    # matches the oracle's draws of NOISE_ROW_BLOCK rows
     table = build_hadamard_subgroup(l)
     got = referee_sample(table, 0.3, seed=11, count=count)
     want = referee_sample_whole_x(table, 0.3, seed=11, count=count)
