@@ -22,9 +22,8 @@ from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
+from ._numpy import np
 from .errors import GuardError, KvBellError, ValidationError
 from .kvgame import (
     EXACT_GAME_SIZES,
@@ -44,7 +43,7 @@ from .kvgame import (
     _check_eta,
 )
 from .localpolytope import local_content, lv_from_pi
-from .states import expand_tensor_power, locality_threshold, make_mes
+from .states import locality_threshold, make_mes
 from .values import (
     ALMOST_ACTIVATION_CONSTANT,
     ENUMERATION_GUARD,
@@ -56,7 +55,7 @@ from .values import (
     chsh_functional,
     classical_value_exact,
     classical_value_heuristic,
-    kv_value_for_expansion,
+    isotropic_power_value,
     pair,
     pr_box_dist,
     quantum_prob,
@@ -472,12 +471,12 @@ def cmd_superactivation(args) -> int:
         n = d**k if k <= 3 else None
         if n in EXACT_GAME_SIZES:
             eta = _resolve_eta(args.eta, n)
-            value = kv_value_for_expansion(expand_tensor_power(d, p, k), eta)
+            total, mes_term = isotropic_power_value(d, k, p, eta)
             row["eta"] = eta
-            row["mes_term"] = _tagged(value.mes_term, "exact")
-            row["exact_total"] = _tagged(value.total, "exact")
-            mes_text = f"{value.mes_term:>14.8g}"
-            total_text = f"{value.total:>14.8g}"
+            row["mes_term"] = _tagged(mes_term, "exact")
+            row["exact_total"] = _tagged(total, "exact")
+            mes_text = f"{mes_term:>14.8g}"
+            total_text = f"{total:>14.8g}"
         rows.append(row)
         lines.append(f"  {k:>6}  {bound_text}  {mes_text}  {total_text}")
     result = {"d": d, "p": _tagged(p, "exact"), "p_source": p_source, "rows": rows}
@@ -555,8 +554,15 @@ def cmd_almost_activation(args) -> int:
             ln_d_required = d_required = _tagged("never", "exact")
             text = f"never exceeds delta={delta:g} (exponent {exponent} <= 0: no growth in d)"
         else:
-            # Solve C''*(ln d)^exponent > delta for ln d, in log space.
-            log_ln_d = math.log(delta / ALMOST_ACTIVATION_CONSTANT) / float(exponent)
+            # Solve C''*(ln d)^exponent > delta for ln d, in log space.  delta / C''
+            # overflows from about 5.3e305 on; only there are the logs subtracted,
+            # since near delta = C'' their difference loses digits to cancellation
+            ratio = delta / ALMOST_ACTIVATION_CONSTANT
+            if math.isinf(ratio):
+                log_ratio = math.log(delta) - math.log(ALMOST_ACTIVATION_CONSTANT)
+            else:
+                log_ratio = math.log(ratio)
+            log_ln_d = log_ratio / float(exponent)
             if log_ln_d > 700.0:
                 ln_d_required = _tagged(f"exp({log_ln_d:.6g})", "formula-symbolic")
                 d_required = _tagged(f"exp(exp({log_ln_d:.6g}))", "formula-symbolic")

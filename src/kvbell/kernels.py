@@ -8,7 +8,7 @@ a two-sided scan over both players' assignments.
 
 from __future__ import annotations
 
-import numpy as np
+from ._numpy import np
 
 ASSIGNMENT_CHUNK = 4096  # first-player assignments scanned per vectorized step
 

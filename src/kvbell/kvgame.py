@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import GuardError, ValidationError
 
 MAX_LOG = 4  # coset tables hold all 2**(2**l) strings, so l stays small

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .errors import GuardError, NumericalError, ValidationError
 from .values import ProbDist, assignment_table
 

@@ -3,7 +3,8 @@ quantum distributions from states and measurements, and the bound chains
 behind the super-activation and almost-activation experiments.
 
 Method vocabulary used in results and reports:
-  exact                  computed by full enumeration or dense algebra
+  exact                  computed by full enumeration, dense algebra or rational
+                         arithmetic
   closed-form-validated  closed formula cross-checked against brute force
   heuristic-lb           lower bound from a randomized search
   formula-ub             upper bound evaluated from a stated formula
@@ -18,9 +19,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import kernels
+from ._numpy import np
 from .errors import GuardError, ValidationError
 from .kvgame import (
     BOUND_CONSTANTS,
@@ -273,6 +273,33 @@ def kv_value_for_expansion(expansion: StateExpansion, eta: float) -> ExpansionVa
             mes_term = value
         total += value
     return ExpansionValue(total=total, mes_term=mes_term)
+
+
+def isotropic_power_value(d: int, k: int, p: float, eta: float) -> tuple[float, float]:
+    """(total, mes_term) of kv_value_for_expansion(expand_tensor_power(d, p, k), eta)
+    from its closed form, in rational arithmetic.
+
+    A term with s entangled copies is the MES on dimension d^s times the
+    maximally mixed state on d^(k-s), and the coset game on n = d^k values it
+    at v_s = ((d^s - 1)(1 - 2 eta)^2 + d^(k-s)) / d^(2k-s); s = k gives the
+    MES closed form.  total is sum_s C(k, s) p^s (1-p)^(k-s) v_s and mes_term
+    its s = k term, each summed in Fractions of the float inputs and rounded
+    once.  Checked against the dense evaluation at d^k in EXACT_GAME_SIZES.
+    """
+    d, k = int(d), int(k)
+    if d < 2:
+        raise ValidationError(f"local dimension must be >= 2, got {d}")
+    if k < 1:
+        raise ValidationError(f"copy count must be >= 1, got {k}")
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"mixing weight must be in [0, 1], got {p}")
+    p, gain = Fraction(p), (1 - 2 * Fraction(_check_eta(eta))) ** 2
+    terms = [
+        math.comb(k, s) * p**s * (1 - p) ** (k - s)
+        * ((d**s - 1) * gain + d ** (k - s)) / d ** (2 * k - s)
+        for s in range(k + 1)
+    ]
+    return float(sum(terms)), float(terms[k])
 
 
 def _log_ratio_bound(k: int, log_alpha: float, ln_d: float) -> float:

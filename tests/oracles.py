@@ -9,6 +9,7 @@ elements, a direct tensor power) and nothing in src/kvbell calls it.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from operator import itemgetter
 
 import numpy as np
@@ -28,7 +29,14 @@ from kvbell.kvgame import (
     build_hadamard_subgroup,
     noise_weights,
 )
-from kvbell.states import REALIZE_MAX_DIM, DensityMatrix, interleave_to_blocked, make_mes
+from kvbell.states import (
+    ENTANGLED,
+    REALIZE_MAX_DIM,
+    DensityMatrix,
+    expand_tensor_power,
+    interleave_to_blocked,
+    make_mes,
+)
 from kvbell.values import (
     ProbDist,
     SeesawResult,
@@ -153,6 +161,24 @@ def tensor_power_blocked(state: DensityMatrix, d: int, k: int) -> DensityMatrix:
     for _ in range(k):
         joint = np.kron(joint, state.matrix)
     return DensityMatrix(interleave_to_blocked(joint, d, k))
+
+
+def isotropic_power_value_by_patterns(d: int, k: int, p: float, eta: float):
+    """(total, mes_term) of the coset game on the k-fold isotropic power, as
+    Fractions summed term by term over the 2^k patterns of
+    expand_tensor_power.  A pattern with MES on dimension m = d^s and noise on
+    the rest has value ((m - 1) m (1 - 2 eta)^2 + n) / n^2 at n = d^k."""
+    p, eta = Fraction(p), Fraction(eta)
+    n = d**k
+    total = mes_term = Fraction(0)
+    for _, pattern in expand_tensor_power(d, float(p), k).terms:
+        s = pattern.count(ENTANGLED)
+        m = d**s
+        value = p**s * (1 - p) ** (k - s) * ((m - 1) * m * (1 - 2 * eta) ** 2 + n) / n**2
+        total += value
+        if s == k:
+            mes_term = value
+    return total, mes_term
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:

@@ -38,7 +38,8 @@ def test_traced_commands_fill_the_layer_counters(tmp_path):
     # the counters read call arguments (solve_lp's rows, for one) and return
     # values (kv_game_to_json's entries), so a signature change breaks them
     # even when every name still resolves; kv-build writes its file from the
-    # table's columns, so kv_game_to_json is called here directly
+    # table's columns and superactivation evaluates the closed form, so
+    # kv_game_to_json and kv_value_for_expansion are called here directly
     game = tmp_path / "game.json"
     commands = (
         ["superactivation", "--d", "2", "--k", "1:2"],
@@ -52,6 +53,8 @@ def test_traced_commands_fill_the_layer_counters(tmp_path):
             assert code == 0, err
         table = kvbell.kvgame.build_hadamard_subgroup(2)
         kvbell.kvgame.kv_game_to_json(kvbell.kvgame.kv_functional(table, 0.25))
+        for k in (1, 2):
+            kvbell.values.kv_value_for_expansion(kvbell.states.expand_tensor_power(2, 0.5, k), 0.25)
     totals = tracing.layer_totals(tracer.spans)
     assert totals["cli.commands"] == 3
     assert totals["kvgame.kv_game_to_json.entries"] == 256

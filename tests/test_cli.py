@@ -37,7 +37,13 @@ from kvbell.kvgame import (
     referee_sample,
 )
 from kvbell.states import make_mes
-from kvbell.values import ProbDist, pr_box_dist, quantum_prob, superactivation_log_ratio_bound
+from kvbell.values import (
+    ALMOST_ACTIVATION_CONSTANT,
+    ProbDist,
+    pr_box_dist,
+    quantum_prob,
+    superactivation_log_ratio_bound,
+)
 
 METHOD_TAGS = {
     "exact",
@@ -514,6 +520,18 @@ def test_almost_activation_delta_below_the_factor_at_d2(capsys, alpha, delta):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "already exceeds delta" in captured.err and "at d = 2" in captured.err
+
+
+@pytest.mark.parametrize("delta", ["1e300", "6e305", "1e308", "1.7976931348623157e308"])
+def test_almost_activation_delta_near_the_float_limit(capsys, delta):
+    # delta / C'' overflows from about 5.3e305 on; the crossing stays finite
+    res = run_json(capsys, ["almost-activation", "--alpha", "1/11", "--delta", delta])["result"]
+    log_ln_d = 22 * (math.log(float(delta)) - math.log(ALMOST_ACTIVATION_CONSTANT))
+    assert res["delta_crossing"]["ln_d_required"] == {
+        "value": f"exp({log_ln_d:.6g})",
+        "method": "formula-symbolic",
+    }
+    assert res["delta_crossing"]["d_required"]["value"] == f"exp(exp({log_ln_d:.6g}))"
 
 
 def _game_file(tmp_path, capsys, edit):

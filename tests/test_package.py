@@ -30,11 +30,10 @@ def test_all_names_resolve_without_duplicates():
     assert missing == []
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # kvbell solves its own LPs; importing scipy.optimize adds about 0.7 s and 48 MiB per command
+def _fresh_python(code: str) -> str:
+    """stdout of code run by a new interpreter that imports kvbell from this tree."""
     src = str(Path(kvbell.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import sys, kvbell.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
@@ -42,7 +41,46 @@ def test_cli_import_leaves_scipy_unloaded():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # kvbell solves its own LPs; importing scipy.optimize adds about 0.7 s and 48 MiB per command
+    code = "import sys, kvbell.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    assert _fresh_python(code) == "[]"
+
+
+# the formula commands never load numpy; values does, which shows the probe sees a load
+NUMPY_PROBE = """
+import contextlib, io, sys
+from kvbell.cli import main
+
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    print(any(m.startswith("numpy.") for m in sys.modules))
+"""
+
+
+def test_formula_commands_never_load_numpy():
+    # numpy's import was most of `import kvbell.cli`; kvbell._numpy defers it to first use
+    commands = [
+        ["superactivation", "--d", "8", "--k", "1:8"],
+        ["superactivation", "--d", "2", "--k", "1:3"],
+        ["almost-activation", "--d-grid", "4,8"],
+        ["values", "--l", "2"],
+    ]
+    loaded = _fresh_python(NUMPY_PROBE.format(commands=commands)).split()
+    assert loaded == ["False", "False", "False", "True"]
+
+
+def test_an_imported_numpy_is_used_as_it_is():
+    import numpy
+
+    from kvbell import cli, kernels, kvgame, localpolytope, states, values
+
+    for module in (cli, kernels, kvgame, localpolytope, states, values):
+        assert module.np is numpy
 
 
 def test_commands_run_every_public_function(tmp_path, capsys):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from oracles import (
     assert_projective_measurement,
     classical_value_bruteforce,
+    isotropic_power_value_by_patterns,
     kv_mes_value_direct,
     make_isotropic,
     seesaw_per_restart,
@@ -52,6 +53,7 @@ from kvbell.values import (
     chsh_functional,
     classical_value_exact,
     classical_value_heuristic,
+    isotropic_power_value,
     kv_value_for_expansion,
     pair,
     pr_box_dist,
@@ -362,6 +364,52 @@ def test_expansion_value_refuses_inexact_sizes():
     for d, k in ((4, 2), (3, 2)):
         with pytest.raises(GuardError):
             kv_value_for_expansion(expand_tensor_power(d, 0.5, k), 0.25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(2, 1), (2, 2), (2, 3), (4, 1), (8, 1)]),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 0.5, exclude_min=True),
+)
+@example((2, 3), 1.0, 0.5)
+@example((8, 1), 0.0, 5e-324)
+@example((2, 2), locality_threshold(2), 0.25)
+def test_isotropic_power_value_matches_the_dense_expansion(dk, p, eta):
+    # d^k in {2, 4, 8}: the dense route realizes every term and pairs it
+    d, k = dk
+    total, mes_term = isotropic_power_value(d, k, p, eta)
+    dense = kv_value_for_expansion(expand_tensor_power(d, p, k), eta)
+    assert abs(total - dense.total) <= 2e-15
+    assert abs(mes_term - dense.mes_term) <= 2e-15
+    # both sums are rounded once from the same rational
+    exact_total, exact_mes = isotropic_power_value_by_patterns(d, k, p, eta)
+    assert (total, mes_term) == (float(exact_total), float(exact_mes))
+
+
+def test_isotropic_power_value_at_the_endpoints():
+    # p = 1 is the MES on n = d^k, p = 0 white noise, valued 1/n
+    for d, k in ((2, 3), (3, 2), (10, 4)):
+        total, mes_term = isotropic_power_value(d, k, 1.0, 0.3)
+        assert total == mes_term
+        assert abs(total - quantum_value_kv_closed_form(d**k, 0.3)) < 1e-15
+        assert isotropic_power_value(d, k, 0.0, 0.3) == (1 / d**k, 0.0)
+
+
+@pytest.mark.parametrize(
+    "d,k,p,eta",
+    [
+        (1, 2, 0.5, 0.25),
+        (2, 0, 0.5, 0.25),
+        (2, 1, 1.5, 0.25),
+        (2, 1, float("nan"), 0.25),
+        (2, 1, 0.5, 0.0),
+        (2, 1, 0.5, 0.6),
+    ],
+)
+def test_isotropic_power_value_refuses_bad_inputs(d, k, p, eta):
+    with pytest.raises(ValidationError):
+        isotropic_power_value(d, k, p, eta)
 
 
 # ---------------------------------------------------------------------------
