@@ -52,7 +52,6 @@ from .values import (
     almost_activation_lower_factor,
     almost_activation_mix_weight,
     almost_activation_upper_formula,
-    chsh_functional,
     classical_value_exact,
     classical_value_heuristic,
     isotropic_power_value,
@@ -60,11 +59,11 @@ from .values import (
     pr_box_dist,
     quantum_prob,
     quantum_value_kv_closed_form,
-    seesaw_lower_bound,
     superactivation_crossing,
     superactivation_log_ratio_bound,
     superactivation_monotone_from,
     superactivation_ratio_bound,
+    tsirelson_box_dist,
     _check_restarts,
 )
 
@@ -736,10 +735,7 @@ def cmd_local_content(args) -> int:
         dist = pr_box_dist()
         label = "pr-box"
     elif args.dist == "chsh-quantum":
-        strategy = seesaw_lower_bound(
-            chsh_functional(), dim=2, seed=args.seed, iters=30, restarts=args.restarts
-        )
-        dist = quantum_prob(make_mes(2), strategy.alice, strategy.bob)
+        dist = tsirelson_box_dist()
         label = "chsh-quantum"
     else:
         dist = _load_distribution(args.dist)
@@ -849,13 +845,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dist",
         required=True,
-        help="'pr-box', 'chsh-quantum', or a JSON distribution file",
+        help="'pr-box', 'chsh-quantum' (Tsirelson's box), or a JSON distribution file",
     )
     p.add_argument(
         "--variant", choices=("free", "local"), default="free", help="lambda definition"
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for chsh-quantum")
-    p.add_argument("--restarts", type=int, default=20, help="seesaw restarts for chsh-quantum")
+    p.add_argument("--seed", type=int, default=0, help="accepted, but changes no output")
     add_common(p)
     p.set_defaults(func=cmd_local_content)
 

@@ -40,6 +40,7 @@ ENTER_TOL = 1e-9
 CERT_TOL = 1e-9
 VERTEX_GUARD = 4096
 DENSE_LP_GUARD = 1 << 24
+RESIDUAL_NORM_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -268,6 +269,9 @@ def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
 
     Both LPs bound lambda by 1 (sum q <= 1, or t >= 1), so lambda is
     returned clipped to [0, 1]; a float reading past either end is rounding.
+    The leftover over its mass is returned as residual_distribution only when
+    that mass is more than rounding and each block of it weighs 1 within
+    RESIDUAL_NORM_TOL; otherwise residual_distribution is None.
     """
     if variant not in ("free", "local"):
         raise ValidationError(f"variant must be free or local, got {variant!r}")
@@ -304,9 +308,11 @@ def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:
     residual = None
     # lambda can fall short of 1 by P's own norm_tol, leaving nothing to normalize
     if lam < 1.0 - CERT_TOL and leftover.sum() > CERT_TOL * dist.N**2:
-        residual = ProbDist(
-            leftover.reshape(dist.table.shape) / leftover_mass, neg_tol=1e-8, norm_tol=1e-7
-        )
+        table = leftover.reshape(dist.table.shape) / leftover_mass
+        # a free leftover of a few norm_tol keeps the skew of P's block sums,
+        # blown up by 1 / leftover_mass: then it is no distribution either
+        if np.abs(table.sum(axis=(2, 3)) - 1.0).max() <= RESIDUAL_NORM_TOL:
+            residual = ProbDist(table, neg_tol=1e-8, norm_tol=RESIDUAL_NORM_TOL)
     return LocalContentResult(
         lam=lam,
         variant=f"remainder-{variant}",

@@ -275,6 +275,20 @@ def kv_value_for_expansion(expansion: StateExpansion, eta: float) -> ExpansionVa
     return ExpansionValue(total=total, mes_term=mes_term)
 
 
+def _isotropic_power_fractions(d: int, k: int, p: Fraction, eta: Fraction):
+    """(total, mes_term) of isotropic_power_value as exact Fractions.
+
+    Summing C(k, s) p^s (1-p)^(k-s) v_s over s by the binomial theorem gives
+    total = (1 - 2 eta)^2 (A^k - B^k) + d^-k with A = (1 - p + p d^2)/d^2 and
+    B = (1 - p + p d)/d^2; mes_term = p^k ((d^k - 1)(1 - 2 eta)^2 + 1)/d^k.
+    """
+    gain = (1 - 2 * eta) ** 2
+    a = (1 - p + p * d**2) / d**2
+    b = (1 - p + p * d) / d**2
+    total = gain * (a**k - b**k) + Fraction(1, d**k)
+    return total, p**k * ((d**k - 1) * gain + 1) / d**k
+
+
 def isotropic_power_value(d: int, k: int, p: float, eta: float) -> tuple[float, float]:
     """(total, mes_term) of kv_value_for_expansion(expand_tensor_power(d, p, k), eta)
     from its closed form, in rational arithmetic.
@@ -283,8 +297,9 @@ def isotropic_power_value(d: int, k: int, p: float, eta: float) -> tuple[float, 
     maximally mixed state on d^(k-s), and the coset game on n = d^k values it
     at v_s = ((d^s - 1)(1 - 2 eta)^2 + d^(k-s)) / d^(2k-s); s = k gives the
     MES closed form.  total is sum_s C(k, s) p^s (1-p)^(k-s) v_s and mes_term
-    its s = k term, each summed in Fractions of the float inputs and rounded
-    once.  Checked against the dense evaluation at d^k in EXACT_GAME_SIZES.
+    its s = k term, each taken in three powers of Fractions of the float
+    inputs (_isotropic_power_fractions) and rounded once.  Checked against
+    the dense evaluation at d^k in EXACT_GAME_SIZES.
     """
     d, k = int(d), int(k)
     if d < 2:
@@ -293,13 +308,8 @@ def isotropic_power_value(d: int, k: int, p: float, eta: float) -> tuple[float, 
         raise ValidationError(f"copy count must be >= 1, got {k}")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"mixing weight must be in [0, 1], got {p}")
-    p, gain = Fraction(p), (1 - 2 * Fraction(_check_eta(eta))) ** 2
-    terms = [
-        math.comb(k, s) * p**s * (1 - p) ** (k - s)
-        * ((d**s - 1) * gain + d ** (k - s)) / d ** (2 * k - s)
-        for s in range(k + 1)
-    ]
-    return float(sum(terms)), float(terms[k])
+    total, mes_term = _isotropic_power_fractions(d, k, Fraction(p), Fraction(_check_eta(eta)))
+    return float(total), float(mes_term)
 
 
 def _log_ratio_bound(k: int, log_alpha: float, ln_d: float) -> float:
@@ -448,6 +458,7 @@ def seesaw_lower_bound(
     by restart and the first strict best iterate is kept (single updates
     need not improve), so blocking leaves the result unchanged.  The value
     is the pairing of the returned strategy, computed through quantum_prob.
+    No command runs it; on CHSH it reaches tsirelson_box_dist().
     """
     if dim > 16:
         raise GuardError(f"joint search dimension {dim} exceeds 16")
@@ -492,11 +503,14 @@ def _xor_win_mask() -> np.ndarray:
     return (a ^ b) == (x & y)
 
 
-def chsh_functional() -> BellFunctional:
-    """Two-input two-output win functional: weight 1/4 on a xor b = x and y."""
-    return BellFunctional(2, 2, table=0.25 * _xor_win_mask())
-
-
 def pr_box_dist() -> ProbDist:
     """Nonsignaling box winning the two-input xor game with certainty."""
     return ProbDist(0.5 * _xor_win_mask())
+
+
+def tsirelson_box_dist() -> ProbDist:
+    """Tsirelson's box P(a, b | x, y) = (1 + (-1)^(a xor b xor xy) / sqrt 2) / 4:
+    the PR box at visibility 1/sqrt 2 plus the rest of the uniform table, the
+    MES(2) correlations that win the two-input xor game with cos^2(pi/8)."""
+    sign = 2.0 * _xor_win_mask() - 1.0
+    return ProbDist(0.25 * (1.0 + math.sqrt(0.5) * sign))

@@ -8,6 +8,7 @@ elements, a direct tensor power) and nothing in src/kvbell calls it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from operator import itemgetter
@@ -179,6 +180,19 @@ def isotropic_power_value_by_patterns(d: int, k: int, p: float, eta: float):
         if s == k:
             mes_term = value
     return total, mes_term
+
+
+def isotropic_power_value_by_binomial_sum(d: int, k: int, p: float, eta: float):
+    """(total, mes_term) of isotropic_power_value as Fractions summed over the
+    number s of entangled copies: C(k, s) p^s (1-p)^(k-s) v_s with
+    v_s = ((d^s - 1)(1 - 2 eta)^2 + d^(k-s)) / d^(2k-s), and the s = k term."""
+    p, gain = Fraction(p), (1 - 2 * Fraction(eta)) ** 2
+    terms = [
+        math.comb(k, s) * p**s * (1 - p) ** (k - s)
+        * ((d**s - 1) * gain + d ** (k - s)) / d ** (2 * k - s)
+        for s in range(k + 1)
+    ]
+    return sum(terms), terms[k]
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:
@@ -371,6 +385,15 @@ def _mes_strategy_value(dense: np.ndarray, alice, bob, dim: int) -> float:
     fb = np.stack([m.operators for m in bob])
     overlap = np.einsum("xaij,ybij->xyab", ea, fb).real / dim
     return float(np.sum(dense * overlap))
+
+
+def chsh_functional() -> BellFunctional:
+    """Two-input two-output win functional: weight 1/4 on a xor b = x and y."""
+    table = np.zeros((2, 2, 2, 2))
+    for x, y, a, b in itertools.product(range(2), repeat=4):
+        if a ^ b == x & y:
+            table[x, y, a, b] = 0.25
+    return BellFunctional(2, 2, table=table)
 
 
 def seesaw_per_restart(functional, dim: int, seed: int = 0, iters: int = 50, restarts: int = 20):

@@ -1,18 +1,21 @@
 """Command-line behaviour: exit codes, JSON schemas, reproducibility, and
 method tags on every computed number."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     draw_answers_grouped,
@@ -43,6 +46,7 @@ from kvbell.values import (
     pr_box_dist,
     quantum_prob,
     superactivation_log_ratio_bound,
+    tsirelson_box_dist,
 )
 
 METHOD_TAGS = {
@@ -283,7 +287,7 @@ def test_local_content_subcommand(tmp_path, capsys):
     assert doc["result"]["lv"] is None
     doc2 = run_json(capsys, ["local-content", "--dist", "chsh-quantum", "--seed", "0"])
     lam = doc2["result"]["lambda"]["value"]
-    assert abs(lam - (2.0 - math.sqrt(2.0))) < 1e-6
+    assert abs(lam - (2.0 - math.sqrt(2.0))) <= 1e-12
     # LV = 2/lambda - 1 needs the local reading: the free one would give 1 + sqrt 2
     assert doc2["result"]["lv"] is None
     assert "--variant local" in doc2["result"]["lv_note"]
@@ -381,6 +385,44 @@ def test_local_tables_of_mass_just_below_one_leave_no_residual(tmp_path, capsys,
         assert abs(res["lambda"]["value"] - want) <= 1e-12
         assert res["reconstruction_error"] <= 1e-9
         assert "residual_distribution" not in res
+
+
+def _skewable_boxes():
+    det = ProbDist.from_assignments([0, 0], [0, 0], 2, 2).table
+    uniform = np.full((2, 2, 2, 2), 0.25)
+    return {
+        "deterministic": det,
+        "uniform": uniform,
+        "half-pr": 0.5 * pr_box_dist().table + 0.5 * uniform,
+        "tsirelson": tsirelson_box_dist().table,
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.sampled_from(sorted(_skewable_boxes())),
+    skew=st.lists(st.floats(-9.99e-9, 9.99e-9), min_size=4, max_size=4),
+)
+@example(base="deterministic", skew=[4e-9, -4e-9, -4e-9, -4e-9])
+def test_tables_with_skewed_block_masses_solve_in_both_variants(base, skew):
+    # the loader lets each block weigh 1 within 1e-8; a leftover of that size
+    # carries the skew between blocks and is reported as no residual
+    table = _skewable_boxes()[base] * (1.0 + np.reshape(skew, (2, 2, 1, 1)))
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "skewed.json")
+        with open(path, "w") as f:
+            json.dump({"N": 2, "K": 2, "table": table.tolist()}, f)
+        for variant in ("free", "local"):
+            argv = ["local-content", "--dist", path, "--variant", variant, "--format", "json"]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+            assert code == 0, (variant, out.getvalue())
+            res = json.loads(out.getvalue())["result"]
+            assert res["reconstruction_error"] <= 1e-9
+            if "residual_distribution" in res:
+                sums = np.sum(res["residual_distribution"], axis=(2, 3))
+                assert np.max(np.abs(sums - 1.0)) <= 1e-7
 
 
 def test_input_files_are_labelled_by_file_name(tmp_path, capsys, monkeypatch):
@@ -491,6 +533,13 @@ def test_values_rejects_negative_seed(capsys):
 def test_referee_sim_rejects_negative_seed(capsys):
     assert main(["referee-sim", "--l", "2", "--seed", "-1"]) == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", ["free", "local"])
+def test_chsh_quantum_document_ignores_the_seed(capsys, variant):
+    argv = ["local-content", "--dist", "chsh-quantum", "--variant", variant]
+    docs = [run_json(capsys, argv + ["--seed", seed])["result"] for seed in ("0", "1", "7")]
+    assert docs[0] == docs[1] == docs[2]
 
 
 def test_local_content_rejects_negative_seed(capsys):
@@ -771,7 +820,7 @@ def test_superactivation_explicit_p_skips_threshold_guard(capsys):
     "argv",
     [
         ["values", "--l", "3", "--restarts", "1000000000"],
-        ["local-content", "--dist", "chsh-quantum", "--restarts", "1000000000"],
+        ["values", "--game", "game.json", "--restarts", "1000000000"],
     ],
 )
 def test_restarts_guard(capsys, argv):
@@ -953,14 +1002,23 @@ def test_game_file_memory_holds_no_dict_per_entry(tmp_path, capsys):
         (["values", "--l", "2", "--restarts", "0"], 2, "restarts must be >= 1"),
         (["values", "--l", "2", "--restarts", "1000000000"], 3, "restarts exceed the guard"),
         (["values", "--l", "4", "--restarts", "1001"], 3, "restarts exceed the guard"),
-        (["local-content", "--dist", "pr-box", "--restarts", "-5"], 2, "restarts must be >= 1"),
-        (["local-content", "--dist", "pr-box", "--restarts", "1001"], 3, "restarts exceed the guard"),
+        (["values", "--l", "4", "--restarts", "-5"], 2, "restarts must be >= 1"),
+        (["values", "--game", "game.json", "--restarts", "1001"], 3, "restarts exceed the guard"),
     ],
 )
 def test_restarts_checked_on_every_route(capsys, argv, code, message):
-    # the heuristics check --restarts too, but only some routes reach them
+    # the heuristics check --restarts too, but only some routes reach them;
+    # the check comes before a game file is read, so game.json need not exist
     assert main(argv) == code
     assert message in capsys.readouterr().err
+
+
+def test_local_content_takes_no_restarts(capsys):
+    # chsh-quantum is a closed form, so no local-content route searches
+    with pytest.raises(SystemExit) as exit_info:
+        main(["local-content", "--dist", "chsh-quantum", "--restarts", "2"])
+    assert exit_info.value.code == 2
+    assert "--restarts" in capsys.readouterr().err
 
 
 def _refuse_constant(name):
@@ -983,7 +1041,7 @@ def _refuse_constant(name):
         ["referee-sim", "--l", "2", "--strategy", "rep", "--samples", "1000"],
         ["referee-sim", "--l", "1", "--eta", "0.001", "--samples", "200", "--seed", "3"],
         ["local-content", "--dist", "pr-box", "--variant", "local"],
-        ["local-content", "--dist", "chsh-quantum", "--restarts", "2"],
+        ["local-content", "--dist", "chsh-quantum", "--seed", "2"],
     ],
 )
 def test_json_output_holds_no_infinity_or_nan(tmp_path, capsys, argv):

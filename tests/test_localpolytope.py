@@ -14,7 +14,7 @@ import pytest
 from gen import random_mes_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import uniform_dist
+from oracles import chsh_functional, uniform_dist
 
 from kvbell import build_hadamard_subgroup, kv_measurements, localpolytope
 from kvbell.errors import NumericalError, ValidationError
@@ -28,11 +28,10 @@ from kvbell.localpolytope import (
 from kvbell.values import (
     ProbDist,
     assignment_table,
-    chsh_functional,
     pair,
     pr_box_dist,
     quantum_prob,
-    seesaw_lower_bound,
+    tsirelson_box_dist,
 )
 from kvbell.states import make_mes
 
@@ -374,8 +373,7 @@ def test_local_content_endpoints():
 
 
 def test_local_content_free_decomposition_identity():
-    res = seesaw_lower_bound(chsh_functional(), dim=2, seed=0, iters=30, restarts=5)
-    target = quantum_prob(make_mes(2), res.alice, res.bob)
+    target = tsirelson_box_dist()
     out = local_content(target, "free")
     assert 0.0 < out.lam < 1.0
     local_part = _rebuild(out.weights, 2, 2)
@@ -387,14 +385,22 @@ def test_local_content_free_decomposition_identity():
 
 
 def test_local_content_of_tsirelson_point_matches_chsh_bound():
-    res = seesaw_lower_bound(chsh_functional(), dim=2, seed=0, iters=30, restarts=5)
-    target = quantum_prob(make_mes(2), res.alice, res.bob)
+    target = tsirelson_box_dist()
     q = pair(chsh_functional(), target)
     out = local_content(target, "free")
     # any local part of mass lam forces q <= lam*(3/4) + (1 - lam)*1
     ub = 4.0 * (1.0 - q)
     assert out.lam <= ub + 1e-8
     assert out.lam >= ub - 1e-6  # the LP achieves the CHSH-derived cap here
+
+
+def test_local_content_of_the_tsirelson_box():
+    # free: 4 (1 - cos^2(pi/8)) = 2 - sqrt 2; local: LV = 2/lambda - 1 = sqrt 2
+    box = tsirelson_box_dist()
+    assert abs(local_content(box, "free").lam - (2.0 - math.sqrt(2.0))) <= 1e-12
+    lam = local_content(box, "local").lam
+    assert abs(lam - 2.0 * (math.sqrt(2.0) - 1.0)) <= 1e-12
+    assert abs(lv_from_pi(lam) - math.sqrt(2.0)) <= 1e-12
 
 
 def test_local_content_decreases_toward_pr_box():

@@ -2,10 +2,13 @@
 commands run every public function."""
 
 import inspect
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import kvbell
 from kvbell.cli import main
@@ -20,7 +23,7 @@ COMMANDS = [
     ["almost-activation", "--d-grid", "4,8"],
     ["referee-sim", "--l", "2", "--samples", "1000"],
     ["local-content", "--dist", "pr-box"],
-    ["local-content", "--dist", "chsh-quantum", "--restarts", "2", "--variant", "local"],
+    ["local-content", "--dist", "chsh-quantum", "--variant", "local"],
 ]
 
 
@@ -50,7 +53,7 @@ def test_cli_import_leaves_scipy_unloaded():
     assert _fresh_python(code) == "[]"
 
 
-# the formula commands never load numpy; values does, which shows the probe sees a load
+# prints, after each command, whether a module under {prefix!r} has been loaded
 NUMPY_PROBE = """
 import contextlib, io, sys
 from kvbell.cli import main
@@ -58,20 +61,37 @@ from kvbell.cli import main
 for argv in {commands!r}:
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
-    print(any(m.startswith("numpy.") for m in sys.modules))
+    print(any(m.startswith({prefix!r}) for m in sys.modules))
 """
 
 
 def test_formula_commands_never_load_numpy():
-    # numpy's import was most of `import kvbell.cli`; kvbell._numpy defers it to first use
+    # numpy's import was most of `import kvbell.cli`; kvbell._numpy defers it to first use.
+    # values does load it, which shows the probe sees a load
     commands = [
         ["superactivation", "--d", "8", "--k", "1:8"],
         ["superactivation", "--d", "2", "--k", "1:3"],
         ["almost-activation", "--d-grid", "4,8"],
         ["values", "--l", "2"],
     ]
-    loaded = _fresh_python(NUMPY_PROBE.format(commands=commands)).split()
+    loaded = _fresh_python(NUMPY_PROBE.format(commands=commands, prefix="numpy.")).split()
     assert loaded == ["False", "False", "False", "True"]
+
+
+def test_local_content_never_loads_numpy_random(tmp_path):
+    # chsh-quantum is Tsirelson's box from its formula, so no local-content route
+    # seeds a generator; the heuristic behind values --l 3 does, which shows a load
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"N": 2, "K": 2, "table": np.full((2, 2, 2, 2), 0.25).tolist()}))
+    commands = [
+        ["local-content", "--dist", "pr-box"],
+        ["local-content", "--dist", "chsh-quantum", "--variant", "free"],
+        ["local-content", "--dist", "chsh-quantum", "--variant", "local"],
+        ["local-content", "--dist", str(dist), "--variant", "local"],
+        ["values", "--l", "3", "--restarts", "2"],
+    ]
+    loaded = _fresh_python(NUMPY_PROBE.format(commands=commands, prefix="numpy.random")).split()
+    assert loaded == ["False", "False", "False", "False", "True"]
 
 
 def test_an_imported_numpy_is_used_as_it_is():

@@ -17,7 +17,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     assert_projective_measurement,
+    chsh_functional,
     classical_value_bruteforce,
+    isotropic_power_value_by_binomial_sum,
     isotropic_power_value_by_patterns,
     kv_mes_value_direct,
     make_isotropic,
@@ -50,7 +52,6 @@ from kvbell.values import (
     almost_activation_mix_weight,
     almost_activation_upper_formula,
     assignment_table,
-    chsh_functional,
     classical_value_exact,
     classical_value_heuristic,
     isotropic_power_value,
@@ -64,6 +65,7 @@ from kvbell.values import (
     superactivation_log_ratio_bound,
     superactivation_monotone_from,
     superactivation_ratio_bound,
+    tsirelson_box_dist,
 )
 
 ETA_GRID = [0.1, 0.25, 0.4, 0.5]
@@ -396,6 +398,22 @@ def test_isotropic_power_value_at_the_endpoints():
         assert isotropic_power_value(d, k, 0.0, 0.3) == (1 / d**k, 0.0)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(2, 40),
+    st.integers(1, 24),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 0.5, exclude_min=True),
+)
+@example(2, 1, 0.0, 0.5)
+@example(10**6, 3, 1.0, 5e-324)
+@example(3, 24, locality_threshold(3), 0.25)
+def test_isotropic_power_value_three_powers_equal_the_binomial_sum(d, k, p, eta):
+    # the closed form is the binomial sum regrouped, so the two agree as Fractions
+    got = values._isotropic_power_fractions(d, k, Fraction(p), Fraction(eta))
+    assert got == isotropic_power_value_by_binomial_sum(d, k, p, eta)
+
+
 @pytest.mark.parametrize(
     "d,k,p,eta",
     [
@@ -533,6 +551,14 @@ def test_seesaw_reaches_tsirelson_on_chsh():
     assert abs(res.value - redo) < 1e-12
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_seesaw_reaches_the_tsirelson_box(seed):
+    # CHSH's optimum fixes the whole table, so the search lands on the formula
+    res = seesaw_lower_bound(chsh_functional(), dim=2, seed=seed, iters=30, restarts=20)
+    table = quantum_prob(make_mes(2), res.alice, res.bob).table
+    assert np.max(np.abs(table - tsirelson_box_dist().table)) <= 1e-12
+
+
 def test_seesaw_on_coset_game_beats_mes_strategy():
     game = kv_functional(build_hadamard_subgroup(2), 0.25)
     res = seesaw_lower_bound(game, dim=4, seed=0, iters=40, restarts=10)
@@ -581,6 +607,15 @@ def test_restarts_guard():
 
 # ---------------------------------------------------------------------------
 # reference boxes
+
+
+def test_tsirelson_box_wins_chsh_at_cos2_pi_over_8():
+    box = tsirelson_box_dist()
+    assert abs(pair(chsh_functional(), box) - math.cos(math.pi / 8) ** 2) <= 1e-15
+    # each block: the winning pairs at (1 + 1/sqrt 2)/4, the losing ones at (1 - 1/sqrt 2)/4
+    for x, y, a, b in itertools.product(range(2), repeat=4):
+        sign = 1.0 if a ^ b == x & y else -1.0
+        assert abs(box.table[x, y, a, b] - (1.0 + sign / math.sqrt(2.0)) / 4.0) <= 1e-16
 
 
 def test_pr_box_wins_chsh_outright():
