@@ -1,7 +1,8 @@
 """Command-line surface tying game construction, value computation, the
 bound-chain experiments, Monte Carlo simulation, and the LP layer together.
 
-All randomness flows through numpy's PCG64 generator seeded from --seed, so
+Every random draw is seeded from --seed (numpy's PCG64 in referee-sim, the
+stdlib random.Random for the starts of the classical search in values), so
 every subcommand is reproducible run to run; JSON output puts timestamps in
 a separate "meta" block so the "result" block is byte-stable.
 

@@ -6,7 +6,7 @@ Method vocabulary used in results and reports:
   exact                  computed by full enumeration, dense algebra or rational
                          arithmetic
   closed-form-validated  closed formula cross-checked against brute force
-  heuristic-lb           lower bound from a randomized search
+  heuristic-lb           lower bound from a best-response search (no optimality claim)
   formula-ub             upper bound evaluated from a stated formula
   formula-lb             lower bound evaluated from a stated formula
   formula-symbolic       formula kept symbolic (unknown constant)
@@ -16,6 +16,7 @@ Method vocabulary used in results and reports:
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -125,12 +126,19 @@ def classical_value_exact(functional: BellFunctional) -> float:
             f"{n_out}^{n_in} assignments exceed the guard ({ENUMERATION_GUARD}); "
             "use classical_value_heuristic"
         )
-    dense = functional.dense()
     best = -math.inf
-    for signed in (dense, -dense):
+    for signed in _signed_tables(functional.dense()):
         reward = np.ascontiguousarray(signed.transpose(0, 2, 1, 3))
         best = max(best, float(kernels.enumerate_assignments_max(reward)))
     return best
+
+
+def _signed_tables(dense: np.ndarray) -> tuple:
+    """The table and its negation, or the table alone when no entry is negative.
+
+    Without a negative entry every pairing is >= 0, so the negation never wins.
+    """
+    return (dense,) if dense.min() >= 0 else (dense, -dense)
 
 
 def _check_restarts(restarts: int) -> None:
@@ -144,24 +152,30 @@ def _check_restarts(restarts: int) -> None:
 def classical_value_heuristic(
     functional: BellFunctional, restarts: int = 50, seed: int = 0
 ) -> float:
-    """Lower bound by alternating best-response sweeps from random starts.
+    """Lower bound by alternating best-response sweeps.
 
-    Each restart draws a random second-party assignment, then alternates
-    exact best responses until a sweep leaves the assignment unchanged.
-    Runs on the functional and its negation; deterministic given seed.
+    Restart 0 starts from the all-zero second-party assignment, which on the
+    coset game is the explicit strategy (position 0 in every coset).  Each
+    later restart draws one answer per question, in question order, with
+    random.Random(seed).randrange, then alternates exact best responses until
+    a sweep leaves the assignment unchanged (at most 200 sweeps).  Runs on the
+    functional, then on its negation when it has a negative entry, from one
+    generator; deterministic given seed.
     """
     _check_restarts(restarts)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative int, got {seed!r}")
     n_in, n_out = functional.num_inputs, functional.num_outputs
-    dense = functional.dense()
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = random.Random(seed)
     ys = np.arange(n_in)
     best = -math.inf
-    for signed in (dense, -dense):
+    for signed in _signed_tables(functional.dense()):
         # by_x[x, a, y, b] and by_y[y, b, x, a] views for the two half-steps
         by_x = signed.transpose(0, 2, 1, 3)
         by_y = signed.transpose(1, 3, 0, 2)
-        for _ in range(restarts):
-            bob = rng.integers(0, n_out, size=n_in)
+        for restart in range(restarts):
+            start = [rng.randrange(n_out) for _ in range(n_in)] if restart else [0] * n_in
+            bob = np.array(start)
             value = -math.inf
             for _ in range(200):
                 alice_gain = by_x[:, :, ys, bob].sum(axis=2)

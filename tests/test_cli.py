@@ -853,7 +853,7 @@ def test_game_file_pieces_match_json_dumps(l, eta):
     assert "".join(_game_file_pieces(*kv_game_columns(game))) == want
 
 
-@pytest.mark.parametrize("l,eta", [(1, "0.25"), (2, "0.1"), (3, "auto")])
+@pytest.mark.parametrize("l,eta", [(1, "0.25"), (2, "0.1"), (3, "auto"), (3, "0.05")])
 def test_values_of_a_game_file_match_values_by_size(tmp_path, capsys, l, eta):
     path = tmp_path / "game.json"
     run_json(capsys, ["kv-build", "--l", str(l), "--eta", eta, "--out", str(path)])

@@ -80,7 +80,7 @@ def test_formula_commands_never_load_numpy():
 
 def test_local_content_never_loads_numpy_random(tmp_path):
     # chsh-quantum is Tsirelson's box from its formula, so no local-content route
-    # seeds a generator; the heuristic behind values --l 3 does, which shows a load
+    # seeds a generator; referee-sim does, which shows a load
     dist = tmp_path / "dist.json"
     dist.write_text(json.dumps({"N": 2, "K": 2, "table": np.full((2, 2, 2, 2), 0.25).tolist()}))
     commands = [
@@ -88,10 +88,24 @@ def test_local_content_never_loads_numpy_random(tmp_path):
         ["local-content", "--dist", "chsh-quantum", "--variant", "free"],
         ["local-content", "--dist", "chsh-quantum", "--variant", "local"],
         ["local-content", "--dist", str(dist), "--variant", "local"],
-        ["values", "--l", "3", "--restarts", "2"],
+        ["referee-sim", "--l", "2", "--samples", "10"],
     ]
     loaded = _fresh_python(NUMPY_PROBE.format(commands=commands, prefix="numpy.random")).split()
     assert loaded == ["False", "False", "False", "False", "True"]
+
+
+def test_values_never_loads_numpy_random(tmp_path):
+    # the classical search draws its starts from the stdlib random.Random, which the
+    # interpreter has already imported; numpy's generators are left unloaded
+    game = str(tmp_path / "game.json")
+    commands = [
+        ["values", "--l", "2"],
+        ["values", "--l", "3", "--restarts", "2"],
+        ["kv-build", "--l", "3", "--out", game],
+        ["values", "--game", game],
+    ]
+    loaded = _fresh_python(NUMPY_PROBE.format(commands=commands, prefix="numpy.random")).split()
+    assert loaded == ["False", "False", "False", "False"]
 
 
 def test_an_imported_numpy_is_used_as_it_is():

@@ -182,6 +182,42 @@ def test_heuristic_matches_exact_on_random_tables(rng):
         assert abs(heur - exact) < 1e-12
 
 
+def test_one_signed_tables_match_bruteforce(rng):
+    # a table without a negative entry skips its negation; one without a positive
+    # entry must not, since there the negation is the side that wins
+    for _ in range(5):
+        tab = rng.random(size=(3, 3, 2, 2))
+        for signed in (tab, -tab):
+            f = BellFunctional(3, 2, table=signed)
+            want = classical_value_bruteforce(f)
+            assert classical_value_exact(f) == want
+            assert abs(classical_value_heuristic(f, restarts=30, seed=1) - want) < 1e-12
+
+
+N8_ETA_GRID = [0.0191, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5]
+
+
+@pytest.mark.parametrize("eta", N8_ETA_GRID)
+def test_heuristic_reaches_the_explicit_strategy_at_n8(eta):
+    # restart 0 starts from the all-zero answer: position 0 in every coset, which wins (1 - eta)^3
+    game = kv_functional(build_hadamard_subgroup(3), eta)
+    N, K = game.num_inputs, game.num_outputs
+    zeros = [0] * N
+    explicit = pair(game, ProbDist.from_assignments(zeros, zeros, N, K))
+    assert abs(explicit - (1 - eta) ** 3) < 1e-15
+    for seed in range(5):
+        assert abs(classical_value_heuristic(game, restarts=1, seed=seed) - explicit) < 1e-15
+        for restarts in (1, 2, 50):
+            value = classical_value_heuristic(game, restarts=restarts, seed=seed)
+            assert value >= (1 - eta) ** 3 - 1e-15
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "0", np.int64(3)])
+def test_heuristic_refuses_a_seed_that_is_not_a_nonnegative_int(seed):
+    with pytest.raises(ValidationError, match="seed"):
+        classical_value_heuristic(chsh_functional(), restarts=2, seed=seed)
+
+
 def test_enumeration_guard():
     # 7 inputs, 8 outputs: 8^7 assignments per side exceed ENUMERATION_GUARD = 10^6
     f = BellFunctional(7, 8, table=np.zeros((7, 7, 8, 8)))
