@@ -68,8 +68,8 @@ from .values import (
     _check_restarts,
 )
 
-# game-file entries formatted per write (under 0.5 MB of text at n = 8)
-GAME_FILE_BLOCK = 4096
+# characters of game-file text read and decoded at a time
+GAME_FILE_WINDOW = 1 << 16
 
 
 def _tagged(value, method: str) -> dict:
@@ -198,6 +198,9 @@ def _load_json(path: str, load=json.load) -> dict:
         raise ValidationError(f"{path} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"invalid JSON in {path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past the digit limit, or nesting past the recursion limit
+        raise ValidationError(f"cannot read {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{path} must hold a JSON object")
     return doc
@@ -215,22 +218,23 @@ def _header(doc: dict, key: str, types: tuple, what: str):
 # kv-build
 
 
-def _game_file_pieces(header: dict, columns):
+def _game_file_pieces(header: dict, blocks):
     """The text of json.dumps(kv_game_to_json(game), sort_keys=True) + "\\n" from
-    (header, columns) = kv_game_columns(game), formatted GAME_FILE_BLOCK entries
-    at a time from column slices, so neither the whole text nor a Python list
-    of every entry is ever held.
+    (header, blocks) = kv_game_columns(game), formatted one question's block
+    of entries at a time, so neither the whole text nor a Python list of every
+    entry is ever held.
 
     A coefficient depends only on the noise weight, so it takes at most n + 1
-    values; each is formatted once.
+    values; each is formatted once per block.  Every coefficient of the coset
+    game is positive, so no block is empty.
     """
-    coef_text = {c: json.dumps(c) for c in np.unique(columns[-1]).tolist()}
     row = '{"a": %d, "b": %d, "c": %s, "x": %d, "y": %d}'
     yield '{"K": %s, "N": %s, "entries": [' % (json.dumps(header["K"]), json.dumps(header["N"]))
-    for lo in range(0, len(columns[-1]), GAME_FILE_BLOCK):
-        block = zip(*(col[lo : lo + GAME_FILE_BLOCK].tolist() for col in columns))
-        rows = ", ".join([row % (a, b, coef_text[c], x, y) for x, y, a, b, c in block])
-        yield ", " + rows if lo else rows
+    for i, block in enumerate(blocks):
+        coef_text = {c: json.dumps(c) for c in np.unique(block[-1]).tolist()}
+        rows = zip(*(col.tolist() for col in block))
+        text = ", ".join([row % (a, b, coef_text[c], x, y) for x, y, a, b, c in rows])
+        yield ", " + text if i else text
     yield '], "eta": %s, "n": %s}\n' % (json.dumps(header["eta"]), json.dumps(header["n"]))
 
 
@@ -241,9 +245,8 @@ def cmd_kv_build(args) -> int:
     game = kv_functional(table, eta)
     if args.game_file is None:
         raise ValidationError("kv-build writes a game file; --out is required")
-    header, columns = kv_game_columns(game)
-    _write_file(args.game_file, _game_file_pieces(header, columns))
-    entries = len(columns[-1])
+    _write_file(args.game_file, _game_file_pieces(*kv_game_columns(game)))
+    entries = int(np.count_nonzero(game.dense()))
     marginal_total = float(kv_question_marginal(game).sum())
     mass = game.total()
     result = {
@@ -273,47 +276,255 @@ def cmd_kv_build(args) -> int:
 
 ENTRY_KEYS = "xyabc"
 _entry_row = itemgetter(*ENTRY_KEYS)
+# per key of an entry: the JSON types it may hold (type(), so JSON booleans,
+# a bool subclass of int, are refused), what the message calls them, its column
+_ENTRY_TYPES = [({int}, "an integer index", "int64")] * 4 + [
+    # null (how JavaScript writes NaN and infinities) becomes NaN, refused later
+    ({int, float, type(None)}, "a number", "float64")
+]
 
 
-def _load_entry_rows(fh) -> dict:
-    """json.load, with each object that holds the keys x, y, a, b and c decoded
-    to the tuple of those values, so no game entry keeps a dict.  The
-    document, the last object decoded, stays a dict."""
-    last = None
-
-    def hook(obj: dict):
-        nonlocal last
-        last = obj
-        try:
-            return _entry_row(obj)
-        except KeyError:
-            return obj
-
-    doc = json.load(fh, object_hook=hook)
-    return last if type(doc) is tuple else doc
+def _entry_hook(obj: dict):
+    """An object holding the keys x, y, a, b and c as the tuple of those
+    values, so no game entry keeps a dict; any other object as itself."""
+    try:
+        return _entry_row(obj)
+    except KeyError:
+        return obj
 
 
-def _reject_entries(rows: list, bad: np.ndarray, problem: str) -> None:
-    """Refuse the first row where bad holds, shown as the object it was read from."""
-    if bad.any():
-        row = rows[int(np.argmax(bad))]
-        shown = dict(zip(ENTRY_KEYS, row)) if type(row) is tuple else row
-        raise ValidationError(f"game entry {shown!r} {problem}")
+_entry_decoder = json.JSONDecoder(object_hook=_entry_hook)
+_scan = _entry_decoder.scan_once
+_whitespace = json.decoder.WHITESPACE.match
 
 
-def _entry_column(rows: list, key: str, types: set, what: str, dtype) -> np.ndarray:
-    """Every row's value under key as a dtype array, each value of a type in
-    types; type() rather than isinstance, so JSON booleans (bool subclasses
-    int) are refused."""
-    i = ENTRY_KEYS.index(key)
-    if not set(map(type, map(itemgetter(i), rows))) <= types:
-        bad = np.fromiter((type(r[i]) not in types for r in rows), bool, len(rows))
-        _reject_entries(rows, bad, f"needs {what} under {key!r}")
-    return np.fromiter(map(itemgetter(i), rows), dtype, count=len(rows))
+class _EntryColumns:
+    """A game file's entries list as typed columns, filled from one batch of
+    decoded rows at a time, and the first problem _load_game reports on it.
+
+    Problems rank in the order _load_game checks them: an entry that is not
+    an object with keys x, y, a, b and c; then, key by key, a value of the
+    wrong type and a value the column cannot hold.  Only the first problem
+    of the lowest rank is kept.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.columns = [bytearray() for _ in ENTRY_KEYS]  # the raw bytes of each column
+        self.odd_c = {}  # row -> its c where that is not a float (an int or null)
+        self.rank = 2 * len(ENTRY_KEYS) + 1
+        self.problem = None
+
+    def _note(self, rank: int, problem: str) -> None:
+        if rank < self.rank:
+            self.rank, self.problem = rank, problem
+
+    def add(self, rows: list) -> None:
+        start = self.count
+        self.count += len(rows)
+        if not set(map(type, rows)) <= {tuple}:
+            row = next(r for r in rows if type(r) is not tuple)
+            self._note(0, f"game entry {row!r} is not an object with keys x, y, a, b and c")
+            return
+        for j, (col, (types, what, dtype)) in enumerate(zip(zip(*rows), _ENTRY_TYPES)):
+            kinds = set(map(type, col))
+            if not kinds <= types:
+                row = next(r for r in rows if type(r[j]) not in types)
+                shown = dict(zip(ENTRY_KEYS, row))
+                self._note(2 * j + 1, f"game entry {shown!r} needs {what} under {ENTRY_KEYS[j]!r}")
+                return
+            try:
+                self.columns[j] += np.fromiter(col, dtype, count=len(col)).tobytes()
+            except OverflowError as exc:
+                self._note(2 * j + 2, f"bad game entry: {exc!r}")
+                return
+        if rows and kinds != {float}:
+            self.odd_c.update((start + i, c) for i, c in enumerate(col) if type(c) is not float)
+
+    def checked(self) -> tuple[list[np.ndarray], np.ndarray]:
+        """The x, y, a, b index columns and the coefficient column, once every
+        entry has passed the checks above."""
+        if self.problem is not None:
+            raise ValidationError(self.problem)
+        # from here on the columns are numpy views of those bytes
+        self.columns = [np.frombuffer(col, t[2]) for col, t in zip(self.columns, _ENTRY_TYPES)]
+        return self.columns[:4], self.columns[4]
+
+    def reject(self, bad: np.ndarray, problem: str) -> None:
+        """Refuse the first entry where bad holds, shown as the object it was read from."""
+        if bad.any():
+            i = int(np.argmax(bad))
+            values = [col[i].item() for col in self.columns]
+            values[4] = self.odd_c.get(i, values[4])
+            raise ValidationError(f"game entry {dict(zip(ENTRY_KEYS, values))!r} {problem}")
+
+
+class _GameText:
+    """The text of an open game file, GAME_FILE_WINDOW characters at a time:
+    text holds the file from offset base on, and fill drops what the reader
+    has passed.  Syntax errors name json's reason and the line, column and
+    character in the whole file, as json.load does."""
+
+    def __init__(self, fh, path: str):
+        self.fh, self.path = fh, path
+        self.text, self.base, self.eof = "", 0, False
+        self.lines, self.line_start = 0, -1  # newlines before base, offset of the last
+
+    def fill(self, pos: int, size: int | None = None) -> int:
+        """Drop the text before pos and read on until size (by default a
+        window) characters follow it or the file ends; pos becomes 0."""
+        text = self.text
+        last = text.rfind("\n", 0, pos)
+        if last >= 0:
+            self.lines += text.count("\n", 0, pos)
+            self.line_start = self.base + last
+        self.base += pos
+        text = text[pos:]
+        size = size or GAME_FILE_WINDOW
+        while len(text) < size and not self.eof:
+            chunk = self.fh.read(size - len(text))
+            self.eof = not chunk
+            text += chunk
+        self.text = text
+        return 0
+
+    def at(self, pos: int) -> str:
+        return self.text[pos : pos + 1]
+
+    def skip(self, pos: int) -> int:
+        """The first index at or after pos that is not JSON whitespace
+        (len(text) at the end of the file)."""
+        while True:
+            pos = _whitespace(self.text, pos).end()
+            if pos < len(self.text) or self.eof:
+                return pos
+            pos = self.fill(pos)
+
+    def scan(self, pos: int) -> tuple[object, int]:
+        """The JSON value at pos, decoded with _entry_hook, and the index just
+        after it.  The window grows until the value ends at least 4 characters
+        before the window does (a number's end shows up to 3 characters on)
+        or the file ends, so no cut shortens a value."""
+        while True:
+            try:
+                value, end = _scan(self.text, pos)
+                if end + 3 < len(self.text) or self.eof:
+                    return value, end
+            except StopIteration as exc:
+                if self.eof:
+                    raise self.error("Expecting value", exc.value) from None
+            except json.JSONDecodeError as exc:
+                if self.eof:
+                    raise self.error(exc.msg, exc.pos) from None
+            except (ValueError, RecursionError):
+                # an integer past the digit limit, or nesting past the recursion limit
+                if self.eof:
+                    self.drain()
+                    raise
+            pos = self.fill(pos, 2 * (len(self.text) - pos) + GAME_FILE_WINDOW)
+
+    def drain(self) -> None:
+        """Decode the rest of the file, so bytes that are not UTF-8 are
+        reported ahead of a syntax error, as when the file was read whole."""
+        while self.fh.read(GAME_FILE_WINDOW):
+            pass
+
+    def error(self, reason: str, pos: int) -> ValidationError:
+        """json's error for reason at text[pos], once the rest is decoded."""
+        self.drain()
+        line = self.lines + self.text.count("\n", 0, pos) + 1
+        last = self.text.rfind("\n", 0, pos)
+        column = pos - last if last >= 0 else self.base + pos - self.line_start
+        where = f"line {line} column {column} (char {self.base + pos})"
+        return ValidationError(f"invalid JSON in {self.path}: {reason}: {where}")
+
+
+def _read_entries(src: _GameText, pos: int) -> tuple[_EntryColumns, int]:
+    """The entries list, from just after its "[" to just after its "]".
+
+    The elements are decoded a window at a time, as one list of the text
+    from pos through the window's last "}".  A "}" is a whole token, so text
+    that decodes so holds whole elements, tokenized as in the whole file.
+    Where it does not decode (the list's last window, a "}" inside a string
+    or a nested value, an element longer than the window, a syntax error),
+    the elements through that "}" are scanned one at a time.
+    """
+    entries = _EntryColumns()
+    rows = []
+    scan_to = -1  # file offset through which elements are scanned one at a time
+    pos = src.skip(pos)
+    if src.at(pos) == "]":
+        return entries, pos + 1
+    while True:
+        if src.base + pos > scan_to:
+            if len(src.text) - pos < GAME_FILE_WINDOW:
+                pos = src.fill(pos)
+            k = src.text.rfind("}", pos)
+            scan_to = src.base + (k if k >= 0 else len(src.text))
+            if k >= 0:
+                try:
+                    rows += _entry_decoder.decode("[" + src.text[pos : k + 1] + "]")
+                    pos = k + 1
+                except (ValueError, RecursionError):
+                    pass
+        if src.base + pos <= scan_to:
+            row, pos = src.scan(pos)
+            rows.append(row)
+        pos = src.skip(pos)
+        if src.at(pos) == "]":
+            entries.add(rows)
+            return entries, pos + 1
+        if src.at(pos) != ",":
+            raise src.error("Expecting ',' delimiter", pos)
+        pos = src.skip(pos + 1)
+        if src.base + pos > scan_to:
+            entries.add(rows)
+            rows = []
+
+
+def _read_game_doc(src: _GameText):
+    """What json.load(fh, object_hook=_entry_hook) gives for the file, except
+    that a list under the top-level key "entries" is read into _EntryColumns."""
+    src.fill(0)
+    if src.text.startswith("\ufeff"):
+        raise src.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
+    pos = src.skip(0)
+    if src.at(pos) != "{":
+        doc, pos = src.scan(pos)
+    else:
+        doc = {}
+        pos = src.skip(pos + 1)
+        if src.at(pos) != "}":
+            while True:
+                if src.at(pos) != '"':
+                    raise src.error("Expecting property name enclosed in double quotes", pos)
+                key, pos = src.scan(pos)
+                pos = src.skip(pos)
+                if src.at(pos) != ":":
+                    raise src.error("Expecting ':' delimiter", pos)
+                pos = src.skip(pos + 1)
+                if key == "entries" and src.at(pos) == "[":
+                    doc[key], pos = _read_entries(src, pos + 1)
+                else:
+                    doc[key], pos = src.scan(pos)
+                pos = src.skip(pos)
+                if src.at(pos) == "}":
+                    break
+                if src.at(pos) != ",":
+                    raise src.error("Expecting ',' delimiter", pos)
+                pos = src.skip(pos + 1)
+        pos += 1
+    pos = src.skip(pos)
+    if pos < len(src.text):
+        raise src.error("Extra data", pos)
+    return doc
 
 
 def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
-    doc = _load_json(path, _load_entry_rows)
+    """The game in a game file, read a window at a time (_read_game_doc), so
+    neither the file's text nor an object per entry is ever held, then
+    checked: the header first, then the entries."""
+    doc = _load_json(path, lambda fh: _read_game_doc(_GameText(fh, path)))
     for key in ("n", "eta", "N", "K", "entries"):
         if key not in doc:
             raise ValidationError(f"game file missing key {key!r}")
@@ -324,28 +535,22 @@ def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
     N, K = (_header(doc, key, (int,), "an integer") for key in "NK")
     if (N, K) != (table.num_cosets, n):
         raise ValidationError(f"game file shape ({N}, {K}) does not match n = {n}")
-    rows = _header(doc, "entries", (list,), "a list")
-    if not set(map(type, rows)) <= {tuple}:
-        bad = np.fromiter((type(r) is not tuple for r in rows), bool, len(rows))
-        _reject_entries(rows, bad, "is not an object with keys x, y, a, b and c")
+    entries = _header(doc, "entries", (_EntryColumns,), "a list")
+    index, coef = entries.checked()
     shape = (N, N, K, K)
-    try:
-        # one array per key, so every check below runs on whole columns
-        index = [_entry_column(rows, key, {int}, "an integer index", np.int64) for key in "xyab"]
-        # null (how JavaScript writes NaN and infinities) becomes NaN, refused below
-        coef = _entry_column(rows, "c", {int, float, type(None)}, "a number", np.float64)
-    except OverflowError as exc:
-        raise ValidationError(f"bad game entry: {exc!r}") from None
-    outside = np.zeros(len(rows), dtype=bool)
+    outside = np.zeros(entries.count, dtype=bool)
     for col, size in zip(index, shape):
         outside |= (col < 0) | (col >= size)
-    _reject_entries(rows, outside, f"has an index outside {shape}")
-    _reject_entries(rows, ~np.isfinite(coef), "has a non-finite coefficient")
+    entries.reject(outside, f"has an index outside {shape}")
+    entries.reject(~np.isfinite(coef), "has a non-finite coefficient")
     flat = np.ravel_multi_index(index, shape)
-    _reject_entries(rows, np.bincount(flat)[flat] > 1, "appears more than once")
+    entries.reject(np.bincount(flat)[flat] > 1, "appears more than once")
     dense = np.zeros(shape)
     dense.flat[flat] = coef
-    eta = float(_header(doc, "eta", (int, float), "a number"))
+    try:
+        eta = float(_header(doc, "eta", (int, float), "a number"))
+    except OverflowError:
+        raise ValidationError("'eta' must be a number within float range") from None
     return BellFunctional(N, K, table=dense), table, eta
 
 
@@ -714,7 +919,7 @@ def _load_distribution(path: str) -> ProbDist:
     N, K = (_header(doc, key, (int,), "an integer") for key in "NK")
     try:
         table = np.asarray(doc["table"], dtype=object)
-        # type() as in _entry_column: JSON booleans and strings are not numbers
+        # type() as in _ENTRY_TYPES: JSON booleans and strings are not numbers
         if not set(map(type, table.flat)) <= {int, float}:
             raise TypeError
         table = table.astype(np.float64)

@@ -15,6 +15,7 @@ indices and pa, pb in range(n).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from ._numpy import np
@@ -267,24 +268,34 @@ def referee_sample(table: CosetTable, eta: float, seed: int, count: int = 1) -> 
     return RefereeSamples(x=xs, y=ys, z=zs)
 
 
-def kv_game_columns(functional: BellFunctional) -> tuple[dict, tuple[np.ndarray, ...]]:
-    """Game-file header (n, eta, N, K) and the x, y, a, b index columns and the
-    coefficient column of every nonzero entry, sorted by (x, y, a, b)."""
+def kv_game_columns(functional: BellFunctional) -> tuple[dict, Iterator[tuple[np.ndarray, ...]]]:
+    """Game-file header (n, eta, N, K) and an iterator over the questions x in
+    turn, yielding the x, y, a, b index columns and the coefficient column of
+    x's nonzero entries, sorted by (y, a, b); one block after another they
+    run in (x, y, a, b) order."""
     table = _require_coset_game(functional)
     dense = functional.dense()
-    nz = np.nonzero(dense)  # walks the table in C order
     header = {
         "n": table.n,
         "eta": functional.meta["eta"],
         "N": functional.num_inputs,
         "K": functional.num_outputs,
     }
-    return header, (*nz, dense[nz])
+
+    def blocks():
+        for x, plane in enumerate(dense):
+            nz = np.nonzero(plane)  # walks the plane in C order
+            yield np.full(len(nz[0]), x), *nz, plane[nz]
+
+    return header, blocks()
 
 
 def kv_game_to_json(functional: BellFunctional) -> dict:
     """Serializable dict with every nonzero entry, sorted by (x, y, a, b)."""
-    header, columns = kv_game_columns(functional)
-    rows = zip(*(col.tolist() for col in columns))
-    entries = [{"x": x, "y": y, "a": a, "b": b, "c": c} for x, y, a, b, c in rows]
+    header, blocks = kv_game_columns(functional)
+    entries = [
+        {"x": x, "y": y, "a": a, "b": b, "c": c}
+        for block in blocks
+        for x, y, a, b, c in zip(*(col.tolist() for col in block))
+    ]
     return {**header, "entries": entries}

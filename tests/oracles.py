@@ -322,10 +322,11 @@ def _reject_entries_per_entry(entries, bad: np.ndarray, problem: str) -> None:
 
 
 def load_game_per_entry(path: str) -> tuple[BellFunctional, CosetTable, float]:
-    """The game-file reader with one dict per entry, as json.load makes them,
-    and one Python list per column; cli._load_game decodes each entry to a
-    tuple as it is parsed.  (The reader before that, plus the check that
-    entries is a list.)"""
+    """The game-file reader with the whole text read by json.load, one dict
+    per entry and one Python list per column; cli._load_game reads a window
+    of text at a time into typed columns.  (The reader from before entries
+    were decoded to tuples, plus the checks that entries is a list and that
+    eta fits a float.)"""
     doc = _load_json(path)
     for key in ("n", "eta", "N", "K", "entries"):
         if key not in doc:
@@ -357,7 +358,10 @@ def load_game_per_entry(path: str) -> tuple[BellFunctional, CosetTable, float]:
     _reject_entries_per_entry(entries, np.bincount(flat)[flat] > 1, "appears more than once")
     dense = np.zeros(shape)
     dense.flat[flat] = coef
-    eta = float(_header(doc, "eta", (int, float), "a number"))
+    try:
+        eta = float(_header(doc, "eta", (int, float), "a number"))
+    except OverflowError:
+        raise ValidationError("'eta' must be a number within float range") from None
     return BellFunctional(N, K, table=dense), table, eta
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -492,6 +493,29 @@ def test_unusable_file_paths_exit_2(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_game_file_not_utf8_after_a_syntax_error(tmp_path, capsys):
+    # the reader stops at the syntax error, but a byte that is not UTF-8
+    # further on is still what is reported, as when the file was read whole
+    path = tmp_path / "game.json"
+    path.write_bytes(b'{"n": 4,, "entries": [' + b"0, " * 30000 + b'"\xff"]}')
+    assert main(["values", "--game", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path} is not UTF-8 text\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["values", "--game"], ["referee-sim", "--l", "2", "--strategy"], ["local-content", "--dist"]],
+)
+@pytest.mark.parametrize("value", ["[" * 10**5 + "]" * 10**5, "1" * 5000], ids=["deep", "long-int"])
+def test_json_past_the_interpreter_limits_exit_2(tmp_path, capsys, argv, value):
+    # json raises RecursionError for deep nesting and ValueError for an integer
+    # literal past sys.get_int_max_str_digits(), neither a JSONDecodeError
+    path = tmp_path / "doc.json"
+    path.write_text('{"entries": [' + value + "]}")
+    assert main([*argv, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+
 def test_corrupt_game_file_rejected(tmp_path, capsys):
     f = tmp_path / "corrupt.json"
     f.write_text(json.dumps({"n": 4, "eta": 0.25, "N": 4, "K": 4}))
@@ -677,7 +701,9 @@ def test_almost_activation_rejects_non_finite_delta(capsys, delta):
 
 @pytest.mark.parametrize(
     "key,value",
-    [("n", "x"), ("n", 4.5), ("N", "4"), ("K", None), ("eta", "x"), ("eta", None), ("eta", [0.25])],
+    [("n", "x"), ("n", 4.5), ("N", "4"), ("K", None), ("eta", "x"), ("eta", None), ("eta", [0.25])]
+    # an integer literal past the float range, where JSON's 1e400 is a float infinity
+    + [pytest.param("eta", 10**400, id="eta-10**400")],
 )
 def test_game_file_header_rejected(tmp_path, capsys, key, value):
     path = tmp_path / "game.json"
@@ -851,6 +877,14 @@ def test_game_file_pieces_match_json_dumps(l, eta):
     game = kv_functional(build_hadamard_subgroup(l), eta)
     want = json.dumps(kv_game_to_json(game), sort_keys=True) + "\n"
     assert "".join(_game_file_pieces(*kv_game_columns(game))) == want
+    # one block per question x, which together walk the table in C order
+    header, blocks = kv_game_columns(game)
+    blocks = list(blocks)
+    assert [np.unique(block[0]).tolist() for block in blocks] == [[x] for x in range(header["N"])]
+    columns = [np.concatenate(col) for col in zip(*blocks)]
+    nz = np.nonzero(game.dense())
+    assert all(np.array_equal(col, ref) for col, ref in zip(columns, nz))
+    assert np.array_equal(columns[-1], game.dense()[nz])
 
 
 @pytest.mark.parametrize("l,eta", [(1, "0.25"), (2, "0.1"), (3, "auto"), (3, "0.05")])
@@ -977,6 +1011,94 @@ def test_game_file_reader_matches_per_entry_oracle(kv_build_docs, data, l):
         assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
 
+class _Pairs(list):
+    """A JSON object as a list of (key, value) pairs, so a key may repeat."""
+
+
+def _json_text(value, rnd) -> str:
+    """value as JSON text that json.loads reads back as value, but not as
+    json.dumps writes it: whitespace from rnd around every token, and some
+    characters of strings and keys written as \\u escapes."""
+    ws = lambda: rnd.choice(["", "", " ", "\n", "\t ", "\r\n  "])
+    if isinstance(value, dict):
+        value = _Pairs(value.items())
+    if isinstance(value, _Pairs):
+        items = [
+            f"{ws()}{_json_text(k, rnd)}{ws()}:{ws()}{_json_text(v, rnd)}{ws()}" for k, v in value
+        ]
+        return "{" + (",".join(items) or ws()) + "}"
+    if isinstance(value, list):
+        return "[" + (",".join(ws() + _json_text(v, rnd) + ws() for v in value) or ws()) + "]"
+    if isinstance(value, str):
+        chars = (
+            f"\\u{ord(ch):04x}" if " " <= ch <= "~" and rnd.random() < 0.2 else json.dumps(ch)[1:-1]
+            for ch in value
+        )
+        return '"' + "".join(chars) + '"'
+    return json.dumps(value)
+
+
+@st.composite
+def _game_file_text(draw, doc: dict) -> str:
+    """doc as JSON text written in one of many ways, some of them broken: any
+    whitespace, top-level keys reordered and repeated, escaped key names,
+    entries with extra keys whose strings hold "}", "]" and ",", and the text
+    cut short, followed by more data or led by a UTF-8 byte order mark."""
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))  # st.randoms draws each call: slow
+    doc = json.loads(json.dumps(doc))
+    rows = doc["entries"] if isinstance(doc["entries"], list) else []
+    for entry in rows:
+        if isinstance(entry, dict) and rnd.random() < 0.1:
+            note = lambda: "".join(rnd.choice('}],{["\\ x') for _ in range(rnd.randint(0, 5)))
+            entry[note()] = rnd.choice([note(), [note()], {note(): note()}])
+    pairs = _Pairs(doc.items())
+    rnd.shuffle(pairs)
+    if rnd.random() < 0.3:
+        key, value = rnd.choice(pairs)
+        again = rnd.choice([value, 4, 0.25, [], {}, "}", rows[:2]])
+        pairs.insert(rnd.randrange(len(pairs) + 1), (key, again))
+    text = _json_text(pairs, rnd)
+    if rnd.random() < 0.1:
+        text = text[: rnd.randrange(len(text))]
+    if rnd.random() < 0.1:
+        text += rnd.choice([" ", "\n", "x", " }", "]", ", {}", "{}", " 1"])
+    if rnd.random() < 0.05:
+        text = "\ufeff" + text
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    l=st.sampled_from([1, 2]),
+    window=st.one_of(st.integers(1, 12), st.sampled_from([64, 256])),
+)
+def test_game_file_reader_on_raw_text_matches_per_entry_oracle(kv_build_docs, data, l, window):
+    # the reader decodes a few characters at a time here, so cuts land inside
+    # strings, numbers and nested values; on every text it must give what
+    # json.load and one dict per entry give, and json's own syntax errors
+    path, docs = kv_build_docs
+    doc = data.draw(st.one_of(st.just(docs[l]), _mutated_game_file(docs[l])))
+    path.write_text(data.draw(_game_file_text(doc)), encoding="utf-8")
+    outcomes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kvbell.cli, "GAME_FILE_WINDOW", window)
+        for load in (_load_game, load_game_per_entry):
+            try:
+                functional, table, eta = load(str(path))
+                outcomes.append((functional.dense(), table.n, eta))
+            except KvBellError as exc:
+                assert exc.exit_code == 2 and str(exc)
+                outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(want, str) or isinstance(got, str):
+        assert isinstance(got, str) and isinstance(want, str), (got, want)
+        if want.startswith(f"invalid JSON in {path}"):
+            assert got == want
+    else:
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
 def _traced_peak(argv) -> int:
     tracemalloc.start()
     try:
@@ -986,14 +1108,15 @@ def _traced_peak(argv) -> int:
         tracemalloc.stop()
 
 
-def test_game_file_memory_holds_no_dict_per_entry(tmp_path, capsys):
-    # the n = 8 file has 65,536 entries, and one dict each would take 11.5 MiB
+def test_game_file_memory_holds_no_text_or_object_per_entry(tmp_path, capsys):
+    # the n = 8 file has 65,536 entries in 4.2 MB of text: one dict each would
+    # take 11.5 MiB, and the text alone 4.2 MiB
     path = str(tmp_path / "game.json")
     build = _traced_peak(["kv-build", "--l", "3", "--out", path])
     values = _traced_peak(["values", "--game", path])
     capsys.readouterr()
-    assert build <= 8 * 2**20, f"kv-build peak {build / 2**20:.1f} MiB"
-    assert values <= 13 * 2**20, f"values --game peak {values / 2**20:.1f} MiB"
+    assert build <= 3.5 * 2**20, f"kv-build peak {build / 2**20:.1f} MiB"
+    assert values <= 6 * 2**20, f"values --game peak {values / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize(
