@@ -29,7 +29,6 @@ from .errors import GuardError, KvBellError, ValidationError
 from .kvgame import (
     EXACT_GAME_SIZES,
     MAX_LOG,
-    NOISE_ROW_BLOCK,
     BellFunctional,
     CosetTable,
     asymptotic_eta,
@@ -869,10 +868,9 @@ def cmd_referee_sim(args) -> int:
             return string_a[x], string_b[y]
 
     wins = 0
-    for lo in range(0, samples, NOISE_ROW_BLOCK):
-        block = slice(lo, lo + NOISE_ROW_BLOCK)
-        answers_a, answers_b = answers(draws.x[block], draws.y[block])
-        wins += int(np.count_nonzero((answers_a ^ answers_b) == draws.z[block]))
+    for d in draws:  # each block is played as it is drawn, so no round is kept
+        answers_a, answers_b = answers(d.x, d.y)
+        wins += int(np.count_nonzero((answers_a ^ answers_b) == d.z))
     rate = wins / samples
     stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / samples)
     # a run that wins every round (or none) has no spread of its own: measure

@@ -25,8 +25,8 @@ MAX_LOG = 4  # coset tables hold all 2**(2**l) strings, so l stays small
 # dense game tables exist up to n = 8; n = 16 would need (4096 * 16)**2
 # entries, far past memory, so n = 16 is served by the closed forms alone
 EXACT_GAME_SIZES = (2, 4, 8)
-REFEREE_ROUNDS_GUARD = 10**7  # rounds per run; each keeps 3 bytes (x, y, z) at n <= 8
-NOISE_ROW_BLOCK = 1 << 16  # rounds are drawn and played this many at a time
+REFEREE_ROUNDS_GUARD = 10**7  # rounds per run; bounds the time of a run, since no round is kept
+NOISE_ROW_BLOCK = 1 << 15  # rounds are drawn and played this many at a time
 
 
 @dataclass(frozen=True)
@@ -226,8 +226,9 @@ def entangled_lower_bound_asymptotic(n: int) -> float:
 
 @dataclass(frozen=True)
 class RefereeSamples:
-    """Question pairs and noise strings in the coset table's narrow dtypes
-    (uint8 at n <= 8), so widen x before forming x * N + y, which wraps at N = 32."""
+    """One block of rounds: question pairs and noise strings in the coset
+    table's narrow dtypes (uint8 at n <= 8), so widen x before forming
+    x * N + y, which wraps at N = 32."""
 
     x: np.ndarray
     y: np.ndarray
@@ -237,35 +238,41 @@ class RefereeSamples:
         return self.x.shape[0]
 
 
-def referee_sample(table: CosetTable, eta: float, seed: int, count: int = 1) -> RefereeSamples:
-    """Draw question pairs the way the referee does.
+def referee_sample(table: CosetTable, eta: float, seed: int, count: int = 1) -> Iterator[RefereeSamples]:
+    """Draw question pairs the way the referee does, as an iterator of
+    blocks of up to NOISE_ROW_BLOCK rounds in round order.
 
-    Randomness comes from numpy's PCG64(seed): every x first, in blocks of
-    NOISE_ROW_BLOCK rounds, then the noise bits, in blocks of
-    NOISE_ROW_BLOCK // n rounds.  Each block of x is drawn as int64 and
-    narrowed into the output, and the generator carries its spare 32-bit half
-    from one block to the next, so the samples equal one whole-length draw
-    and a fixed (table, eta, seed, count) fixes them.
+    The rounds are those of one PCG64(seed) stream read whole: every x
+    first, then the noise bits, count * n floats in round order.  num_cosets
+    is a power of two, so numpy draws each x from one 32-bit half with no
+    rejection, and the x draws end after (count + 1) // 2 64-bit outputs.
+    So the noise is read from a second PCG64(seed) advanced past them,
+    NOISE_ROW_BLOCK // n rounds at a time, while the first stream yields x
+    block by block, carrying its spare 32-bit half between blocks.  A fixed
+    (table, eta, seed, count) fixes the rounds, whatever the block size.
+    eta, count and the guard are checked at the call, before any block.
     """
     eta = _check_eta(eta)
     if count < 1:
         raise ValidationError("count must be positive")
     if count > REFEREE_ROUNDS_GUARD:
         raise GuardError(f"{count} rounds exceed the referee guard ({REFEREE_ROUNDS_GUARD})")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    blocks = [slice(lo, min(lo + NOISE_ROW_BLOCK, count)) for lo in range(0, count, NOISE_ROW_BLOCK)]
-    xs = np.empty(count, dtype=table.coset_of.dtype)
-    for b in blocks:
-        xs[b] = rng.integers(0, table.num_cosets, size=b.stop - b.start, dtype=np.int64)
-    zs = np.empty(count, dtype=table.elems.dtype)
-    rows = NOISE_ROW_BLOCK // table.n  # NOISE_ROW_BLOCK floats (0.5 MiB) per draw at every n
-    for lo in range(0, count, rows):  # same stream order as one (count, n) draw
-        flips = rng.random((min(rows, count - lo), table.n)) < eta
-        zs[lo : lo + len(flips)] = flips @ table.place
-    ys = np.empty_like(xs)
-    for b in blocks:
-        ys[b] = table.coset_of[table.elems[xs[b], 0] ^ zs[b]]
-    return RefereeSamples(x=xs, y=ys, z=zs)
+    x_rng = np.random.Generator(np.random.PCG64(seed))
+    noise_rng = np.random.Generator(np.random.PCG64(seed).advance((count + 1) // 2))
+    rows = NOISE_ROW_BLOCK // table.n  # NOISE_ROW_BLOCK floats (0.25 MiB) per draw at every n
+
+    def blocks():
+        for lo in range(0, count, NOISE_ROW_BLOCK):
+            size = min(NOISE_ROW_BLOCK, count - lo)
+            x = x_rng.integers(0, table.num_cosets, size=size, dtype=np.int64)
+            x = x.astype(table.coset_of.dtype)
+            z = np.empty(size, dtype=table.elems.dtype)
+            for r in range(0, size, rows):
+                flips = noise_rng.random((min(rows, size - r), table.n)) < eta
+                z[r : r + len(flips)] = flips @ table.place
+            yield RefereeSamples(x=x, y=table.coset_of[table.elems[x, 0] ^ z], z=z)
+
+    return blocks()
 
 
 def kv_game_columns(functional: BellFunctional) -> tuple[dict, Iterator[tuple[np.ndarray, ...]]]:

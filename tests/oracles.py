@@ -250,9 +250,10 @@ def per_pair_answers(table, draws, u) -> tuple[np.ndarray, np.ndarray]:
 def referee_sample_whole_x(table: CosetTable, eta: float, seed: int, count: int = 1) -> RefereeSamples:
     """Draw question pairs the way the referee does.
 
-    Randomness comes from numpy's PCG64(seed), with x drawn as int64 and
-    narrowed after, so a fixed (table, eta, seed, count) fixes the samples.
-    (The sampler before x was drawn in blocks; it holds every x as int64.)
+    Randomness comes from one numpy PCG64(seed) stream: every x, drawn as
+    int64 and narrowed after, then the noise bits, so a fixed (table, eta,
+    seed, count) fixes the samples.  (The sampler before x was drawn in
+    blocks; it holds every x as int64 and every round at once.)
     """
     eta = _check_eta(eta)
     if count < 1:
@@ -267,6 +268,12 @@ def referee_sample_whole_x(table: CosetTable, eta: float, seed: int, count: int 
         zs[lo : lo + len(flips)] = flips @ table.place
     ys = table.coset_of[table.elems[xs, 0] ^ zs]
     return RefereeSamples(x=xs, y=ys, z=zs)
+
+
+def join_blocks(blocks) -> RefereeSamples:
+    """The rounds of referee_sample's blocks, in order, as one RefereeSamples."""
+    blocks = list(blocks)
+    return RefereeSamples(*(np.concatenate([getattr(b, key) for b in blocks]) for key in "xyz"))
 
 
 def draw_answers_grouped(probs: np.ndarray, draws, rng) -> tuple[np.ndarray, np.ndarray]:

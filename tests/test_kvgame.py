@@ -10,10 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (
     assert_projective_measurement,
     coset_table_by_loop,
     direct_coefficient_table_numpy,
+    join_blocks,
     kv_game_to_json_per_entry,
     noise_string_probs,
     referee_sample_whole_x,
@@ -22,6 +25,7 @@ from oracles import (
 from kvbell.errors import GuardError, ValidationError
 from kvbell.kvgame import (
     BOUND_CONSTANTS,
+    MAX_LOG,
     NOISE_ROW_BLOCK,
     BellFunctional,
     asymptotic_eta,
@@ -233,12 +237,12 @@ def test_classical_upper_bound_identities():
 
 def test_referee_sample_determinism_and_consistency():
     table = build_hadamard_subgroup(2)
-    s1 = referee_sample(table, 0.25, seed=42, count=1000)
-    s2 = referee_sample(table, 0.25, seed=42, count=1000)
+    s1 = join_blocks(referee_sample(table, 0.25, seed=42, count=1000))
+    s2 = join_blocks(referee_sample(table, 0.25, seed=42, count=1000))
     assert np.array_equal(s1.x, s2.x)
     assert np.array_equal(s1.y, s2.y)
     assert np.array_equal(s1.z, s2.z)
-    s3 = referee_sample(table, 0.25, seed=43, count=1000)
+    s3 = join_blocks(referee_sample(table, 0.25, seed=43, count=1000))
     assert not np.array_equal(s1.z, s3.z)
     # y is determined by x and z
     assert np.array_equal(table.coset_of[table.elems[s1.x, 0] ^ s1.z], s1.y)
@@ -247,35 +251,78 @@ def test_referee_sample_determinism_and_consistency():
     assert s1.x.dtype == s1.y.dtype == s1.z.dtype == np.uint8
 
 
-@pytest.mark.parametrize("l", [1, 3, 4])
-@pytest.mark.parametrize(
-    "count",
-    [
-        NOISE_ROW_BLOCK // 16 + 1,
-        NOISE_ROW_BLOCK // 2 + 3,
-        NOISE_ROW_BLOCK - 1,
-        NOISE_ROW_BLOCK,
-        NOISE_ROW_BLOCK + 1,
-        3 * NOISE_ROW_BLOCK + 7,
-    ],
-)
-def test_blocked_referee_sample_matches_whole_length_draw(l, count):
-    # the generator keeps its spare 32-bit half between blocks of x, and the
-    # noise, drawn NOISE_ROW_BLOCK // n rows at a time (n = 2, 8, 16 here),
-    # matches the oracle's draws of NOISE_ROW_BLOCK rows
+@pytest.mark.parametrize("l", range(1, MAX_LOG + 1))
+def test_num_cosets_is_a_power_of_two(l):
+    # referee_sample starts the noise (count + 1) // 2 outputs into the
+    # stream: with a power-of-two range numpy draws each x from one 32-bit
+    # half and never rejects one
     table = build_hadamard_subgroup(l)
-    got = referee_sample(table, 0.3, seed=11, count=count)
-    want = referee_sample_whole_x(table, 0.3, seed=11, count=count)
+    assert table.num_cosets == 1 << ((1 << l) - l)
+
+
+def _assert_matches_whole_draw(table, seed, count):
+    blocks = list(referee_sample(table, 0.3, seed=seed, count=count))
+    assert [len(b) for b in blocks[:-1]] == [NOISE_ROW_BLOCK] * (len(blocks) - 1)
+    assert 0 < len(blocks[-1]) <= NOISE_ROW_BLOCK
+    got = join_blocks(blocks)
+    want = referee_sample_whole_x(table, 0.3, seed=seed, count=count)
     for key in "xyz":
         g, w = getattr(got, key), getattr(want, key)
         assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "count",
+    [
+        1,
+        2,
+        3,
+        NOISE_ROW_BLOCK // 8 + 1,
+        NOISE_ROW_BLOCK - 1,
+        NOISE_ROW_BLOCK,
+        NOISE_ROW_BLOCK + 1,
+        NOISE_ROW_BLOCK + 3,
+        2 * NOISE_ROW_BLOCK - 1,
+        2 * NOISE_ROW_BLOCK,
+        2 * NOISE_ROW_BLOCK + 1,
+        3 * NOISE_ROW_BLOCK + 7,
+        6 * NOISE_ROW_BLOCK + 7,
+    ],
+)
+def test_blocked_referee_sample_matches_whole_length_draw(l, count):
+    # x carries its spare 32-bit half between blocks, and the noise, read
+    # NOISE_ROW_BLOCK // n rows at a time from a second stream advanced past
+    # the x draws, is the noise that follows every x in one stream; counts
+    # of both parities sit on either side of the first two block edges
+    _assert_matches_whole_draw(build_hadamard_subgroup(l), 11, count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    l=st.integers(1, MAX_LOG),
+    count=st.integers(1, 3 * NOISE_ROW_BLOCK),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_blocked_referee_sample_matches_whole_length_draw_on_random_runs(l, count, seed):
+    _assert_matches_whole_draw(build_hadamard_subgroup(l), seed, count)
+
+
+def test_referee_sample_checks_its_arguments_before_any_block():
+    table = build_hadamard_subgroup(3)
+    with pytest.raises(GuardError, match="referee guard"):
+        referee_sample(table, 0.3, seed=0, count=10**7 + 1)
+    with pytest.raises(ValidationError, match="count must be positive"):
+        referee_sample(table, 0.3, seed=0, count=0)
+    with pytest.raises(ValidationError, match="noise rate"):
+        referee_sample(table, 0.6, seed=0, count=5)
 
 
 def test_referee_sample_statistics():
     table = build_hadamard_subgroup(2)
     eta = 0.25
     count = 100000
-    s = referee_sample(table, eta, seed=7, count=count)
+    s = join_blocks(referee_sample(table, eta, seed=7, count=count))
     # mean xor weight concentrates at n * eta
     mean_w = np.bitwise_count(s.z).mean()
     sigma = math.sqrt(4 * eta * (1 - eta) / count)
