@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
 
@@ -224,14 +223,16 @@ def _game_file_pieces(header: dict, blocks):
     entry is ever held.
 
     A coefficient depends only on the noise weight, so it takes at most n + 1
-    values; each is formatted once per block.  Every coefficient of the coset
-    game is positive, so no block is empty.
+    values; each is formatted once per block, keyed by the float itself.  A
+    Python set finds them, since numpy's unique loads numpy.ma.  Every
+    coefficient of the coset game is positive, so no block is empty.
     """
     row = '{"a": %d, "b": %d, "c": %s, "x": %d, "y": %d}'
     yield '{"K": %s, "N": %s, "entries": [' % (json.dumps(header["K"]), json.dumps(header["N"]))
     for i, block in enumerate(blocks):
-        coef_text = {c: json.dumps(c) for c in np.unique(block[-1]).tolist()}
-        rows = zip(*(col.tolist() for col in block))
+        columns = [col.tolist() for col in block]
+        coef_text = {c: json.dumps(c) for c in set(columns[-1])}
+        rows = zip(*columns)
         text = ", ".join([row % (a, b, coef_text[c], x, y) for x, y, a, b, c in rows])
         yield ", " + text if i else text
     yield '], "eta": %s, "n": %s}\n' % (json.dumps(header["eta"]), json.dumps(header["n"]))
@@ -715,6 +716,8 @@ def cmd_superactivation(args) -> int:
 
 
 def cmd_almost_activation(args) -> int:
+    from fractions import Fraction  # imported here: only this command parses a rational
+
     try:
         frac = Fraction(args.alpha)
     except (ValueError, ZeroDivisionError):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from ._numpy import np
 from .errors import GuardError, ValidationError
@@ -29,7 +28,6 @@ REFEREE_ROUNDS_GUARD = 10**7  # rounds per run; bounds the time of a run, since 
 NOISE_ROW_BLOCK = 1 << 15  # rounds are drawn and played this many at a time
 
 
-@dataclass(frozen=True)
 class BoundConstants:
     """Leading constants of the two asymptotic value bounds.
 
@@ -38,8 +36,11 @@ class BoundConstants:
     maximally entangled state.  Only the bound formulas consume these.
     """
 
-    classical: float
-    entangled: float
+    __slots__ = ("classical", "entangled")
+
+    def __init__(self, classical: float, entangled: float):
+        self.classical = classical
+        self.entangled = entangled
 
 
 BOUND_CONSTANTS = BoundConstants(classical=math.exp(4.0), entangled=4.0)
@@ -224,15 +225,17 @@ def entangled_lower_bound_asymptotic(n: int) -> float:
     return BOUND_CONSTANTS.entangled / math.log(n) ** 2
 
 
-@dataclass(frozen=True)
 class RefereeSamples:
     """One block of rounds: question pairs and noise strings in the coset
     table's narrow dtypes (uint8 at n <= 8), so widen x before forming
     x * N + y, which wraps at N = 32."""
 
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
+        self.x = x
+        self.y = y
+        self.z = z
 
     def __len__(self) -> int:
         return self.x.shape[0]

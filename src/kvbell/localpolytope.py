@@ -27,8 +27,6 @@ DENSE_LP_GUARD the entries of the LP matrix, checked before it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ._numpy import np
 from .errors import GuardError, NumericalError, ValidationError
 from .values import ProbDist, assignment_table
@@ -43,45 +41,45 @@ DENSE_LP_GUARD = 1 << 24
 RESIDUAL_NORM_TOL = 1e-7
 
 
-@dataclass(frozen=True)
 class LinearProgram:
     """max objective . x subject to rows . x <= rhs, or rows . x = rhs when
-    equality is set, and x >= 0, with every rhs >= 0."""
+    equality is set, and x >= 0, with every rhs >= 0; the arrays are held as
+    float64."""
 
-    objective: np.ndarray
-    rows: np.ndarray
-    rhs: np.ndarray
-    equality: bool
+    __slots__ = ("objective", "rows", "rhs", "equality")
 
-    def __post_init__(self):
-        objective = np.asarray(self.objective, dtype=np.float64)
-        rows = np.asarray(self.rows, dtype=np.float64)
-        rhs = np.asarray(self.rhs, dtype=np.float64)
+    def __init__(self, objective, rows, rhs, equality: bool):
+        objective = np.asarray(objective, dtype=np.float64)
+        rows = np.asarray(rows, dtype=np.float64)
+        rhs = np.asarray(rhs, dtype=np.float64)
         if rows.ndim != 2:
             raise ValidationError("constraint rows must form a matrix")
         m, n = rows.shape
         if objective.shape != (n,) or rhs.shape != (m,):
             raise ValidationError("objective/rows/rhs dimensions disagree")
-        if not isinstance(self.equality, bool):
-            raise ValidationError(f"equality must be True or False, got {self.equality!r}")
+        if not isinstance(equality, bool):
+            raise ValidationError(f"equality must be True or False, got {equality!r}")
         for arr in (objective, rows, rhs):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError("linear program contains non-finite entries")
         if m and rhs.min() < 0.0:
             raise ValidationError("right-hand sides must be nonnegative")
-        object.__setattr__(self, "objective", objective)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "rhs", rhs)
+        self.objective = objective
+        self.rows = rows
+        self.rhs = rhs
+        self.equality = equality
 
 
-@dataclass(frozen=True)
 class LPResult:
     """A certified optimum: its value, the point x and the optimal row
     multipliers (duals)."""
 
-    value: float
-    x: np.ndarray
-    dual: np.ndarray
+    __slots__ = ("value", "x", "dual")
+
+    def __init__(self, value: float, x: np.ndarray, dual: np.ndarray):
+        self.value = value
+        self.x = x
+        self.dual = dual
 
 
 def _factorize(matrix: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
@@ -238,14 +236,33 @@ def _decode_weights(q: np.ndarray, digits: np.ndarray, alice: np.ndarray, bob: n
     ]
 
 
-@dataclass(frozen=True)
 class LocalContentResult:
-    lam: float
-    variant: str
-    weights: list
-    residual_weights: list | None
-    residual_distribution: ProbDist | None
-    reconstruction_error: float
+    """What local_content returns; see its docstring for each field."""
+
+    __slots__ = (
+        "lam",
+        "variant",
+        "weights",
+        "residual_weights",
+        "residual_distribution",
+        "reconstruction_error",
+    )
+
+    def __init__(
+        self,
+        lam: float,
+        variant: str,
+        weights: list,
+        residual_weights: list | None,
+        residual_distribution: ProbDist | None,
+        reconstruction_error: float,
+    ):
+        self.lam = lam
+        self.variant = variant
+        self.weights = weights
+        self.residual_weights = residual_weights
+        self.residual_distribution = residual_distribution
+        self.reconstruction_error = reconstruction_error
 
 
 def local_content(dist: ProbDist, variant: str = "free") -> LocalContentResult:

@@ -14,7 +14,6 @@ makes the expansion useful downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ._numpy import np
 from .errors import GuardError, ValidationError
@@ -95,7 +94,6 @@ def locality_threshold(d: int) -> float:
     return num / den
 
 
-@dataclass(frozen=True)
 class StateExpansion:
     """Expansion of the k-fold isotropic power into 2^k product terms.
 
@@ -105,17 +103,18 @@ class StateExpansion:
     significant, descending, so the all-MES term always comes first.
     """
 
-    d: int
-    k: int
-    p: float
-    terms: tuple[tuple[float, tuple[str, ...]], ...]
+    __slots__ = ("d", "k", "p", "terms")
 
-    def __post_init__(self):
-        total = math.fsum(w for w, _ in self.terms)
-        if len(self.terms) != 1 << self.k:
-            raise ValidationError(f"expected {1 << self.k} terms, got {len(self.terms)}")
+    def __init__(self, d: int, k: int, p: float, terms: tuple[tuple[float, tuple[str, ...]], ...]):
+        total = math.fsum(w for w, _ in terms)
+        if len(terms) != 1 << k:
+            raise ValidationError(f"expected {1 << k} terms, got {len(terms)}")
         if abs(total - 1.0) > 1e-14:
             raise ValidationError(f"term weights sum to {total}, not 1")
+        self.d = d
+        self.k = k
+        self.p = p
+        self.terms = terms
 
 
 def expand_tensor_power(d: int, p: float, k: int) -> StateExpansion:

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
 
 from . import kernels
 from ._numpy import np
@@ -55,9 +53,10 @@ ALMOST_ACTIVATION_CONSTANT = BOUND_CONSTANTS.entangled / BOUND_CONSTANTS.classic
 class ProbDist:
     """Conditional outcome table P(a, b | x, y), stored as (N, N, K, K).
 
-    Entries down to -neg_tol are treated as float noise and clamped to 0;
-    anything lower is rejected.  Rows must be normalized per question pair
-    within norm_tol.
+    The table is kept as its own float64 copy, so the caller's array is
+    never changed.  Entries down to -neg_tol are treated as float noise and
+    clamped to 0 in that copy; anything lower is rejected.  Rows must be
+    normalized per question pair within norm_tol.
     """
 
     def __init__(self, table, neg_tol: float = 1e-14, norm_tol: float = 1e-10):
@@ -69,7 +68,7 @@ class ProbDist:
         low = float(table.min()) if table.size else 0.0
         if low < -neg_tol:
             raise ValidationError(f"entry {low:.3e} below -{neg_tol:.1e}")
-        table = np.clip(table, 0.0, None)
+        np.clip(table, 0.0, None, out=table)  # table is already a copy
         sums = table.sum(axis=(2, 3))
         worst = float(np.max(np.abs(sums - 1.0)))
         if worst > norm_tol:
@@ -252,7 +251,6 @@ def quantum_value_kv_closed_form(n: int, eta: float) -> float:
     return (1.0 - 2.0 * eta) ** 2 + 4.0 * eta * (1.0 - eta) / n
 
 
-@dataclass(frozen=True)
 class ExpansionValue:
     """KV value of an expanded isotropic power, computed exactly.
 
@@ -261,8 +259,11 @@ class ExpansionValue:
     every term's value is >= 0.
     """
 
-    total: float
-    mes_term: float
+    __slots__ = ("total", "mes_term")
+
+    def __init__(self, total: float, mes_term: float):
+        self.total = total
+        self.mes_term = mes_term
 
 
 def kv_value_for_expansion(expansion: StateExpansion, eta: float) -> ExpansionValue:
@@ -299,7 +300,7 @@ def _isotropic_power_fractions(d: int, k: int, p: Fraction, eta: Fraction):
     gain = (1 - 2 * eta) ** 2
     a = (1 - p + p * d**2) / d**2
     b = (1 - p + p * d) / d**2
-    total = gain * (a**k - b**k) + Fraction(1, d**k)
+    total = gain * (a**k - b**k) + _to_fraction(1) / d**k
     return total, p**k * ((d**k - 1) * gain + 1) / d**k
 
 
@@ -322,6 +323,8 @@ def isotropic_power_value(d: int, k: int, p: float, eta: float) -> tuple[float, 
         raise ValidationError(f"copy count must be >= 1, got {k}")
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"mixing weight must be in [0, 1], got {p}")
+    from fractions import Fraction  # exact binary values of the floats, unlike _to_fraction
+
     total, mes_term = _isotropic_power_fractions(d, k, Fraction(p), Fraction(_check_eta(eta)))
     return float(total), float(mes_term)
 
@@ -378,6 +381,9 @@ def superactivation_crossing(d: int, alpha: float, k_limit: int = 10**7) -> int 
 
 
 def _to_fraction(alpha) -> Fraction:
+    # imported here, so that only the commands that do rational arithmetic load it
+    from fractions import Fraction
+
     if isinstance(alpha, (Fraction, int, str)):
         return Fraction(alpha)
     # floats go through repr so 0.1 means the decimal 1/10, not its binary image
@@ -385,7 +391,7 @@ def _to_fraction(alpha) -> Fraction:
 
 
 def _check_alpha_range(frac: Fraction) -> Fraction:
-    if not 0 < frac < Fraction(1, 2):
+    if not 0 < frac < _to_fraction("1/2"):
         raise ValidationError(f"exponent parameter must be in (0, 1/2), got {frac}")
     return frac
 
@@ -395,13 +401,13 @@ def almost_activation_mix_weight(d: int, alpha) -> float:
     if d < 2:
         raise ValidationError(f"local dimension must be >= 2, got {d}")
     frac = _check_alpha_range(_to_fraction(alpha))
-    return math.log(d) ** float(Fraction(1, 2) - frac) / d
+    return math.log(d) ** float(_to_fraction("1/2") - frac) / d
 
 
 def almost_activation_exponent(alpha) -> Fraction:
     """Exact exponent 1/2 - 5*alpha of the lower-bound factor's growth in ln d."""
     frac = _check_alpha_range(_to_fraction(alpha))
-    return Fraction(1, 2) - 5 * frac
+    return _to_fraction("1/2") - 5 * frac
 
 
 def almost_activation_lower_factor(d: int, alpha) -> float:
@@ -418,13 +424,15 @@ def almost_activation_upper_formula(alpha) -> str:
     return f"D*(ln d)^(-{frac}) + 1"
 
 
-@dataclass
 class SeesawResult:
     """Best strategy found by the alternating heuristic and its exact value."""
 
-    value: float
-    alice: list
-    bob: list
+    __slots__ = ("value", "alice", "bob")
+
+    def __init__(self, value: float, alice: list, bob: list):
+        self.value = value
+        self.alice = alice
+        self.bob = bob
 
 
 def _random_projective(rng, dim: int, n_out: int) -> Measurement:

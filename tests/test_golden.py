@@ -1,0 +1,54 @@
+"""Golden `result` documents: every file in tests/golden/ holds a command's
+argv, its `result` and the sha256 of each file it writes, and the command
+must reproduce them byte for byte.  tests/golden/regen.py rewrites them."""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from kvbell.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def record(argv: list[str], before: list[list[str]], directory: Path) -> dict:
+    """Run the commands of before, then argv with --format json, in-process
+    with "{dir}" in their arguments naming directory.  Returns the golden
+    document: the argv, the result and the sha256 of each file argv wrote."""
+
+    def run(args):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([a.format(dir=directory) for a in args] + ["--format", "json"])
+        assert code == 0, args
+        return json.loads(out.getvalue())["result"]
+
+    for args in before:
+        run(args)
+    existing = set(directory.iterdir())
+    result = run(argv)
+    files = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(set(directory.iterdir()) - existing)
+    }
+    doc = {"argv": argv, "result": result, "files": files}
+    if before:
+        doc["before"] = before
+    return doc
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_result_matches_golden(path, tmp_path):
+    golden = json.loads(path.read_text())
+    got = record(golden["argv"], golden.get("before", []), tmp_path)
+    text = json.dumps(got["result"], sort_keys=True)
+    assert text == json.dumps(golden["result"], sort_keys=True)
+    assert got["files"] == golden["files"]
+
+
+def test_golden_corpus_is_present():
+    assert len(list(GOLDEN.glob("*.json"))) >= 18

@@ -9,9 +9,14 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import kvbell
 from kvbell.cli import main
+from kvbell.kvgame import BoundConstants, RefereeSamples
+from kvbell.localpolytope import LinearProgram, LocalContentResult, LPResult
+from kvbell.states import StateExpansion
+from kvbell.values import ExpansionValue, SeesawResult
 
 # small runs of every command that together reach each public function
 COMMANDS = [
@@ -53,8 +58,17 @@ def test_cli_import_leaves_scipy_unloaded():
     assert _fresh_python(code) == "[]"
 
 
-# prints, after each command, whether a module under {prefix!r} has been loaded
-NUMPY_PROBE = """
+def test_cli_import_leaves_unused_stdlib_unloaded():
+    # dataclasses brings inspect, ast, dis and tokenize; fractions brings decimal.
+    # Only the commands that do rational arithmetic import fractions
+    unused = ["dataclasses", "inspect", "fractions", "decimal"]
+    code = f"import sys, kvbell.cli; print([m for m in {unused!r} if m in sys.modules])"
+    assert _fresh_python(code) == "[]"
+
+
+# prints, after each command, whether a module whose name starts with {prefix!r}
+# has been loaded
+MODULE_PROBE = """
 import contextlib, io, sys
 from kvbell.cli import main
 
@@ -74,7 +88,7 @@ def test_formula_commands_never_load_numpy():
         ["almost-activation", "--d-grid", "4,8"],
         ["values", "--l", "2"],
     ]
-    loaded = _fresh_python(NUMPY_PROBE.format(commands=commands, prefix="numpy.")).split()
+    loaded = _fresh_python(MODULE_PROBE.format(commands=commands, prefix="numpy.")).split()
     assert loaded == ["False", "False", "False", "True"]
 
 
@@ -90,7 +104,7 @@ def test_local_content_never_loads_numpy_random(tmp_path):
         ["local-content", "--dist", str(dist), "--variant", "local"],
         ["referee-sim", "--l", "2", "--samples", "10"],
     ]
-    loaded = _fresh_python(NUMPY_PROBE.format(commands=commands, prefix="numpy.random")).split()
+    loaded = _fresh_python(MODULE_PROBE.format(commands=commands, prefix="numpy.random")).split()
     assert loaded == ["False", "False", "False", "False", "True"]
 
 
@@ -104,8 +118,89 @@ def test_values_never_loads_numpy_random(tmp_path):
         ["kv-build", "--l", "3", "--out", game],
         ["values", "--game", game],
     ]
-    loaded = _fresh_python(NUMPY_PROBE.format(commands=commands, prefix="numpy.random")).split()
+    loaded = _fresh_python(MODULE_PROBE.format(commands=commands, prefix="numpy.random")).split()
     assert loaded == ["False", "False", "False", "False"]
+
+
+def test_no_command_loads_dataclasses(tmp_path):
+    commands = [[part.format(dir=tmp_path) for part in argv] for argv in COMMANDS]
+    commands.append(["values", "--game", str(tmp_path / "game.json")])
+    loaded = _fresh_python(MODULE_PROBE.format(commands=commands, prefix="dataclasses")).split()
+    assert loaded == ["False"] * len(commands)
+
+
+def test_formula_commands_never_load_inspect():
+    commands = [
+        ["superactivation", "--d", "8", "--k", "1:8"],
+        ["superactivation", "--d", "2", "--k", "1:3"],
+        ["almost-activation", "--d-grid", "4,8", "--delta", "2"],
+    ]
+    loaded = _fresh_python(MODULE_PROBE.format(commands=commands, prefix="inspect")).split()
+    assert loaded == ["False"] * len(commands)
+
+
+def test_fractions_load_only_for_rational_arithmetic(tmp_path):
+    # the exact columns of superactivation at d**k <= 8 are rational, which shows a load
+    game = str(tmp_path / "game.json")
+    commands = [
+        ["values", "--l", "2"],
+        ["kv-build", "--l", "2", "--out", game],
+        ["values", "--game", game],
+        ["referee-sim", "--l", "2", "--samples", "10"],
+        ["local-content", "--dist", "pr-box"],
+        ["local-content", "--dist", "chsh-quantum", "--variant", "local"],
+        ["superactivation", "--d", "8", "--k", "1:8"],
+    ]
+    loaded = _fresh_python(MODULE_PROBE.format(commands=commands, prefix="fractions")).split()
+    assert loaded == ["False"] * 6 + ["True"]
+
+
+def test_game_file_commands_never_load_numpy_ma(tmp_path):
+    # np.unique loads numpy.ma (numpy 2.4); the trailing dot keeps numpy.matrixlib out
+    game = str(tmp_path / "game.json")
+    commands = [["kv-build", "--l", "3", "--out", game], ["values", "--game", game]]
+    loaded = _fresh_python(MODULE_PROBE.format(commands=commands, prefix="numpy.ma.")).split()
+    assert loaded == ["False", "False"]
+
+
+# the result records are plain classes with __slots__ that take their fields by
+# keyword or by position, in this order
+RECORDS = [
+    (BoundConstants, {"classical": 2.0, "entangled": 3.0}),
+    (RefereeSamples, {"x": np.arange(3), "y": np.arange(3), "z": np.zeros(3)}),
+    (
+        LinearProgram,
+        {"objective": np.ones(2), "rows": np.ones((1, 2)), "rhs": np.ones(1), "equality": False},
+    ),
+    (LPResult, {"value": 1.0, "x": np.ones(2), "dual": np.ones(1)}),
+    (
+        LocalContentResult,
+        {
+            "lam": 0.5,
+            "variant": "remainder-free",
+            "weights": [],
+            "residual_weights": None,
+            "residual_distribution": None,
+            "reconstruction_error": 0.0,
+        },
+    ),
+    (StateExpansion, {"d": 2, "k": 1, "p": 0.5, "terms": ((0.5, ("MES",)), (0.5, ("MIX",)))}),
+    (ExpansionValue, {"total": 0.5, "mes_term": 0.25}),
+    (SeesawResult, {"value": 0.75, "alice": [], "bob": []}),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_records_take_fields_by_keyword_and_position(cls, fields):
+    assert cls.__slots__ == tuple(fields)
+    for record in (cls(**fields), cls(*fields.values())):
+        assert not hasattr(record, "__dict__")
+        # float64 arrays pass LinearProgram's conversion as they are
+        assert all(getattr(record, name) is value for name, value in fields.items())
+
+
+def test_referee_samples_length_counts_rounds():
+    assert len(RefereeSamples(x=np.arange(5), y=np.arange(5), z=np.zeros(5))) == 5
 
 
 def test_an_imported_numpy_is_used_as_it_is():

@@ -91,6 +91,17 @@ def test_probdist_validation():
     assert d.table[0, 0, 0, 0] >= 0.0
 
 
+def test_probdist_clamps_its_own_copy():
+    # entries in [-neg_tol, 0) are clamped to 0 in ProbDist's table, never in the caller's
+    t = np.full((2, 2, 2, 2), 0.25)
+    t[0, 1, 0, 0], t[0, 1, 0, 1] = -5e-15, 0.5 + 5e-15
+    given = t.copy()
+    d = ProbDist(t, neg_tol=1e-14)
+    assert d.table[0, 1, 0, 0] == 0.0 and d.table.min() == 0.0
+    assert not np.shares_memory(d.table, t)
+    assert np.array_equal(t, given)
+
+
 @pytest.mark.parametrize("fill", ["all", "one"])
 def test_probdist_rejects_nan(fill):
     # NaN fails every comparison, so the range and normalization checks alone pass it
