@@ -294,237 +294,115 @@ def _entry_hook(obj: dict):
 
 
 _entry_decoder = json.JSONDecoder(object_hook=_entry_hook)
-_scan = _entry_decoder.scan_once
-_whitespace = json.decoder.WHITESPACE.match
 
 
-class _EntryColumns:
-    """A game file's entries list as typed columns, filled from one batch of
-    decoded rows at a time, and the first problem _load_game reports on it.
+def _entry_columns(rows: list, columns: list[bytearray]) -> None:
+    """Append the raw bytes of the x, y, a, b and c of rows, decoded entries,
+    to columns, or raise the first problem in file order: an entry that is
+    not an object with keys x, y, a, b and c; then, key by key, a value of
+    the wrong JSON type and a value the column cannot hold."""
+    if not set(map(type, rows)) <= {tuple}:
+        row = next(r for r in rows if type(r) is not tuple)
+        raise ValidationError(f"game entry {row!r} is not an object with keys x, y, a, b and c")
+    for j, (col, (types, what, dtype)) in enumerate(zip(zip(*rows), _ENTRY_TYPES)):
+        if not set(map(type, col)) <= types:
+            row = next(r for r in rows if type(r[j]) not in types)
+            shown = dict(zip(ENTRY_KEYS, row))
+            raise ValidationError(f"game entry {shown!r} needs {what} under {ENTRY_KEYS[j]!r}")
+        try:
+            columns[j] += np.fromiter(col, dtype, count=len(col)).tobytes()
+        except OverflowError as exc:
+            raise ValidationError(f"bad game entry: {exc!r}") from None
 
-    Problems rank in the order _load_game checks them: an entry that is not
-    an object with keys x, y, a, b and c; then, key by key, a value of the
-    wrong type and a value the column cannot hold.  Only the first problem
-    of the lowest rank is kept.
+
+def _read_streamed(fh) -> dict | None:
+    """What _read_whole gives for a file whose first "[" opens the top-level
+    entries list, as in every file kv-build writes, read GAME_FILE_WINDOW
+    characters at a time, so neither the text nor an object per entry is
+    held; None for any other file, and for any file this does not read
+    exactly as json.load would.
+
+    Each window's entries, through its last "}", decode as one list led by
+    a stand-in for the entries before them, so json checks every "," between
+    windows.  A "}" is a whole token, so text that decodes so holds whole
+    entries, tokenized as in the whole file; a window that does not decode
+    grows, and at the end of the file the rest decodes up to the list's "]".
+    Entries must be flat objects of five keys: each holds exactly the ten
+    quote characters of its key names.
     """
-
-    def __init__(self):
-        self.count = 0
-        self.columns = [bytearray() for _ in ENTRY_KEYS]  # the raw bytes of each column
-        self.odd_c = {}  # row -> its c where that is not a float (an int or null)
-        self.rank = 2 * len(ENTRY_KEYS) + 1
-        self.problem = None
-
-    def _note(self, rank: int, problem: str) -> None:
-        if rank < self.rank:
-            self.rank, self.problem = rank, problem
-
-    def add(self, rows: list) -> None:
-        start = self.count
-        self.count += len(rows)
-        if not set(map(type, rows)) <= {tuple}:
-            row = next(r for r in rows if type(r) is not tuple)
-            self._note(0, f"game entry {row!r} is not an object with keys x, y, a, b and c")
-            return
-        for j, (col, (types, what, dtype)) in enumerate(zip(zip(*rows), _ENTRY_TYPES)):
-            kinds = set(map(type, col))
-            if not kinds <= types:
-                row = next(r for r in rows if type(r[j]) not in types)
-                shown = dict(zip(ENTRY_KEYS, row))
-                self._note(2 * j + 1, f"game entry {shown!r} needs {what} under {ENTRY_KEYS[j]!r}")
-                return
-            try:
-                self.columns[j] += np.fromiter(col, dtype, count=len(col)).tobytes()
-            except OverflowError as exc:
-                self._note(2 * j + 2, f"bad game entry: {exc!r}")
-                return
-        if rows and kinds != {float}:
-            self.odd_c.update((start + i, c) for i, c in enumerate(col) if type(c) is not float)
-
-    def checked(self) -> tuple[list[np.ndarray], np.ndarray]:
-        """The x, y, a, b index columns and the coefficient column, once every
-        entry has passed the checks above."""
-        if self.problem is not None:
-            raise ValidationError(self.problem)
-        # from here on the columns are numpy views of those bytes
-        self.columns = [np.frombuffer(col, t[2]) for col, t in zip(self.columns, _ENTRY_TYPES)]
-        return self.columns[:4], self.columns[4]
-
-    def reject(self, bad: np.ndarray, problem: str) -> None:
-        """Refuse the first entry where bad holds, shown as the object it was read from."""
-        if bad.any():
-            i = int(np.argmax(bad))
-            values = [col[i].item() for col in self.columns]
-            values[4] = self.odd_c.get(i, values[4])
-            raise ValidationError(f"game entry {dict(zip(ENTRY_KEYS, values))!r} {problem}")
-
-
-class _GameText:
-    """The text of an open game file, GAME_FILE_WINDOW characters at a time:
-    text holds the file from offset base on, and fill drops what the reader
-    has passed.  Syntax errors name json's reason and the line, column and
-    character in the whole file, as json.load does."""
-
-    def __init__(self, fh, path: str):
-        self.fh, self.path = fh, path
-        self.text, self.base, self.eof = "", 0, False
-        self.lines, self.line_start = 0, -1  # newlines before base, offset of the last
-
-    def fill(self, pos: int, size: int | None = None) -> int:
-        """Drop the text before pos and read on until size (by default a
-        window) characters follow it or the file ends; pos becomes 0."""
-        text = self.text
-        last = text.rfind("\n", 0, pos)
-        if last >= 0:
-            self.lines += text.count("\n", 0, pos)
-            self.line_start = self.base + last
-        self.base += pos
-        text = text[pos:]
-        size = size or GAME_FILE_WINDOW
-        while len(text) < size and not self.eof:
-            chunk = self.fh.read(size - len(text))
-            self.eof = not chunk
-            text += chunk
-        self.text = text
-        return 0
-
-    def at(self, pos: int) -> str:
-        return self.text[pos : pos + 1]
-
-    def skip(self, pos: int) -> int:
-        """The first index at or after pos that is not JSON whitespace
-        (len(text) at the end of the file)."""
+    head = chunk = ""
+    while "[" not in chunk:
+        chunk = fh.read(GAME_FILE_WINDOW)
+        if not chunk:
+            return None
+        head += chunk
+    cut = head.index("[") + 1
+    head, text = head[:cut], "," + head[cut:]
+    columns = [bytearray() for _ in ENTRY_KEYS]
+    size, eof = GAME_FILE_WINDOW, False
+    try:
+        # a "[" inside a string or a nested object leaves this unparsable
+        if json.loads(head + "]}", object_pairs_hook=list)[-1:] != [("entries", [])]:
+            return None
         while True:
-            pos = _whitespace(self.text, pos).end()
-            if pos < len(self.text) or self.eof:
-                return pos
-            pos = self.fill(pos)
-
-    def scan(self, pos: int) -> tuple[object, int]:
-        """The JSON value at pos, decoded with _entry_hook, and the index just
-        after it.  The window grows until the value ends at least 4 characters
-        before the window does (a number's end shows up to 3 characters on)
-        or the file ends, so no cut shortens a value."""
-        while True:
-            try:
-                value, end = _scan(self.text, pos)
-                if end + 3 < len(self.text) or self.eof:
-                    return value, end
-            except StopIteration as exc:
-                if self.eof:
-                    raise self.error("Expecting value", exc.value) from None
-            except json.JSONDecodeError as exc:
-                if self.eof:
-                    raise self.error(exc.msg, exc.pos) from None
-            except (ValueError, RecursionError):
-                # an integer past the digit limit, or nesting past the recursion limit
-                if self.eof:
-                    self.drain()
-                    raise
-            pos = self.fill(pos, 2 * (len(self.text) - pos) + GAME_FILE_WINDOW)
-
-    def drain(self) -> None:
-        """Decode the rest of the file, so bytes that are not UTF-8 are
-        reported ahead of a syntax error, as when the file was read whole."""
-        while self.fh.read(GAME_FILE_WINDOW):
-            pass
-
-    def error(self, reason: str, pos: int) -> ValidationError:
-        """json's error for reason at text[pos], once the rest is decoded."""
-        self.drain()
-        line = self.lines + self.text.count("\n", 0, pos) + 1
-        last = self.text.rfind("\n", 0, pos)
-        column = pos - last if last >= 0 else self.base + pos - self.line_start
-        where = f"line {line} column {column} (char {self.base + pos})"
-        return ValidationError(f"invalid JSON in {self.path}: {reason}: {where}")
-
-
-def _read_entries(src: _GameText, pos: int) -> tuple[_EntryColumns, int]:
-    """The entries list, from just after its "[" to just after its "]".
-
-    The elements are decoded a window at a time, as one list of the text
-    from pos through the window's last "}".  A "}" is a whole token, so text
-    that decodes so holds whole elements, tokenized as in the whole file.
-    Where it does not decode (the list's last window, a "}" inside a string
-    or a nested value, an element longer than the window, a syntax error),
-    the elements through that "}" are scanned one at a time.
-    """
-    entries = _EntryColumns()
-    rows = []
-    scan_to = -1  # file offset through which elements are scanned one at a time
-    pos = src.skip(pos)
-    if src.at(pos) == "]":
-        return entries, pos + 1
-    while True:
-        if src.base + pos > scan_to:
-            if len(src.text) - pos < GAME_FILE_WINDOW:
-                pos = src.fill(pos)
-            k = src.text.rfind("}", pos)
-            scan_to = src.base + (k if k >= 0 else len(src.text))
-            if k >= 0:
+            while len(text) < size and not eof:
+                chunk = fh.read(size - len(text))
+                text += chunk
+                eof = not chunk
+            if eof:
+                rows, end = _entry_decoder.raw_decode("[[]" + text)
+                end -= 3
+            else:
+                end = text.rfind("}") + 1
                 try:
-                    rows += _entry_decoder.decode("[" + src.text[pos : k + 1] + "]")
-                    pos = k + 1
+                    rows = _entry_decoder.decode("[[]" + text[:end] + "]")
                 except (ValueError, RecursionError):
-                    pass
-        if src.base + pos <= scan_to:
-            row, pos = src.scan(pos)
-            rows.append(row)
-        pos = src.skip(pos)
-        if src.at(pos) == "]":
-            entries.add(rows)
-            return entries, pos + 1
-        if src.at(pos) != ",":
-            raise src.error("Expecting ',' delimiter", pos)
-        pos = src.skip(pos + 1)
-        if src.base + pos > scan_to:
-            entries.add(rows)
-            rows = []
+                    rows, end = [[]], 0
+            rows = rows[1:]
+            if text.count('"', 0, end) != 10 * len(rows):
+                return None
+            _entry_columns(rows, columns)
+            if eof:
+                break
+            if rows:
+                text, size = text[end:], GAME_FILE_WINDOW
+            else:
+                size = 2 * len(text)
+        rest = head + "]" + text[end:]
+        keys = [key for key, _ in json.loads(rest, object_pairs_hook=list)]
+        doc = json.loads(rest, object_hook=_entry_hook)
+    except (ValueError, RecursionError, ValidationError):
+        return None
+    if keys.count("entries") != 1 or type(doc) is not dict:
+        return None
+    doc["entries"] = columns
+    return doc
 
 
-def _read_game_doc(src: _GameText):
-    """What json.load(fh, object_hook=_entry_hook) gives for the file, except
-    that a list under the top-level key "entries" is read into _EntryColumns."""
-    src.fill(0)
-    if src.text.startswith("\ufeff"):
-        raise src.error("Unexpected UTF-8 BOM (decode using utf-8-sig)", 0)
-    pos = src.skip(0)
-    if src.at(pos) != "{":
-        doc, pos = src.scan(pos)
-    else:
-        doc = {}
-        pos = src.skip(pos + 1)
-        if src.at(pos) != "}":
-            while True:
-                if src.at(pos) != '"':
-                    raise src.error("Expecting property name enclosed in double quotes", pos)
-                key, pos = src.scan(pos)
-                pos = src.skip(pos)
-                if src.at(pos) != ":":
-                    raise src.error("Expecting ':' delimiter", pos)
-                pos = src.skip(pos + 1)
-                if key == "entries" and src.at(pos) == "[":
-                    doc[key], pos = _read_entries(src, pos + 1)
-                else:
-                    doc[key], pos = src.scan(pos)
-                pos = src.skip(pos)
-                if src.at(pos) == "}":
-                    break
-                if src.at(pos) != ",":
-                    raise src.error("Expecting ',' delimiter", pos)
-                pos = src.skip(pos + 1)
-        pos += 1
-    pos = src.skip(pos)
-    if pos < len(src.text):
-        raise src.error("Extra data", pos)
+def _read_whole(fh):
+    """json.load(fh, object_hook=_entry_hook) from the start of the file, with
+    a top-level entries list given as its columns (_entry_columns)."""
+    fh.seek(0)
+    doc = json.load(fh, object_hook=_entry_hook)
+    if type(doc) is tuple:
+        # the top-level object has keys x, y, a, b and c too
+        fh.seek(0)
+        doc = json.load(fh)
+        if type(doc.get("entries")) is list:
+            doc["entries"] = [_entry_hook(e) if type(e) is dict else e for e in doc["entries"]]
+    if type(doc) is dict and type(doc.get("entries")) is list:
+        columns = [bytearray() for _ in ENTRY_KEYS]
+        _entry_columns(doc["entries"], columns)
+        doc["entries"] = columns
     return doc
 
 
 def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
-    """The game in a game file, read a window at a time (_read_game_doc), so
-    neither the file's text nor an object per entry is ever held, then
-    checked: the header first, then the entries."""
-    doc = _load_json(path, lambda fh: _read_game_doc(_GameText(fh, path)))
+    """The game in a game file, read a window at a time where the layout
+    allows (_read_streamed) and whole otherwise, then checked: the entries'
+    shape and types as they are read, the header, then the entries' indices,
+    coefficients and uniqueness."""
+    doc = _load_json(path, lambda fh: _read_streamed(fh) or _read_whole(fh))
     for key in ("n", "eta", "N", "K", "entries"):
         if key not in doc:
             raise ValidationError(f"game file missing key {key!r}")
@@ -535,16 +413,25 @@ def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
     N, K = (_header(doc, key, (int,), "an integer") for key in "NK")
     if (N, K) != (table.num_cosets, n):
         raise ValidationError(f"game file shape ({N}, {K}) does not match n = {n}")
-    entries = _header(doc, "entries", (_EntryColumns,), "a list")
-    index, coef = entries.checked()
+    entries = _header(doc, "entries", (list,), "a list")
+    columns = [np.frombuffer(col, t[2]) for col, t in zip(entries, _ENTRY_TYPES)]
+    index, coef = columns[:4], columns[4]
+
+    def reject(bad: np.ndarray, problem: str) -> None:
+        """Refuse the first entry where bad holds, shown as its columns hold it."""
+        if bad.any():
+            i = int(np.argmax(bad))
+            shown = dict(zip(ENTRY_KEYS, [col[i].item() for col in columns]))
+            raise ValidationError(f"game entry {shown!r} {problem}")
+
     shape = (N, N, K, K)
-    outside = np.zeros(entries.count, dtype=bool)
+    outside = np.zeros(len(coef), dtype=bool)
     for col, size in zip(index, shape):
         outside |= (col < 0) | (col >= size)
-    entries.reject(outside, f"has an index outside {shape}")
-    entries.reject(~np.isfinite(coef), "has a non-finite coefficient")
+    reject(outside, f"has an index outside {shape}")
+    reject(~np.isfinite(coef), "has a non-finite coefficient")
     flat = np.ravel_multi_index(index, shape)
-    entries.reject(np.bincount(flat)[flat] > 1, "appears more than once")
+    reject(np.bincount(flat)[flat] > 1, "appears more than once")
     dense = np.zeros(shape)
     dense.flat[flat] = coef
     try:

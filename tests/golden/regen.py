@@ -6,7 +6,9 @@ Each file is named after its command and holds what test_golden.record
 returns for it.  The commands are those of tests/test_package.COMMANDS, plus
 the benchmark's values-n8, game-file-n8 (with its reference command) and
 referee-n8 commands at --seed 1, pass 0 (perfbench/workloads.py), spelled
-out here so that a change to the workloads leaves the corpus as it is.
+out here so that a change to the workloads leaves the corpus as it is, plus
+values at every exact size and three eta, and values --game on the kv-build
+file of each size.
 A change to a golden file is a test change: list its fields in CHANGES.md.
 """
 
@@ -42,9 +44,25 @@ WORKLOADS = {
 }
 
 
+# values by size: l = 1-4 at three eta, and the eta = auto rule where it applies
+VALUES = {
+    f"values-l{l}-{eta}": (["values", "--l", str(l), "--eta", eta], [])
+    for l in (1, 2, 3, 4)
+    for eta in ("0.05", "0.25", "0.45") + (("auto",) if l >= 3 else ())
+}
+# values --game on the file kv-build writes at l = 1-3
+GAME = {
+    f"values-game-l{l}": (
+        ["values", "--game", "{dir}/game.json"],
+        [["kv-build", "--l", str(l), "--eta", eta, "--out", "{dir}/game.json"]],
+    )
+    for l, eta in ((1, "0.25"), (2, "0.25"), (3, "auto"))
+}
+
+
 def commands() -> dict:
     package = {f"package-{i}-{argv[0]}": (argv, []) for i, argv in enumerate(COMMANDS)}
-    return {**package, **WORKLOADS}
+    return {**package, **WORKLOADS, **VALUES, **GAME}
 
 
 def main() -> None:

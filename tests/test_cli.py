@@ -28,7 +28,15 @@ from oracles import (
 )
 
 import kvbell
-from kvbell.cli import _answer_cdf, _draw_answers, _game_file_pieces, _load_game, main
+from kvbell.cli import (
+    _answer_cdf,
+    _draw_answers,
+    _game_file_pieces,
+    _load_game,
+    _read_streamed,
+    _read_whole,
+    main,
+)
 from kvbell.errors import KvBellError
 from kvbell.kvgame import (
     NOISE_ROW_BLOCK,
@@ -919,10 +927,32 @@ def test_game_file_pieces_match_json_dumps(l, eta):
     assert np.array_equal(columns[-1], game.dense()[nz])
 
 
-@pytest.mark.parametrize("l,eta", [(1, "0.25"), (2, "0.1"), (3, "auto"), (3, "0.05")])
-def test_values_of_a_game_file_match_values_by_size(tmp_path, capsys, l, eta):
+def _game_file_layout(text: str, layout: str) -> str:
+    """A kv-build file's text in layout: "kv-build" as written, "indent" as
+    json.dump writes it with indent=2 and every object's keys reversed,
+    "list-first" with a list ahead of entries."""
+    if layout == "indent":
+        reversed_keys = json.loads(text, object_hook=lambda o: dict(reversed(o.items())))
+        return json.dumps(reversed_keys, indent=2)
+    if layout == "list-first":
+        return json.dumps({"notes": ["rewritten"], **json.loads(text)})
+    return text
+
+
+@pytest.mark.parametrize(
+    "l,eta,layout",
+    [
+        # the kv-build layout keeps the test's ids from before layouts were added
+        pytest.param(l, eta, layout, id="-".join([str(l), eta] + [layout] * (layout != "kv-build")))
+        for l, eta in [(1, "0.25"), (2, "0.1"), (3, "auto"), (3, "0.05")]
+        for layout in ("kv-build", "indent", "list-first")
+    ],
+)
+def test_values_of_a_game_file_match_values_by_size(tmp_path, capsys, l, eta, layout):
+    # the file streams in the first two layouts and is read whole in the third
     path = tmp_path / "game.json"
     run_json(capsys, ["kv-build", "--l", str(l), "--eta", eta, "--out", str(path)])
+    path.write_text(_game_file_layout(path.read_text(), layout))
     loaded = run_json(capsys, ["values", "--game", str(path), "--seed", "3"])["result"]
     direct = run_json(capsys, ["values", "--l", str(l), "--eta", eta, "--seed", "3"])["result"]
     assert loaded["classical"] == direct["classical"]
@@ -1129,6 +1159,31 @@ def test_game_file_reader_on_raw_text_matches_per_entry_oracle(kv_build_docs, da
             assert got == want
     else:
         assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+
+@pytest.mark.parametrize("l,eta", [(1, "0.25"), (2, "0.25"), (3, "auto")])
+def test_game_file_read_a_window_at_a_time_only_in_its_layout(tmp_path, capsys, l, eta):
+    # any file may be read whole; these pin which ones stream, since otherwise
+    # only the n = 8 memory bound would notice the streamed path going unused
+    path = tmp_path / "game.json"
+    run_json(capsys, ["kv-build", "--l", str(l), "--eta", eta, "--out", str(path)])
+    text = path.read_text()
+    doc = json.loads(text)
+    streams = [text, _game_file_layout(text, "indent")]
+    whole = [
+        _game_file_layout(text, "list-first"),
+        text.rstrip()[:-1] + ', "entries": []}',  # a second top-level entries
+        json.dumps({"game": doc, **{k: v for k, v in doc.items() if k != "entries"}}),
+    ]
+    for written in streams + whole:
+        path.write_text(written)
+        with open(path, encoding="utf-8") as fh:
+            got = _read_streamed(fh)
+            if written in streams:
+                assert got == _read_whole(fh)
+                assert len(got["entries"][0]) == 8 * len(doc["entries"])
+            else:
+                assert got is None
 
 
 def _traced_peak(argv) -> int:
