@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import time
-from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -65,9 +64,6 @@ from .values import (
     tsirelson_box_dist,
     _check_restarts,
 )
-
-# characters of game-file text read and decoded at a time
-GAME_FILE_WINDOW = 1 << 16
 
 
 def _tagged(value, method: str) -> dict:
@@ -186,10 +182,10 @@ def _parse_d_grid(token: str) -> list[int]:
     return [_check_dimension(_parse_int(p, "--d-grid"), "--d-grid") for p in token.split(",")]
 
 
-def _load_json(path: str, load=json.load) -> dict:
+def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError:
@@ -275,7 +271,6 @@ def cmd_kv_build(args) -> int:
 
 
 ENTRY_KEYS = "xyabc"
-_entry_row = itemgetter(*ENTRY_KEYS)
 # per key of an entry: the JSON types it may hold (type(), so JSON booleans,
 # a bool subclass of int, are refused), what the message calls them, its column
 _ENTRY_TYPES = [({int}, "an integer index", "int64")] * 4 + [
@@ -284,125 +279,72 @@ _ENTRY_TYPES = [({int}, "an integer index", "int64")] * 4 + [
 ]
 
 
-def _entry_hook(obj: dict):
-    """An object holding the keys x, y, a, b and c as the tuple of those
-    values, so no game entry keeps a dict; any other object as itself."""
-    try:
-        return _entry_row(obj)
-    except KeyError:
-        return obj
-
-
-_entry_decoder = json.JSONDecoder(object_hook=_entry_hook)
-
-
-def _entry_columns(rows: list, columns: list[bytearray]) -> None:
-    """Append the raw bytes of the x, y, a, b and c of rows, decoded entries,
-    to columns, or raise the first problem in file order: an entry that is
-    not an object with keys x, y, a, b and c; then, key by key, a value of
-    the wrong JSON type and a value the column cannot hold."""
-    if not set(map(type, rows)) <= {tuple}:
-        row = next(r for r in rows if type(r) is not tuple)
-        raise ValidationError(f"game entry {row!r} is not an object with keys x, y, a, b and c")
-    for j, (col, (types, what, dtype)) in enumerate(zip(zip(*rows), _ENTRY_TYPES)):
+def _entry_columns(entries: list) -> list[np.ndarray]:
+    """The x, y, a, b and c of entries, decoded JSON, as numpy columns, or
+    the first problem in file order: an entry that is not an object with keys
+    x, y, a, b and c; then, key by key, a value of the wrong JSON type and a
+    value the column cannot hold."""
+    for entry in entries:
+        if type(entry) is not dict or not entry.keys() >= set(ENTRY_KEYS):
+            problem = "is not an object with keys x, y, a, b and c"
+            raise ValidationError(f"game entry {entry!r} {problem}")
+    columns = []
+    for key, (types, what, dtype) in zip(ENTRY_KEYS, _ENTRY_TYPES):
+        col = [entry[key] for entry in entries]
         if not set(map(type, col)) <= types:
-            row = next(r for r in rows if type(r[j]) not in types)
-            shown = dict(zip(ENTRY_KEYS, row))
-            raise ValidationError(f"game entry {shown!r} needs {what} under {ENTRY_KEYS[j]!r}")
+            entry = next(e for e in entries if type(e[key]) not in types)
+            shown = {k: entry[k] for k in ENTRY_KEYS}
+            raise ValidationError(f"game entry {shown!r} needs {what} under {key!r}")
         try:
-            columns[j] += np.fromiter(col, dtype, count=len(col)).tobytes()
+            columns.append(np.fromiter(col, dtype, count=len(col)))
         except OverflowError as exc:
             raise ValidationError(f"bad game entry: {exc!r}") from None
+    return columns
 
 
-def _read_streamed(fh) -> dict | None:
-    """What _read_whole gives for a file whose first "[" opens the top-level
-    entries list, as in every file kv-build writes, read GAME_FILE_WINDOW
-    characters at a time, so neither the text nor an object per entry is
-    held; None for any other file, and for any file this does not read
-    exactly as json.load would.
+def _kv_build_game(path: str) -> tuple[BellFunctional, CosetTable, float] | None:
+    """The game of a file that kv-build wrote: n and eta from the file's tail,
+    '], "eta": E, "n": N}\\n', and then the file compared, one piece at a
+    time, with the text kv-build writes for that game.  None for any other
+    file, and for a file that cannot be read.
 
-    Each window's entries, through its last "}", decode as one list led by
-    a stand-in for the entries before them, so json checks every "," between
-    windows.  A "}" is a whole token, so text that decodes so holds whole
-    entries, tokenized as in the whole file; a window that does not decode
-    grows, and at the end of the file the rest decodes up to the list's "]".
-    Entries must be flat objects of five keys: each holds exactly the ten
-    quote characters of its key names.
-    """
-    head = chunk = ""
-    while "[" not in chunk:
-        chunk = fh.read(GAME_FILE_WINDOW)
-        if not chunk:
-            return None
-        head += chunk
-    cut = head.index("[") + 1
-    head, text = head[:cut], "," + head[cut:]
-    columns = [bytearray() for _ in ENTRY_KEYS]
-    size, eof = GAME_FILE_WINDOW, False
+    A file that matches to the last byte is json.dumps of that game's
+    kv_game_to_json, and floats round-trip through json, so json.load would
+    read exactly this game from it."""
     try:
-        # a "[" inside a string or a nested object leaves this unparsable
-        if json.loads(head + "]}", object_pairs_hook=list)[-1:] != [("entries", [])]:
-            return None
-        while True:
-            while len(text) < size and not eof:
-                chunk = fh.read(size - len(text))
-                text += chunk
-                eof = not chunk
-            if eof:
-                rows, end = _entry_decoder.raw_decode("[[]" + text)
-                end -= 3
-            else:
-                end = text.rfind("}") + 1
-                try:
-                    rows = _entry_decoder.decode("[[]" + text[:end] + "]")
-                except (ValueError, RecursionError):
-                    rows, end = [[]], 0
-            rows = rows[1:]
-            if text.count('"', 0, end) != 10 * len(rows):
+        with open(path, "rb") as fh:
+            fh.seek(max(fh.seek(0, os.SEEK_END) - 64, 0))
+            tail = json.loads(b"{" + fh.read().rpartition(b"], ")[2])
+            n, eta = tail.get("n"), tail.get("eta")
+            if type(n) is not int or n not in EXACT_GAME_SIZES:
                 return None
-            _entry_columns(rows, columns)
-            if eof:
-                break
-            if rows:
-                text, size = text[end:], GAME_FILE_WINDOW
-            else:
-                size = 2 * len(text)
-        rest = head + "]" + text[end:]
-        keys = [key for key, _ in json.loads(rest, object_pairs_hook=list)]
-        doc = json.loads(rest, object_hook=_entry_hook)
-    except (ValueError, RecursionError, ValidationError):
+            if type(eta) is not float or not 0.0 < eta <= 0.5:
+                return None
+            table = build_hadamard_subgroup(n.bit_length() - 1)
+            game = kv_functional(table, eta)
+            fh.seek(0)
+            for piece in _game_file_pieces(*kv_game_columns(game)):
+                text = piece.encode()
+                if fh.read(len(text)) != text:
+                    return None
+            if fh.read(1):
+                return None
+    except (OSError, ValueError):
         return None
-    if keys.count("entries") != 1 or type(doc) is not dict:
-        return None
-    doc["entries"] = columns
-    return doc
-
-
-def _read_whole(fh):
-    """json.load(fh, object_hook=_entry_hook) from the start of the file, with
-    a top-level entries list given as its columns (_entry_columns)."""
-    fh.seek(0)
-    doc = json.load(fh, object_hook=_entry_hook)
-    if type(doc) is tuple:
-        # the top-level object has keys x, y, a, b and c too
-        fh.seek(0)
-        doc = json.load(fh)
-        if type(doc.get("entries")) is list:
-            doc["entries"] = [_entry_hook(e) if type(e) is dict else e for e in doc["entries"]]
-    if type(doc) is dict and type(doc.get("entries")) is list:
-        columns = [bytearray() for _ in ENTRY_KEYS]
-        _entry_columns(doc["entries"], columns)
-        doc["entries"] = columns
-    return doc
+    return game, table, eta
 
 
 def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
-    """The game in a game file, read a window at a time where the layout
-    allows (_read_streamed) and whole otherwise, then checked: the entries'
-    shape and types as they are read, the header, then the entries' indices,
-    coefficients and uniqueness."""
-    doc = _load_json(path, lambda fh: _read_streamed(fh) or _read_whole(fh))
+    """The game in a game file.  A file that kv-build wrote is recognised by
+    its text (_kv_build_game).  Any other file is read whole by json.load and
+    checked: the entries' shape and types, the header, then the entries'
+    indices, coefficients and uniqueness."""
+    game = _kv_build_game(path)
+    if game is not None:
+        return game
+    doc = _load_json(path)
+    entries = doc.get("entries")
+    columns = _entry_columns(entries) if type(entries) is list else None
     for key in ("n", "eta", "N", "K", "entries"):
         if key not in doc:
             raise ValidationError(f"game file missing key {key!r}")
@@ -413,8 +355,7 @@ def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
     N, K = (_header(doc, key, (int,), "an integer") for key in "NK")
     if (N, K) != (table.num_cosets, n):
         raise ValidationError(f"game file shape ({N}, {K}) does not match n = {n}")
-    entries = _header(doc, "entries", (list,), "a list")
-    columns = [np.frombuffer(col, t[2]) for col, t in zip(entries, _ENTRY_TYPES)]
+    _header(doc, "entries", (list,), "a list")
     index, coef = columns[:4], columns[4]
 
     def reject(bad: np.ndarray, problem: str) -> None:

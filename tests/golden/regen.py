@@ -7,8 +7,9 @@ returns for it.  The commands are those of tests/test_package.COMMANDS, plus
 the benchmark's values-n8, game-file-n8 (with its reference command) and
 referee-n8 commands at --seed 1, pass 0 (perfbench/workloads.py), spelled
 out here so that a change to the workloads leaves the corpus as it is, plus
-values at every exact size and three eta, and values --game on the kv-build
-file of each size.
+values at every exact size and three eta, values --game on the kv-build
+file of each size, and a slice of each formula command, the referee at the
+edges of its block and local-content in both variants.
 A change to a golden file is a test change: list its fields in CHANGES.md.
 """
 
@@ -60,9 +61,58 @@ GAME = {
 }
 
 
+# superactivation: --eta auto, --p, the default threshold, d = 10^300 written
+# out in digits, the symbolic row and a crossing
+SUPERACTIVATION = {
+    f"superactivation-{name}": (["superactivation", "--d", *args], [])
+    for name, args in {
+        "d2-k3-auto": ["2", "--k", "3", "--eta", "auto"],
+        "d3-p0.5": ["3", "--p", "0.5"],
+        "d8-auto": ["8", "--eta", "auto"],
+        "d16": ["16"],
+        "d1e300-p0.001": [str(10**300), "--p", "0.001"],
+        "d8-k300000": ["8", "--k", "300000"],
+        "d2-k90-95-p0.9": ["2", "--k", "90:95", "--p", "0.9"],
+    }.items()
+}
+ALMOST_ACTIVATION = {
+    f"almost-activation-delta{delta}": (["almost-activation", "--delta", delta], [])
+    for delta in ("1", "1e308")
+}
+# referee-sim one round short of a noise block, a whole block and one past it
+REFEREE_EDGES = {
+    f"referee-sim-l{l}-{strategy}-{samples}-s{seed}": (
+        ["referee-sim", "--l", str(l), "--strategy", strategy]
+        + ["--samples", str(samples), "--seed", str(seed)],
+        [],
+    )
+    for l in (1, 2, 3)
+    for strategy in ("mes", "rep")
+    for samples in (32767, 32768, 32769)
+    for seed in (0, 9)
+}
+LOCAL_CONTENT = {
+    f"local-content-{dist}-{variant}": (
+        ["local-content", "--dist", dist, "--variant", variant],
+        [],
+    )
+    for dist in ("pr-box", "chsh-quantum")
+    for variant in ("free", "local")
+}
+
+
 def commands() -> dict:
     package = {f"package-{i}-{argv[0]}": (argv, []) for i, argv in enumerate(COMMANDS)}
-    return {**package, **WORKLOADS, **VALUES, **GAME}
+    return {
+        **package,
+        **WORKLOADS,
+        **VALUES,
+        **GAME,
+        **SUPERACTIVATION,
+        **ALMOST_ACTIVATION,
+        **REFEREE_EDGES,
+        **LOCAL_CONTENT,
+    }
 
 
 def main() -> None:

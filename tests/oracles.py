@@ -331,11 +331,11 @@ def _reject_entries_per_entry(entries, bad: np.ndarray, problem: str) -> None:
 def load_game_per_entry(path: str) -> tuple[BellFunctional, CosetTable, float]:
     """The game-file reader with the whole text read by json.load, one dict
     per entry and one Python list per column, checked header first; cli's
-    _load_game reads a kv-build file a window at a time and any other file
-    with json.load, each entry decoded to a tuple and moved into typed
-    columns, and checks each entry's keys and types as it reads them.  (The
-    reader from before entries were decoded to tuples, plus the checks that
-    entries is a list and that eta fits a float.)"""
+    _load_game recognises a kv-build file by regenerating its text and never
+    parses it, and reads any other file with json.load too but checks each
+    entry's keys and types before the header.  (The reader from before
+    entries were decoded to tuples, plus the checks that entries is a list
+    and that eta fits a float.)"""
     doc = _load_json(path)
     for key in ("n", "eta", "N", "K", "entries"):
         if key not in doc:

@@ -32,9 +32,8 @@ from kvbell.cli import (
     _answer_cdf,
     _draw_answers,
     _game_file_pieces,
+    _kv_build_game,
     _load_game,
-    _read_streamed,
-    _read_whole,
     main,
 )
 from kvbell.errors import KvBellError
@@ -534,8 +533,8 @@ def test_unusable_file_paths_exit_2(tmp_path, capsys, argv):
 
 
 def test_game_file_not_utf8_after_a_syntax_error(tmp_path, capsys):
-    # the reader stops at the syntax error, but a byte that is not UTF-8
-    # further on is still what is reported, as when the file was read whole
+    # json.load decodes the whole text before it parses, so a byte that is
+    # not UTF-8 is reported ahead of an earlier syntax error
     path = tmp_path / "game.json"
     path.write_bytes(b'{"n": 4,, "entries": [' + b"0, " * 30000 + b'"\xff"]}')
     assert main(["values", "--game", str(path)]) == 2
@@ -949,7 +948,7 @@ def _game_file_layout(text: str, layout: str) -> str:
     ],
 )
 def test_values_of_a_game_file_match_values_by_size(tmp_path, capsys, l, eta, layout):
-    # the file streams in the first two layouts and is read whole in the third
+    # the kv-build file is recognised by its text; the two rewrites are read whole
     path = tmp_path / "game.json"
     run_json(capsys, ["kv-build", "--l", str(l), "--eta", eta, "--out", str(path)])
     path.write_text(_game_file_layout(path.read_text(), layout))
@@ -1055,8 +1054,8 @@ def _mutated_game_file(draw, doc: dict) -> dict:
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), l=st.sampled_from([1, 2]))
 def test_game_file_reader_matches_per_entry_oracle(kv_build_docs, data, l):
-    # the reader decodes entries to tuples as they are parsed; on every file
-    # it must give what one dict per entry gives: the same table or exit 2
+    # on every file the reader must give what the per-entry oracle gives:
+    # the same table or exit 2
     path, docs = kv_build_docs
     path.write_text(json.dumps(data.draw(_mutated_game_file(docs[l]))))
     outcomes = []
@@ -1130,28 +1129,21 @@ def _game_file_text(draw, doc: dict) -> str:
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    data=st.data(),
-    l=st.sampled_from([1, 2]),
-    window=st.one_of(st.integers(1, 12), st.sampled_from([64, 256])),
-)
-def test_game_file_reader_on_raw_text_matches_per_entry_oracle(kv_build_docs, data, l, window):
-    # the reader decodes a few characters at a time here, so cuts land inside
-    # strings, numbers and nested values; on every text it must give what
-    # json.load and one dict per entry give, and json's own syntax errors
+@given(data=st.data(), l=st.sampled_from([1, 2]))
+def test_game_file_reader_on_raw_text_matches_per_entry_oracle(kv_build_docs, data, l):
+    # on every text, broken or not, the reader must give what json.load and
+    # one dict per entry give, and json's own syntax errors
     path, docs = kv_build_docs
     doc = data.draw(st.one_of(st.just(docs[l]), _mutated_game_file(docs[l])))
     path.write_text(data.draw(_game_file_text(doc)), encoding="utf-8")
     outcomes = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kvbell.cli, "GAME_FILE_WINDOW", window)
-        for load in (_load_game, load_game_per_entry):
-            try:
-                functional, table, eta = load(str(path))
-                outcomes.append((functional.dense(), table.n, eta))
-            except KvBellError as exc:
-                assert exc.exit_code == 2 and str(exc)
-                outcomes.append(str(exc))
+    for load in (_load_game, load_game_per_entry):
+        try:
+            functional, table, eta = load(str(path))
+            outcomes.append((functional.dense(), table.n, eta))
+        except KvBellError as exc:
+            assert exc.exit_code == 2 and str(exc)
+            outcomes.append(str(exc))
     got, want = outcomes
     if isinstance(want, str) or isinstance(got, str):
         assert isinstance(got, str) and isinstance(want, str), (got, want)
@@ -1161,29 +1153,65 @@ def test_game_file_reader_on_raw_text_matches_per_entry_oracle(kv_build_docs, da
         assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
 
 
-@pytest.mark.parametrize("l,eta", [(1, "0.25"), (2, "0.25"), (3, "auto")])
-def test_game_file_read_a_window_at_a_time_only_in_its_layout(tmp_path, capsys, l, eta):
-    # any file may be read whole; these pin which ones stream, since otherwise
-    # only the n = 8 memory bound would notice the streamed path going unused
+def _refuse_json_load(fh):
+    raise AssertionError("json.load read a kv-build file")
+
+
+@pytest.mark.parametrize("l,eta", [(1, "0.25"), (2, "0.25"), (3, "auto"), (2, "0.5")])
+def test_kv_build_files_never_reach_json_load(tmp_path, capsys, monkeypatch, l, eta):
+    # any file may be read whole; this pins that kv-build files are not, since
+    # otherwise only the n = 8 memory bound would notice the recognised path unused
+    path = str(tmp_path / "game.json")
+    run_json(capsys, ["kv-build", "--l", str(l), "--eta", eta, "--out", path])
+    want = load_game_per_entry(path)
+    monkeypatch.setattr(json, "load", _refuse_json_load)
+    got = _load_game(path)
+    assert np.array_equal(got[0].dense(), want[0].dense())
+    assert (got[1].n, got[2]) == (want[1].n, want[2])
+    assert main(["values", "--game", path]) == 0
+    capsys.readouterr()
+
+
+def _edit_first_coefficient(text: str) -> str:
+    cut = text.index(", ", text.index('"c": '))
+    return text[: cut - 1] + str((int(text[cut - 1]) + 1) % 10) + text[cut:]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        _edit_first_coefficient,
+        lambda text: text[:-1],  # the final newline dropped
+        lambda text: text.replace(", ", ",  ", 1),
+        lambda text: text.replace('"eta": 0.25,', '"eta": 0.250,'),
+        lambda text: "\ufeff" + text,
+        lambda text: text + "x",
+        lambda text: text + "\n",
+        # an eta kv-build refuses: the file is read, not rebuilt
+        lambda text: text.replace('"eta": 0.25,', '"eta": 0.75,'),
+    ],
+    ids=[
+        "coefficient", "newline", "space", "eta-0.250", "bom", "extra-data", "extra-newline",
+        "eta-0.75",
+    ],
+)
+def test_game_file_near_misses_are_read_as_json(tmp_path, capsys, edit):
+    # one byte off kv-build's text sends the file to json.load, which reads it
+    # as the per-entry oracle does
     path = tmp_path / "game.json"
-    run_json(capsys, ["kv-build", "--l", str(l), "--eta", eta, "--out", str(path)])
-    text = path.read_text()
-    doc = json.loads(text)
-    streams = [text, _game_file_layout(text, "indent")]
-    whole = [
-        _game_file_layout(text, "list-first"),
-        text.rstrip()[:-1] + ', "entries": []}',  # a second top-level entries
-        json.dumps({"game": doc, **{k: v for k, v in doc.items() if k != "entries"}}),
-    ]
-    for written in streams + whole:
-        path.write_text(written)
-        with open(path, encoding="utf-8") as fh:
-            got = _read_streamed(fh)
-            if written in streams:
-                assert got == _read_whole(fh)
-                assert len(got["entries"][0]) == 8 * len(doc["entries"])
-            else:
-                assert got is None
+    run_json(capsys, ["kv-build", "--l", "2", "--eta", "0.25", "--out", str(path)])
+    text = path.read_text(encoding="utf-8")
+    path.write_text(edit(text), encoding="utf-8")
+    assert path.read_text(encoding="utf-8") != text
+    assert _kv_build_game(str(path)) is None
+    outcomes = []
+    for load in (_load_game, load_game_per_entry):
+        try:
+            functional, table, eta = load(str(path))
+            outcomes.append((functional.dense().tolist(), table.n, eta))
+        except KvBellError as exc:
+            outcomes.append((exc.exit_code, str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 def _traced_peak(argv) -> int:
@@ -1197,13 +1225,14 @@ def _traced_peak(argv) -> int:
 
 def test_game_file_memory_holds_no_text_or_object_per_entry(tmp_path, capsys):
     # the n = 8 file has 65,536 entries in 4.2 MB of text: one dict each would
-    # take 11.5 MiB, and the text alone 4.2 MiB
+    # take 11.5 MiB, and the text alone 4.2 MiB; the kv-build file is compared
+    # with kv-build's own text a question at a time
     path = str(tmp_path / "game.json")
     build = _traced_peak(["kv-build", "--l", "3", "--out", path])
     values = _traced_peak(["values", "--game", path])
     capsys.readouterr()
     assert build <= 3.5 * 2**20, f"kv-build peak {build / 2**20:.1f} MiB"
-    assert values <= 6 * 2**20, f"values --game peak {values / 2**20:.1f} MiB"
+    assert values <= 3 * 2**20, f"values --game peak {values / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize(
