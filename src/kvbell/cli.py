@@ -34,7 +34,6 @@ from .kvgame import (
     entangled_lower_bound_asymptotic,
     kv_classical_upper_bound,
     kv_functional,
-    kv_game_columns,
     kv_measurements,
     kv_question_marginal,
     referee_sample,
@@ -212,26 +211,27 @@ def _header(doc: dict, key: str, types: tuple, what: str):
 # kv-build
 
 
-def _game_file_pieces(header: dict, blocks):
-    """The text of json.dumps(kv_game_to_json(game), sort_keys=True) + "\\n" from
-    (header, blocks) = kv_game_columns(game), formatted one question's block
-    of entries at a time, so neither the whole text nor a Python list of every
-    entry is ever held.
+def _game_file_pieces(game: BellFunctional, n: int, eta: float):
+    """The text of json.dumps(kv_game_to_json(game), sort_keys=True) + "\\n" for
+    the coset game at (n, eta), one question x at a time from the nonzero
+    entries of game.dense()[x], so no list of every entry is ever held.
 
     A coefficient depends only on the noise weight, so it takes at most n + 1
-    values; each is formatted once per block, keyed by the float itself.  A
-    Python set finds them, since numpy's unique loads numpy.ma.  Every
-    coefficient of the coset game is positive, so no block is empty.
+    values; each is formatted once per question, keyed by the float itself (a
+    Python set finds them: numpy's unique loads numpy.ma).  Those that
+    underflow at tiny eta are left out, but never a question's entries with
+    y = x and a = b, of weight 0, so no question is empty.
     """
     row = '{"a": %d, "b": %d, "c": %s, "x": %d, "y": %d}'
-    yield '{"K": %s, "N": %s, "entries": [' % (json.dumps(header["K"]), json.dumps(header["N"]))
-    for i, block in enumerate(blocks):
-        columns = [col.tolist() for col in block]
-        coef_text = {c: json.dumps(c) for c in set(columns[-1])}
-        rows = zip(*columns)
-        text = ", ".join([row % (a, b, coef_text[c], x, y) for x, y, a, b, c in rows])
-        yield ", " + text if i else text
-    yield '], "eta": %s, "n": %s}\n' % (json.dumps(header["eta"]), json.dumps(header["n"]))
+    yield '{"K": %d, "N": %d, "entries": [' % (game.num_outputs, game.num_inputs)
+    for x, plane in enumerate(game.dense()):
+        nz = np.nonzero(plane)  # walks the plane in C order
+        coefs = plane[nz].tolist()
+        coef_text = {c: json.dumps(c) for c in set(coefs)}
+        rows = zip(*(col.tolist() for col in nz), coefs)
+        text = ", ".join([row % (a, b, coef_text[c], x, y) for y, a, b, c in rows])
+        yield ", " + text if x else text
+    yield '], "eta": %s, "n": %d}\n' % (json.dumps(eta), n)
 
 
 def cmd_kv_build(args) -> int:
@@ -241,7 +241,7 @@ def cmd_kv_build(args) -> int:
     game = kv_functional(table, eta)
     if args.game_file is None:
         raise ValidationError("kv-build writes a game file; --out is required")
-    _write_file(args.game_file, _game_file_pieces(*kv_game_columns(game)))
+    _write_file(args.game_file, _game_file_pieces(game, n, eta))
     entries = int(np.count_nonzero(game.dense()))
     marginal_total = float(kv_question_marginal(game).sum())
     mass = game.total()
@@ -280,10 +280,10 @@ _ENTRY_TYPES = [({int}, "an integer index", "int64")] * 4 + [
 
 
 def _entry_columns(entries: list) -> list[np.ndarray]:
-    """The x, y, a, b and c of entries, decoded JSON, as numpy columns, or
-    the first problem in file order: an entry that is not an object with keys
-    x, y, a, b and c; then, key by key, a value of the wrong JSON type and a
-    value the column cannot hold."""
+    """The x, y, a, b and c of entries, decoded JSON, as numpy columns, or the
+    first problem in file order, the entry shown as written: an entry that is
+    not an object with keys x, y, a, b and c; then, key by key, a value of the
+    wrong JSON type and a value the column cannot hold."""
     for entry in entries:
         if type(entry) is not dict or not entry.keys() >= set(ENTRY_KEYS):
             problem = "is not an object with keys x, y, a, b and c"
@@ -293,8 +293,7 @@ def _entry_columns(entries: list) -> list[np.ndarray]:
         col = [entry[key] for entry in entries]
         if not set(map(type, col)) <= types:
             entry = next(e for e in entries if type(e[key]) not in types)
-            shown = {k: entry[k] for k in ENTRY_KEYS}
-            raise ValidationError(f"game entry {shown!r} needs {what} under {key!r}")
+            raise ValidationError(f"game entry {entry!r} needs {what} under {key!r}")
         try:
             columns.append(np.fromiter(col, dtype, count=len(col)))
         except OverflowError as exc:
@@ -303,14 +302,12 @@ def _entry_columns(entries: list) -> list[np.ndarray]:
 
 
 def _kv_build_game(path: str) -> tuple[BellFunctional, CosetTable, float] | None:
-    """The game of a file that kv-build wrote: n and eta from the file's tail,
-    '], "eta": E, "n": N}\\n', and then the file compared, one piece at a
-    time, with the text kv-build writes for that game.  None for any other
-    file, and for a file that cannot be read.
-
-    A file that matches to the last byte is json.dumps of that game's
-    kv_game_to_json, and floats round-trip through json, so json.load would
-    read exactly this game from it."""
+    """The game of a file that kv-build wrote, or None for any other file and
+    for one that cannot be read: n and eta from the file's tail, '], "eta":
+    E, "n": N}\\n', then the file compared piece by piece with the text
+    kv-build writes for that game.  A file that matches to the last byte is
+    json.dumps of the game's kv_game_to_json, and floats round-trip through
+    json, so json.load would read exactly this game from it."""
     try:
         with open(path, "rb") as fh:
             fh.seek(max(fh.seek(0, os.SEEK_END) - 64, 0))
@@ -323,7 +320,7 @@ def _kv_build_game(path: str) -> tuple[BellFunctional, CosetTable, float] | None
             table = build_hadamard_subgroup(n.bit_length() - 1)
             game = kv_functional(table, eta)
             fh.seek(0)
-            for piece in _game_file_pieces(*kv_game_columns(game)):
+            for piece in _game_file_pieces(game, n, eta):
                 text = piece.encode()
                 if fh.read(len(text)) != text:
                     return None
@@ -335,16 +332,15 @@ def _kv_build_game(path: str) -> tuple[BellFunctional, CosetTable, float] | None
 
 
 def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
-    """The game in a game file.  A file that kv-build wrote is recognised by
-    its text (_kv_build_game).  Any other file is read whole by json.load and
-    checked: the entries' shape and types, the header, then the entries'
-    indices, coefficients and uniqueness."""
+    """The game in a game file; the coset game comes as kv_functional builds
+    it, coset table in meta.  A kv-build file is recognised by its text
+    (_kv_build_game).  Any other file is read by json.load and checked: the
+    header, the entries' shape and types, indices, coefficients, uniqueness,
+    then eta; it is the coset game if eta is in (0, 1/2] and the tables match."""
     game = _kv_build_game(path)
     if game is not None:
         return game
     doc = _load_json(path)
-    entries = doc.get("entries")
-    columns = _entry_columns(entries) if type(entries) is list else None
     for key in ("n", "eta", "N", "K", "entries"):
         if key not in doc:
             raise ValidationError(f"game file missing key {key!r}")
@@ -355,15 +351,13 @@ def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
     N, K = (_header(doc, key, (int,), "an integer") for key in "NK")
     if (N, K) != (table.num_cosets, n):
         raise ValidationError(f"game file shape ({N}, {K}) does not match n = {n}")
-    _header(doc, "entries", (list,), "a list")
+    entries = _header(doc, "entries", (list,), "a list")
+    columns = _entry_columns(entries)
     index, coef = columns[:4], columns[4]
 
     def reject(bad: np.ndarray, problem: str) -> None:
-        """Refuse the first entry where bad holds, shown as its columns hold it."""
         if bad.any():
-            i = int(np.argmax(bad))
-            shown = dict(zip(ENTRY_KEYS, [col[i].item() for col in columns]))
-            raise ValidationError(f"game entry {shown!r} {problem}")
+            raise ValidationError(f"game entry {entries[int(np.argmax(bad))]!r} {problem}")
 
     shape = (N, N, K, K)
     outside = np.zeros(len(coef), dtype=bool)
@@ -379,6 +373,10 @@ def _load_game(path: str) -> tuple[BellFunctional, CosetTable, float]:
         eta = float(_header(doc, "eta", (int, float), "a number"))
     except OverflowError:
         raise ValidationError("'eta' must be a number within float range") from None
+    if 0.0 < eta <= 0.5:
+        game = kv_functional(table, eta)
+        if np.array_equal(game.dense(), dense):
+            return game, table, eta
     return BellFunctional(N, K, table=dense), table, eta
 
 
@@ -389,10 +387,7 @@ def cmd_values(args) -> int:
         functional, table, eta = _load_game(args.game)
         n = table.n
         label = f"game file {Path(args.game).name}"
-        # the coset-game formulas describe a file only when its entries are that game
-        coset_game = np.array_equal(functional.dense(), kv_functional(table, eta).dense())
     else:
-        coset_game = True
         n = _resolve_block_length(args)
         eta = _resolve_eta(args.eta, n)
         label = f"coset game n={n} eta={eta:.6g}"
@@ -400,6 +395,8 @@ def cmd_values(args) -> int:
         if n in EXACT_GAME_SIZES:
             table = build_hadamard_subgroup(n.bit_length() - 1)
             functional = kv_functional(table, eta)
+    # the coset-game formulas describe a game file only if _load_game gave the coset game
+    coset_game = functional is None or "coset_table" in functional.meta
     closed = quantum_value_kv_closed_form(n, eta)
     notes = []
     if not coset_game:

@@ -278,34 +278,14 @@ def referee_sample(table: CosetTable, eta: float, seed: int, count: int = 1) -> 
     return blocks()
 
 
-def kv_game_columns(functional: BellFunctional) -> tuple[dict, Iterator[tuple[np.ndarray, ...]]]:
-    """Game-file header (n, eta, N, K) and an iterator over the questions x in
-    turn, yielding the x, y, a, b index columns and the coefficient column of
-    x's nonzero entries, sorted by (y, a, b); one block after another they
-    run in (x, y, a, b) order."""
-    table = _require_coset_game(functional)
-    dense = functional.dense()
-    header = {
-        "n": table.n,
-        "eta": functional.meta["eta"],
-        "N": functional.num_inputs,
-        "K": functional.num_outputs,
-    }
-
-    def blocks():
-        for x, plane in enumerate(dense):
-            nz = np.nonzero(plane)  # walks the plane in C order
-            yield np.full(len(nz[0]), x), *nz, plane[nz]
-
-    return header, blocks()
-
-
 def kv_game_to_json(functional: BellFunctional) -> dict:
     """Serializable dict with every nonzero entry, sorted by (x, y, a, b)."""
-    header, blocks = kv_game_columns(functional)
+    table = _require_coset_game(functional)
+    dense = functional.dense()
+    nz = np.nonzero(dense)  # walks the table in C order
     entries = [
         {"x": x, "y": y, "a": a, "b": b, "c": c}
-        for block in blocks
-        for x, y, a, b, c in zip(*(col.tolist() for col in block))
+        for x, y, a, b, c in zip(*(col.tolist() for col in (*nz, dense[nz])))
     ]
-    return {**header, "entries": entries}
+    header = {"n": table.n, "eta": functional.meta["eta"]}
+    return {**header, "N": functional.num_inputs, "K": functional.num_outputs, "entries": entries}

@@ -9,14 +9,20 @@ referee-n8 commands at --seed 1, pass 0 (perfbench/workloads.py), spelled
 out here so that a change to the workloads leaves the corpus as it is, plus
 values at every exact size and three eta, values --game on the kv-build
 file of each size, and a slice of each formula command, the referee at the
-edges of its block and local-content in both variants.
+edges of its block and local-content in both variants.  The commands that
+read input files (a referee strategy, local-content distributions, a game
+file rewritten with indent=2) carry the files' text, made here from seeds.
 A change to a golden file is a test change: list its fields in CHANGES.md.
 """
 
+import contextlib
+import io
 import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
@@ -24,11 +30,14 @@ sys.path.insert(0, str(HERE.parent))
 from test_golden import record  # noqa: E402
 from test_package import COMMANDS  # noqa: E402
 
+from kvbell import Measurement, make_mes, pr_box_dist, quantum_prob  # noqa: E402
+from kvbell.cli import main as cli_main  # noqa: E402
+
 GAME_ETA, GAME_SEED = "0.22195683774713632", "564575316"
 REFEREE = ["referee-sim", "--l", "3", "--samples", "1000000", "--seed", "134670082"]
 KV_BUILD_N8 = ["kv-build", "--l", "3", "--eta", GAME_ETA, "--out", "{dir}/game.json"]
 
-# name -> (argv, commands run first in the same directory)
+# name -> (argv, commands run first in the same directory[, input files by name])
 WORKLOADS = {
     "values-n8-0-values": (["values", "--l", "2", "--eta", "0.27349832233596744"], []),
     "values-n8-1-values": (["values", "--l", "3", "--seed", "230651773"], []),
@@ -101,6 +110,74 @@ LOCAL_CONTENT = {
 }
 
 
+def strategy_text(l: int) -> str:
+    """A deterministic strategy at n = 2**l: seeded answer positions per coset."""
+    n = 1 << l
+    rng = np.random.default_rng(l)
+    alice, bob = (rng.integers(0, n, size=(1 << n) // n).tolist() for _ in range(2))
+    return json.dumps({"alice": alice, "bob": bob})
+
+
+def distribution_text(table: np.ndarray) -> str:
+    return json.dumps({"N": table.shape[0], "K": table.shape[2], "table": table.tolist()})
+
+
+def skewed_box() -> np.ndarray:
+    """Half the PR box, half the uniform box, each (x, y) block's mass moved
+    off 1 by a few 1e-9, inside the loader's 1e-8 tolerance."""
+    table = 0.5 * pr_box_dist().table + 0.125
+    return table * (1.0 + np.reshape([4e-9, -4e-9, -4e-9, 3e-9], (2, 2, 1, 1)))
+
+
+def random_mes_box(seed: int) -> np.ndarray:
+    """MES(3) measured in seeded random real orthonormal bases: (N, K) = (3, 3)."""
+    rng = np.random.default_rng(seed)
+    bases = [np.linalg.qr(rng.normal(size=(3, 3)))[0].T for _ in range(6)]
+    alice, bob = ([Measurement(3, vectors=v) for v in half] for half in (bases[:3], bases[3:]))
+    return quantum_prob(make_mes(3), alice, bob).table
+
+
+def kv_build_text(l: int, eta: str) -> str:
+    """The text of the game file kv-build writes."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "game.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli_main(["kv-build", "--l", str(l), "--eta", eta, "--out", str(path)]) == 0
+        return path.read_text(encoding="utf-8")
+
+
+REFEREE_FILE = {
+    f"referee-sim-l{l}-file-s{seed}": (
+        ["referee-sim", "--l", str(l), "--strategy", "{dir}/strategy.json"]
+        + ["--samples", "40000", "--seed", str(seed)],
+        [],
+        {"strategy.json": strategy_text(l)},
+    )
+    for l in (2, 3)
+    for seed in (0, 9)
+}
+LOCAL_CONTENT_FILES = {
+    f"local-content-{name}-{variant}": (
+        ["local-content", "--dist", f"{{dir}}/{name}.json", "--variant", variant],
+        [],
+        {f"{name}.json": distribution_text(table)},
+    )
+    for name, table in (("skewed-box", skewed_box()), ("mes33-s5", random_mes_box(5)))
+    for variant in ("free", "local")
+}
+KV_BUILD_TINY_ETA = ["kv-build", "--l", "3", "--eta", "1e-200", "--out", "{dir}/game.json"]
+# the fallback reader on a rewritten file, and coefficients that underflow to 0
+GAME_FILES = {
+    "values-game-l2-indent": (
+        ["values", "--game", "{dir}/game.json"],
+        [],
+        {"game.json": json.dumps(json.loads(kv_build_text(2, "0.25")), indent=2)},
+    ),
+    "kv-build-l3-eta1e-200": (KV_BUILD_TINY_ETA, []),
+    "values-game-l3-eta1e-200": (["values", "--game", "{dir}/game.json"], [KV_BUILD_TINY_ETA]),
+}
+
+
 def commands() -> dict:
     package = {f"package-{i}-{argv[0]}": (argv, []) for i, argv in enumerate(COMMANDS)}
     return {
@@ -112,15 +189,18 @@ def commands() -> dict:
         **ALMOST_ACTIVATION,
         **REFEREE_EDGES,
         **LOCAL_CONTENT,
+        **REFEREE_FILE,
+        **LOCAL_CONTENT_FILES,
+        **GAME_FILES,
     }
 
 
 def main() -> None:
     for old in HERE.glob("*.json"):
         old.unlink()
-    for name, (argv, before) in commands().items():
+    for name, (argv, before, *inputs) in commands().items():
         with tempfile.TemporaryDirectory() as directory:
-            doc = record(argv, before, Path(directory))
+            doc = record(argv, before, Path(directory), *inputs)
         (HERE / f"{name}.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(name)
 

@@ -330,12 +330,14 @@ def _reject_entries_per_entry(entries, bad: np.ndarray, problem: str) -> None:
 
 def load_game_per_entry(path: str) -> tuple[BellFunctional, CosetTable, float]:
     """The game-file reader with the whole text read by json.load, one dict
-    per entry and one Python list per column, checked header first; cli's
-    _load_game recognises a kv-build file by regenerating its text and never
-    parses it, and reads any other file with json.load too but checks each
-    entry's keys and types before the header.  (The reader from before
-    entries were decoded to tuples, plus the checks that entries is a list
-    and that eta fits a float.)"""
+    per entry and one Python list per column, checked header first and each
+    refused entry shown as the file wrote it; cli's _load_game recognises a
+    kv-build file by regenerating its text and never parses it, and reads
+    any other file with json.load too, in the same order, but with numpy
+    columns, and returns the coset game built by kv_functional when the
+    table is that game.  (The reader from before entries were decoded to
+    tuples, plus the checks that entries is a list and that eta fits a
+    float.)"""
     doc = _load_json(path)
     for key in ("n", "eta", "N", "K", "entries"):
         if key not in doc:

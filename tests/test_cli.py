@@ -43,7 +43,6 @@ from kvbell.kvgame import (
     asymptotic_eta,
     build_hadamard_subgroup,
     kv_functional,
-    kv_game_columns,
     kv_game_to_json,
     kv_measurements,
     referee_sample,
@@ -895,16 +894,21 @@ def test_restarts_guard(capsys, argv):
 
 @pytest.mark.parametrize(
     "l,eta",
-    [(l, eta) for l in (1, 2, 3) for eta in (0.05, 0.25, 0.45, 0.5)] + [(3, asymptotic_eta(8))],
+    [(l, eta) for l in (1, 2, 3) for eta in (0.05, 0.25, 0.45, 0.5)]
+    + [(3, asymptotic_eta(8)), (3, 1e-200)],
 )
 def test_game_file_bytes_match_json_dumps(tmp_path, capsys, l, eta):
     # the streaming writer gives exactly the bytes of one json.dumps call;
-    # at eta = 1/2 every coefficient is the same number
+    # at eta = 1/2 every coefficient is the same number, and at eta = 1e-200
+    # those of weight 2 and more underflow to 0 and are left out
     path = tmp_path / "game.json"
-    run_json(capsys, ["kv-build", "--l", str(l), "--eta", repr(eta), "--out", str(path)])
+    res = run_json(capsys, ["kv-build", "--l", str(l), "--eta", repr(eta), "--out", str(path)])
     game = kv_functional(build_hadamard_subgroup(l), eta)
-    want = json.dumps(kv_game_to_json_per_entry(game), sort_keys=True) + "\n"
-    assert path.read_bytes() == want.encode()
+    doc = kv_game_to_json_per_entry(game)
+    assert path.read_bytes() == (json.dumps(doc, sort_keys=True) + "\n").encode()
+    assert res["result"]["entries"] == len(doc["entries"])
+    if eta == 1e-200:
+        assert len(doc["entries"]) == 2304
 
 
 @settings(max_examples=25, deadline=None)
@@ -915,15 +919,10 @@ def test_game_file_bytes_match_json_dumps(tmp_path, capsys, l, eta):
 def test_game_file_pieces_match_json_dumps(l, eta):
     game = kv_functional(build_hadamard_subgroup(l), eta)
     want = json.dumps(kv_game_to_json(game), sort_keys=True) + "\n"
-    assert "".join(_game_file_pieces(*kv_game_columns(game))) == want
-    # one block per question x, which together walk the table in C order
-    header, blocks = kv_game_columns(game)
-    blocks = list(blocks)
-    assert [np.unique(block[0]).tolist() for block in blocks] == [[x] for x in range(header["N"])]
-    columns = [np.concatenate(col) for col in zip(*blocks)]
-    nz = np.nonzero(game.dense())
-    assert all(np.array_equal(col, ref) for col, ref in zip(columns, nz))
-    assert np.array_equal(columns[-1], game.dense()[nz])
+    pieces = list(_game_file_pieces(game, 1 << l, eta))
+    assert "".join(pieces) == want
+    # the header, one piece per question x, and the tail
+    assert len(pieces) == game.num_inputs + 2
 
 
 def _game_file_layout(text: str, layout: str) -> str:
@@ -1157,12 +1156,15 @@ def _refuse_json_load(fh):
     raise AssertionError("json.load read a kv-build file")
 
 
-@pytest.mark.parametrize("l,eta", [(1, "0.25"), (2, "0.25"), (3, "auto"), (2, "0.5")])
+@pytest.mark.parametrize(
+    "l,eta", [(1, "0.25"), (2, "0.25"), (3, "auto"), (2, "0.5"), (3, "1e-200")]
+)
 def test_kv_build_files_never_reach_json_load(tmp_path, capsys, monkeypatch, l, eta):
     # any file may be read whole; this pins that kv-build files are not, since
     # otherwise only the n = 8 memory bound would notice the recognised path unused
     path = str(tmp_path / "game.json")
-    run_json(capsys, ["kv-build", "--l", str(l), "--eta", eta, "--out", path])
+    res = run_json(capsys, ["kv-build", "--l", str(l), "--eta", eta, "--out", path])
+    assert res["result"]["entries"] == len(json.loads(Path(path).read_text())["entries"])
     want = load_game_per_entry(path)
     monkeypatch.setattr(json, "load", _refuse_json_load)
     got = _load_game(path)
@@ -1170,6 +1172,22 @@ def test_kv_build_files_never_reach_json_load(tmp_path, capsys, monkeypatch, l, 
     assert (got[1].n, got[2]) == (want[1].n, want[2])
     assert main(["values", "--game", path]) == 0
     capsys.readouterr()
+
+
+def test_values_of_a_kv_build_file_builds_the_coset_game_once(tmp_path, capsys, monkeypatch):
+    # the recognised file already is the coset game, so its formulas need no second build
+    path = str(tmp_path / "game.json")
+    run_json(capsys, ["kv-build", "--l", "2", "--eta", "0.25", "--out", path])
+    calls = []
+
+    def counted(table, eta):
+        calls.append(eta)
+        return kv_functional(table, eta)
+
+    monkeypatch.setattr(kvbell.cli, "kv_functional", counted)
+    res = run_json(capsys, ["values", "--game", path])["result"]
+    assert calls == [0.25]
+    assert "closed_form" in res and res["bounds"]
 
 
 def _edit_first_coefficient(text: str) -> str:
