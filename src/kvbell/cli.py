@@ -7,8 +7,8 @@ every subcommand is reproducible run to run; JSON output puts timestamps in
 a separate "meta" block so the "result" block is byte-stable.
 
 Every computed number in JSON results is wrapped as {"value", "method"} with
-method one of: exact, closed-form-validated, heuristic-lb, formula-ub,
-formula-lb, formula-symbolic, empirical.
+method one of: exact, heuristic-lb, formula-ub, formula-lb, formula-symbolic,
+empirical.
 """
 
 from __future__ import annotations
@@ -413,7 +413,6 @@ def cmd_values(args) -> int:
             "upper bound is reported"
         )
         quantum = closed
-        quantum_method = "closed-form-validated"
     else:
         N, K = functional.num_inputs, functional.num_outputs
         if K**N <= ENUMERATION_GUARD:
@@ -427,7 +426,6 @@ def cmd_values(args) -> int:
             notes.append("classical value is a heuristic lower bound; see the upper bound")
         measurements = kv_measurements(table)
         quantum = pair(functional, quantum_prob(make_mes(n), measurements, measurements))
-        quantum_method = "exact"
     classical_ub = kv_classical_upper_bound(n, eta)
     bounds = {"classical_upper_bound": _tagged(classical_ub, "formula-ub")} if coset_game else {}
     quantum_lb = None
@@ -445,20 +443,20 @@ def cmd_values(args) -> int:
     result = {
         "functional": label,
         "classical": _tagged(classical, classical_method),
-        "quantum": _tagged(quantum, quantum_method),
+        "quantum": _tagged(quantum, "exact"),
         "ratio": ratio,
         "bounds": bounds,
         "notes": notes,
     }
     if coset_game:
-        result["closed_form"] = _tagged(closed, "closed-form-validated")
+        result["closed_form"] = _tagged(closed, "exact")
     if coset_game and classical_method != "exact" and classical_ub > 0:
         result["lv_lower_bound"] = _tagged(quantum / classical_ub, "formula-lb")
     classical_text = "not computed" if classical is None else f"{classical:.12g}"
     lines = [label, f"  classical value   {classical_text} [{classical_method}]"]
     if coset_game:
         lines.append(f"  classical upper   {classical_ub:.12g} [formula-ub]")
-    lines.append(f"  quantum (MES strategy) {quantum:.12g} [{quantum_method}]")
+    lines.append(f"  quantum (MES strategy) {quantum:.12g} [exact]")
     if coset_game:
         lines.append(f"  closed form       {_fmt_tagged(result['closed_form'])}")
     if quantum_lb is not None:
@@ -631,74 +629,48 @@ def _load_strategy_file(path: str, N: int, K: int) -> tuple[np.ndarray, np.ndarr
     return np.asarray(doc["alice"], dtype=np.int64), np.asarray(doc["bob"], dtype=np.int64)
 
 
-def _answer_cdf(probs: np.ndarray) -> np.ndarray:
-    """Cumulative answer-pair probabilities of probs, an (N, N, K, K) table:
-    cdf[x, y] holds the running sum over flat index a * K + b, ends at
-    exactly 1.0 and is padded with 1.0 to a power-of-two width."""
-    N, _, K, _ = probs.shape
-    cdf = np.ones((N, N, 1 << (K * K - 1).bit_length()))
-    cdf[..., : K * K] = np.cumsum(probs.reshape(N, N, K * K), axis=2)
-    cdf[..., K * K - 1] = 1.0  # u < 1, so every flat index stays below K * K
-    return cdf
-
-
-def _draw_answers(cdf: np.ndarray, K: int, x, y, u) -> tuple[np.ndarray, np.ndarray]:
-    """Answer positions (pa, pb) of a block of rounds with questions x, y and
-    one uniform u each: the flat index searchsorted(row, u, side="right")
-    finds in cdf[x, y], by a branchless bisection over all rows at once."""
-    N, _, width = cdf.shape
-    flat_cdf = cdf.reshape(-1)
-    pos = x.astype(np.intp)
-    pos *= N
-    pos += y
-    pos *= width  # start of the round's row
-    step = width >> 1
-    while step:  # entries up to 1.0 rise, so count those <= u in halving steps
-        pos += step * (flat_cdf[pos + (step - 1)] <= u)
-        step >>= 1
-    return np.divmod((pos & (width - 1)).astype(np.min_scalar_type(K * K - 1)), K)
-
-
 def cmd_referee_sim(args) -> int:
     n = _resolve_block_length(args)
     eta = _resolve_eta(args.eta, n)
-    table = build_hadamard_subgroup(n.bit_length() - 1)
-    game = kv_functional(table, eta)
+    strategy = args.strategy
+    if strategy != "mes" and n not in EXACT_GAME_SIZES:  # before a strategy file is read
+        raise GuardError(
+            f"referee-sim plays 'rep' and strategy files against the dense game table, "
+            f"n in {EXACT_GAME_SIZES}, got {n}; 'mes' plays at every n"
+        )
     samples = int(args.samples)
     if samples < 1:
         raise ValidationError(f"--samples must be >= 1, got {samples}")
+    table = build_hadamard_subgroup(n.bit_length() - 1)
     draws = referee_sample(table, eta, args.seed, count=samples)
-    N, K = table.num_cosets, n
-    strategy = args.strategy
     if strategy == "mes":
-        measurements = kv_measurements(table)
-        dist = quantum_prob(make_mes(n), measurements, measurements)
-        exact = pair(game, dist)
-        cdf = _answer_cdf(dist.table)
+        # a round with noise z is won with probability (1 - 2|z|/n)**2, a float
+        # with at most 2*log2(n) + 1 bits, and a uniform k/2**53 falls below it
+        # with exactly that probability (quantum_value_kv_closed_form)
+        exact = quantum_value_kv_closed_form(n, eta)
+        win_prob = (1.0 - 2.0 * np.arange(n + 1) / n) ** 2
         outcome_rng = np.random.Generator(np.random.PCG64([args.seed, 1]))
 
-        def answers(x, y):  # one uniform per round, in round order
-            pa, pb = _draw_answers(cdf, K, x, y, outcome_rng.random(len(x)))
-            return table.elems[x, pa], table.elems[y, pb]
+        def won(d):  # one uniform per round, in round order
+            return outcome_rng.random(len(d)) < win_prob[np.bitwise_count(d.z)]
 
     else:
+        N, K = table.num_cosets, n
         if strategy == "rep":
             alice = bob = np.zeros(N, dtype=np.int64)
         else:
             alice, bob = _load_strategy_file(strategy, N, K)
             strategy = Path(strategy).name
-        dist = ProbDist.from_assignments(alice, bob, N, K)
-        exact = pair(game, dist)
+        exact = pair(kv_functional(table, eta), ProbDist.from_assignments(alice, bob, N, K))
         xs = np.arange(N)  # a deterministic strategy gives each coset one answer string
         string_a, string_b = table.elems[xs, alice], table.elems[xs, bob]
 
-        def answers(x, y):
-            return string_a[x], string_b[y]
+        def won(d):
+            return (string_a[d.x] ^ string_b[d.y]) == d.z
 
     wins = 0
     for d in draws:  # each block is played as it is drawn, so no round is kept
-        answers_a, answers_b = answers(d.x, d.y)
-        wins += int(np.count_nonzero((answers_a ^ answers_b) == d.z))
+        wins += int(np.count_nonzero(won(d)))
     rate = wins / samples
     stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / samples)
     # a run that wins every round (or none) has no spread of its own: measure

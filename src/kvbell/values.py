@@ -3,14 +3,13 @@ quantum distributions from states and measurements, and the bound chains
 behind the super-activation and almost-activation experiments.
 
 Method vocabulary used in results and reports:
-  exact                  computed by full enumeration, dense algebra or rational
-                         arithmetic
-  closed-form-validated  closed formula cross-checked against brute force
-  heuristic-lb           lower bound from a best-response search (no optimality claim)
-  formula-ub             upper bound evaluated from a stated formula
-  formula-lb             lower bound evaluated from a stated formula
-  formula-symbolic       formula kept symbolic (unknown constant)
-  empirical              Monte Carlo estimate with sampling error
+  exact             computed by full enumeration, dense algebra, rational
+                    arithmetic or a proved closed form
+  heuristic-lb      lower bound from a best-response search (no optimality claim)
+  formula-ub        upper bound evaluated from a stated formula
+  formula-lb        lower bound evaluated from a stated formula
+  formula-symbolic  formula kept symbolic (unknown constant)
+  empirical         Monte Carlo estimate with sampling error
 """
 
 from __future__ import annotations
@@ -241,14 +240,17 @@ def quantum_value_kv_closed_form(n: int, eta: float) -> float:
     """Coset-game value of the maximally entangled strategy:
     (1 - 2*eta)**2 + 4*eta*(1 - eta)/n.
 
-    Not a quoted result; derived here and validated in tests against the
-    direct sign-vector sum (kv_mes_value_direct in tests/oracles.py) at
-    n = 4 and n = 8 before being trusted at n = 16.
+    Proof: on the MES, real unit vectors u, v give P = <u, v>**2 / n, and the
+    sign vectors of answers a, b have <u_a, u_b> = 1 - 2|a xor b|/n.  A round
+    with noise z is won by the n pairs (a, a xor z), a in [x], so with
+    probability (1 - 2|z|/n)**2 whatever x is; |z| ~ Bin(n, eta) gives 1 - 2|z|/n
+    mean 1 - 2*eta and variance 4*eta*(1 - eta)/n.  Evaluated exactly from
+    eta = p/q as ((q - 2p)**2 n + 4p(q - p)) / (q**2 n), rounded once.
     """
     if n < 2:
         raise ValidationError(f"block length must be >= 2, got {n}")
-    eta = _check_eta(eta)
-    return (1.0 - 2.0 * eta) ** 2 + 4.0 * eta * (1.0 - eta) / n
+    p, q = _check_eta(eta).as_integer_ratio()
+    return ((q - 2 * p) ** 2 * n + 4 * p * (q - p)) / (q * q * n)
 
 
 class ExpansionValue:

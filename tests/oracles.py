@@ -221,32 +221,6 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     return tensor.reshape(side, side)
 
 
-def per_pair_answers(table, draws, u) -> tuple[np.ndarray, np.ndarray]:
-    """Answer positions drawn by one full-length round mask per question pair.
-
-    table is an (N, N, K, K) outcome table, draws holds the question
-    indices x and y of each round and u one uniform per round.  Every pair
-    scans all rounds, N^2 passes in total; the referee's grouped sampler
-    must return the same arrays.
-    """
-    N, K = table.shape[0], table.shape[2]
-    samples = len(u)
-    pa = np.empty(samples, dtype=np.int64)
-    pb = np.empty(samples, dtype=np.int64)
-    for x in range(N):
-        for y in range(N):
-            mask = (draws.x == x) & (draws.y == y)
-            if not mask.any():
-                continue
-            cum = np.cumsum(table[x, y].reshape(-1))
-            cum[-1] = 1.0
-            flat = np.searchsorted(cum, u[mask], side="right")
-            flat = np.minimum(flat, K * K - 1)
-            pa[mask] = flat // K
-            pb[mask] = flat % K
-    return pa, pb
-
-
 def referee_sample_whole_x(table: CosetTable, eta: float, seed: int, count: int = 1) -> RefereeSamples:
     """Draw question pairs the way the referee does.
 
@@ -274,25 +248,6 @@ def join_blocks(blocks) -> RefereeSamples:
     """The rounds of referee_sample's blocks, in order, as one RefereeSamples."""
     blocks = list(blocks)
     return RefereeSamples(*(np.concatenate([getattr(b, key) for b in blocks]) for key in "xyz"))
-
-
-def draw_answers_grouped(probs: np.ndarray, draws, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Answer positions (pa, pb) per round from probs[x, y], an (N, N, K, K) table, with
-    one uniform per round in round order; rounds are grouped by question pair.
-    (The answer sampler before the bisection, with the pair key it read from
-    RefereeSamples.pair_key written inline.)"""
-    N, _, K, _ = probs.shape
-    u = rng.random(len(draws))
-    key = draws.x.astype(np.min_scalar_type(N**2 - 1)) * N + draws.y
-    order = np.argsort(key, kind="stable")  # numpy radix-sorts 8- and 16-bit keys
-    cum = np.cumsum(probs.reshape(N * N, K * K), axis=1)
-    cum[:, -1] = 1.0  # u < 1, so every flat index stays below K * K
-    flat = np.empty(len(draws), dtype=np.min_scalar_type(K * K - 1))
-    groups = np.split(order, np.cumsum(np.bincount(key, minlength=N * N))[:-1])
-    for xy, rounds in enumerate(groups):
-        if rounds.size:
-            flat[rounds] = np.searchsorted(cum[xy], u[rounds], side="right")
-    return np.divmod(flat, K)
 
 
 def kv_game_to_json_per_entry(functional) -> dict:

@@ -19,18 +19,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
-    draw_answers_grouped,
-    join_blocks,
     kv_game_to_json_per_entry,
     load_game_per_entry,
-    per_pair_answers,
     referee_sample_whole_x,
 )
 
 import kvbell
 from kvbell.cli import (
-    _answer_cdf,
-    _draw_answers,
     _game_file_pieces,
     _kv_build_game,
     _load_game,
@@ -39,27 +34,22 @@ from kvbell.cli import (
 from kvbell.errors import KvBellError
 from kvbell.kvgame import (
     NOISE_ROW_BLOCK,
-    RefereeSamples,
     asymptotic_eta,
     build_hadamard_subgroup,
     kv_functional,
     kv_game_to_json,
-    kv_measurements,
-    referee_sample,
 )
-from kvbell.states import make_mes
 from kvbell.values import (
     ALMOST_ACTIVATION_CONSTANT,
     ProbDist,
     pr_box_dist,
-    quantum_prob,
+    quantum_value_kv_closed_form,
     superactivation_log_ratio_bound,
     tsirelson_box_dist,
 )
 
 METHOD_TAGS = {
     "exact",
-    "closed-form-validated",
     "heuristic-lb",
     "formula-ub",
     "formula-lb",
@@ -202,9 +192,9 @@ def test_referee_sim_strategy_file(tmp_path, capsys):
 def test_referee_sim_mes_pinned(capsys):
     argv = ["referee-sim", "--l", "3", "--samples", "200000", "--seed", "5", "--strategy", "mes"]
     res = run_json(capsys, argv)["result"]
-    assert res["wins"] == 186735
-    assert res["win_rate"] == {"value": 0.933675, "method": "empirical"}
-    assert res["deviation_sigmas"] == {"value": -1.3411418484957525, "method": "empirical"}
+    assert res["wins"] == 186734
+    assert res["win_rate"] == {"value": 0.93367, "method": "empirical"}
+    assert res["deviation_sigmas"] == {"value": -1.3500802052484382, "method": "empirical"}
 
 
 @pytest.mark.parametrize("samples", [10**7 + 1, 10**12])
@@ -215,45 +205,6 @@ def test_referee_sim_samples_guard(capsys, samples):
 
 def _outcome_rng(seed):
     return np.random.Generator(np.random.PCG64([seed, 1]))
-
-
-@pytest.mark.parametrize("l", [2, 3])
-@pytest.mark.parametrize("seed", [0, 5, 777])
-@pytest.mark.parametrize("samples", [40, 20000])
-def test_draw_answers_matches_per_pair_loop(l, seed, samples):
-    table = build_hadamard_subgroup(l)
-    meas = kv_measurements(table)
-    probs = quantum_prob(make_mes(table.n), meas, meas).table
-    draws = join_blocks(referee_sample(table, 0.2, seed, count=samples))
-    u = _outcome_rng(seed).random(samples)
-    got = _draw_answers(_answer_cdf(probs), table.n, draws.x, draws.y, u)
-    want = per_pair_answers(probs, draws, u)
-    for g, w in zip(got, want):
-        assert g.dtype == np.uint8 and np.array_equal(g, w)  # n <= 8 answers fit in 8 bits
-    if samples == 40:  # too few rounds to reach every question pair
-        assert len(set(zip(draws.x.tolist(), draws.y.tolist()))) < table.num_cosets**2
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    N=st.integers(1, 6),
-    K=st.integers(1, 4),
-    count=st.integers(1, 300),
-    seed=st.integers(0, 2**32 - 1),
-    scale=st.sampled_from([1.0, 0.9, 1.0 - 2**-52, 1.0 + 2**-52]),
-)
-def test_draw_answers_matches_per_pair_loop_on_random_tables(N, K, count, seed, scale):
-    rng = np.random.Generator(np.random.PCG64(seed))
-    probs = rng.random((N, N, K, K)) * (rng.random((N, N, K, K)) < 0.7)
-    probs[..., 0, 0] += 1e-3  # no all-zero row
-    probs /= probs.sum(axis=(2, 3), keepdims=True)
-    probs *= scale  # rows whose float cumsum ends below (or above) 1
-    xs = rng.integers(0, N, size=count)
-    draws = RefereeSamples(x=xs, y=rng.integers(0, N, size=count), z=np.zeros_like(xs))
-    u = _outcome_rng(seed).random(count)
-    got = _draw_answers(_answer_cdf(probs), K, draws.x, draws.y, u)
-    want = per_pair_answers(probs, draws, u)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 @pytest.mark.parametrize("l", [1, 2, 3])
@@ -273,27 +224,54 @@ def test_draw_answers_matches_per_pair_loop_on_random_tables(N, K, count, seed, 
 )
 def test_referee_sim_counts_match_whole_length_draws(capsys, l, strategy, samples):
     # rounds drawn and played block by block win the rounds that one
-    # whole-length stream and the grouped answer sampler win; an odd count
-    # leaves the x draws a spare 32-bit half that the noise stream skips
+    # whole-length stream wins, mes by its win law (1 - 2|z|/n)**2 against one
+    # whole-length uniform stream; an odd count leaves the x draws a spare
+    # 32-bit half that the noise stream skips
     argv = ["referee-sim", "--l", str(l), "--eta", "0.3", "--strategy", strategy]
     doc = run_json(capsys, argv + ["--samples", str(samples), "--seed", "3"])["result"]
     table = build_hadamard_subgroup(l)
     draws = referee_sample_whole_x(table, 0.3, 3, samples)
-    pa = pb = 0
     if strategy == "mes":
-        meas = kv_measurements(table)
-        probs = quantum_prob(make_mes(table.n), meas, meas).table
-        pa, pb = draw_answers_grouped(probs, draws, _outcome_rng(3))
-    wins = (table.elems[draws.x, pa] ^ table.elems[draws.y, pb]) == draws.z
+        law = (1.0 - 2.0 * np.bitwise_count(draws.z) / table.n) ** 2
+        wins = _outcome_rng(3).random(samples) < law
+    else:
+        wins = (table.elems[draws.x, 0] ^ table.elems[draws.y, 0]) == draws.z
     assert doc["wins"] == int(wins.sum()) and doc["win_rate"]["value"] == float(wins.mean())
 
 
-@pytest.mark.parametrize(("strategy", "wins"), [("mes", 934522), ("rep", 943867)])
+@pytest.mark.parametrize(("strategy", "wins"), [("mes", 934155), ("rep", 943867)])
 def test_referee_sim_golden_wins(capsys, strategy, wins):
     # the counts of the sampler that drew every x, then every noise bit, from
-    # one PCG64(12345) stream held whole
+    # one PCG64(12345) stream held whole; mes plays its win law
     argv = ["referee-sim", "--l", "3", "--samples", "1000000", "--seed", "12345", "--strategy", strategy]
     assert run_json(capsys, argv)["result"]["wins"] == wins
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_referee_sim_mes_consistent_at_every_size(capsys, l):
+    # mes needs no game table, so it plays at n = 16 as well
+    for seed in range(10):
+        argv = ["referee-sim", "--l", str(l), "--samples", "100000", "--seed", str(seed)]
+        res = run_json(capsys, argv)["result"]
+        assert res["consistent_4sigma"] is True, (seed, res["deviation_sigmas"])
+        assert res["exact_value"]["value"] == quantum_value_kv_closed_form(1 << l, res["eta"])
+
+
+def test_referee_sim_mes_builds_no_game_table(capsys, monkeypatch):
+    # mes plays each round by its win law: no game table, measurement or Born-rule table
+    calls = []
+    for name in ("kv_functional", "kv_measurements", "make_mes", "quantum_prob", "pair"):
+
+        def counted(*args, name=name, function=getattr(kvbell.cli, name)):
+            calls.append(name)
+            return function(*args)
+
+        monkeypatch.setattr(kvbell.cli, name, counted)
+    argv = ["referee-sim", "--l", "3", "--samples", "1000", "--strategy"]
+    run_json(capsys, argv + ["mes"])
+    assert calls == []
+    run_json(capsys, argv + ["rep"])
+    assert calls == ["kv_functional", "pair"]
 
 
 def _referee_sim_peak(strategy, samples):
@@ -311,8 +289,8 @@ def _referee_sim_peak(strategy, samples):
 @pytest.mark.parametrize("strategy", ["mes", "rep"])
 def test_referee_sim_memory_stays_per_block(strategy):
     # no round is kept: the peak is one block of rounds and the fixed tables,
-    # measured at 2.9 MiB (mes) and 2.1 MiB (rep) with numpy 2.4; the bound
-    # leaves 1.1 MiB over mes for other numpy builds' temporaries
+    # measured at 0.8 MiB (mes) and 1.6 MiB (rep) with numpy 2.4; the bound
+    # leaves 2.4 MiB over rep for other numpy builds' temporaries
     _referee_sim_peak(strategy, 1)  # the first run's imports are not per round
     small = _referee_sim_peak(strategy, 100_000)
     large = _referee_sim_peak(strategy, 3_000_000)
@@ -496,7 +474,7 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["values", "--l", "2", "--eta", "0.6"]) == 2
     assert main(["values", "--l", "2", "--eta", "bogus"]) == 2
     assert main(["referee-sim", "--l", "2", "--samples", "0"]) == 2
-    assert main(["referee-sim", "--l", "4", "--samples", "10"]) == 3
+    assert main(["referee-sim", "--l", "4", "--strategy", "rep", "--samples", "10"]) == 3
     assert main(["values", "--game", str(tmp_path / "missing.json")]) == 2
     assert main(["local-content", "--dist", str(tmp_path / "nope.json")]) == 2
     assert main(["almost-activation", "--alpha", "2/3"]) == 2
@@ -698,14 +676,17 @@ def test_block_length_refused_before_allocation(capsys, argv):
     [
         ["kv-build", "--l", "4"],
         ["kv-build", "--l", "4", "--eta", "0.9", "--out", "never-written.json"],
-        ["referee-sim", "--l", "4", "--samples", "0"],
-        ["referee-sim", "--l", "4", "--eta", "auto"],
+        ["referee-sim", "--l", "4", "--strategy", "rep", "--samples", "0"],
+        ["referee-sim", "--l", "4", "--strategy", "never-read.json", "--eta", "0.9"],
     ],
 )
 def test_dense_size_refused_by_the_game_table(capsys, argv):
-    # kv_functional's guard is the one refusal, ahead of the eta range, --out and --samples
+    # kv_functional's guard, or for referee-sim the referee's own, is the one
+    # refusal, ahead of the eta range, --out, --samples and the strategy file
     assert main(argv) == 3
-    assert "use quantum_value_kv_closed_form" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "n in (2, 4, 8), got 16" in err
+    assert ("use quantum_value_kv_closed_form" in err) == (argv[0] == "kv-build")
 
 
 def test_values_text_names_the_mes_strategy(capsys):
@@ -801,7 +782,7 @@ def test_values_n16_is_formula_only(capsys):
     res = run_json(capsys, ["values", "--l", "4"])["result"]
     assert res["classical"] == {"value": None, "method": "formula-ub"}
     assert res["quantum"] == res["closed_form"]
-    assert res["quantum"] == {"value": 0.5503208549231893, "method": "closed-form-validated"}
+    assert res["quantum"] == {"value": 0.5503208549231893, "method": "exact"}
     assert res["ratio"] is None
     assert res["notes"] == [
         "classical search needs a dense table; at this size only the upper bound is reported",
@@ -823,7 +804,7 @@ def test_values_result_pinned(capsys):
         "ratio": 0.7777777777777778,
         "bounds": {"classical_upper_bound": {"value": 0.6299605249474366, "method": "formula-ub"}},
         "notes": [],
-        "closed_form": {"value": 0.4375, "method": "closed-form-validated"},
+        "closed_form": {"value": 0.4375, "method": "exact"},
     }
 
 

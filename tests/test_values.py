@@ -376,6 +376,38 @@ def test_closed_form_matches_full_strategy_evaluation(l, eta):
     assert abs(value - quantum_value_kv_closed_form(table.n, eta)) < 1e-12
 
 
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_mes_round_is_won_by_its_noise_weight(l):
+    # every question x and noise z: the pairs (a, a xor z), a in [x], take
+    # (1 - 2|z|/n)**2 of the MES outcome table, whatever x is
+    table = build_hadamard_subgroup(l)
+    n, N = table.n, table.num_cosets
+    meas = kv_measurements(table)
+    probs = quantum_prob(make_mes(n), meas, meas).table
+    place = np.empty(table.size, dtype=np.int64)  # a string's position in its coset
+    place[table.elems] = np.arange(n)
+    x = np.arange(N)[:, None, None]
+    z = np.arange(table.size)[None, :, None]
+    a = table.elems[x, np.arange(n)]
+    y = table.coset_of[table.elems[x, 0] ^ z]
+    won = probs[x, y, place[a], place[a ^ z]].sum(axis=2)
+    law = (1.0 - 2.0 * np.bitwise_count(np.arange(table.size)) / n) ** 2
+    assert np.max(np.abs(won - law)) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16, 64])
+def test_closed_form_is_the_mean_of_the_win_law(n):
+    # E[(1 - 2W/n)**2], W ~ Bin(n, eta), in Fractions: the closed form, rounded once
+    asymptotic = Fraction(0.5 - 1.0 / math.log(max(n, 8)))
+    for eta in (Fraction(1, 4), Fraction(3, 8), Fraction(1, 2), Fraction(5, 1024), asymptotic):
+        mean = sum(
+            math.comb(n, w) * eta**w * (1 - eta) ** (n - w) * (1 - Fraction(2 * w, n)) ** 2
+            for w in range(n + 1)
+        )
+        assert mean == (1 - 2 * eta) ** 2 + 4 * eta * (1 - eta) / n
+        assert quantum_value_kv_closed_form(n, float(eta)) == float(mean)
+
+
 def test_uniform_answers_value():
     game = kv_functional(build_hadamard_subgroup(2), 0.25)
     assert abs(pair(game, uniform_dist(4, 4)) - 0.25) < 1e-14
