@@ -31,6 +31,7 @@ from .kvgame import (
     CosetTable,
     asymptotic_eta,
     build_hadamard_subgroup,
+    deterministic_value,
     entangled_lower_bound_asymptotic,
     kv_classical_upper_bound,
     kv_functional,
@@ -633,11 +634,6 @@ def cmd_referee_sim(args) -> int:
     n = _resolve_block_length(args)
     eta = _resolve_eta(args.eta, n)
     strategy = args.strategy
-    if strategy != "mes" and n not in EXACT_GAME_SIZES:  # before a strategy file is read
-        raise GuardError(
-            f"referee-sim plays 'rep' and strategy files against the dense game table, "
-            f"n in {EXACT_GAME_SIZES}, got {n}; 'mes' plays at every n"
-        )
     samples = int(args.samples)
     if samples < 1:
         raise ValidationError(f"--samples must be >= 1, got {samples}")
@@ -655,15 +651,14 @@ def cmd_referee_sim(args) -> int:
             return outcome_rng.random(len(d)) < win_prob[np.bitwise_count(d.z)]
 
     else:
-        N, K = table.num_cosets, n
+        xs = np.arange(table.num_cosets)  # one answer string per coset and party
         if strategy == "rep":
-            alice = bob = np.zeros(N, dtype=np.int64)
+            alice = bob = np.zeros_like(xs)
         else:
-            alice, bob = _load_strategy_file(strategy, N, K)
+            alice, bob = _load_strategy_file(strategy, table.num_cosets, n)
             strategy = Path(strategy).name
-        exact = pair(kv_functional(table, eta), ProbDist.from_assignments(alice, bob, N, K))
-        xs = np.arange(N)  # a deterministic strategy gives each coset one answer string
         string_a, string_b = table.elems[xs, alice], table.elems[xs, bob]
+        exact = deterministic_value(table, eta, string_a, string_b)
 
         def won(d):
             return (string_a[d.x] ^ string_b[d.y]) == d.z

@@ -22,7 +22,7 @@ from .errors import GuardError, ValidationError
 
 MAX_LOG = 4  # coset tables hold all 2**(2**l) strings, so l stays small
 # dense game tables exist up to n = 8; n = 16 would need (4096 * 16)**2
-# entries, far past memory, so n = 16 is served by the closed forms alone
+# entries, far past memory; n = 16 is served by the closed forms and deterministic_value
 EXACT_GAME_SIZES = (2, 4, 8)
 REFEREE_ROUNDS_GUARD = 10**7  # rounds per run; bounds the time of a run, since no round is kept
 NOISE_ROW_BLOCK = 1 << 15  # rounds are drawn and played this many at a time
@@ -149,6 +149,25 @@ def kv_functional(table: CosetTable, eta: float) -> BellFunctional:
     return BellFunctional(table.num_cosets, n, per_weight[np.bitwise_count(xor_all)], meta)
 
 
+def deterministic_value(table: CosetTable, eta: float, string_a, string_b) -> float:
+    """Exact value of the strategy answering coset x with string_a[x]
+    (Alice) and string_b[x] (Bob), at every n.
+
+    As in kv_functional, question pair (x, y) pays only on the noise string
+    string_a[x] xor string_b[y], with probability p^w (q - p)^(n - w) / q^n
+    for eta = p/q and w its weight.  The count c_w of question pairs at each
+    distance is taken one Alice string at a time, so memory stays O(N), and
+    sum_w c_w p^w (q - p)^(n - w) / (q^n N) is rounded once.
+    """
+    n = table.n
+    p, q = _check_eta(eta).as_integer_ratio()
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for a in string_a:
+        counts += np.bincount(np.bitwise_count(a ^ string_b), minlength=n + 1)
+    paid = sum(c * p**w * (q - p) ** (n - w) for w, c in enumerate(counts.tolist()))
+    return paid / (q**n * table.num_cosets)
+
+
 def _require_coset_game(functional: BellFunctional) -> CosetTable:
     """The coset table of a functional built by kv_functional, the only
     functionals whose meta holds one."""
@@ -226,9 +245,8 @@ def entangled_lower_bound_asymptotic(n: int) -> float:
 
 
 class RefereeSamples:
-    """One block of rounds: question pairs and noise strings in the coset
-    table's narrow dtypes (uint8 at n <= 8), so widen x before forming
-    x * N + y, which wraps at N = 32."""
+    """One block of rounds: question pairs x, y and noise strings z in the
+    coset table's narrow dtypes, uint8 at n <= 8 and uint16 at n = 16."""
 
     __slots__ = ("x", "y", "z")
 

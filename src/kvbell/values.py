@@ -76,19 +76,6 @@ class ProbDist:
         self.N = table.shape[0]
         self.K = table.shape[2]
 
-    @classmethod
-    def from_assignments(cls, alice, bob, N: int, K: int) -> "ProbDist":
-        alice = np.asarray(alice, dtype=np.int64)
-        bob = np.asarray(bob, dtype=np.int64)
-        if alice.shape != (N,) or bob.shape != (N,):
-            raise ValidationError("assignments must give one output per input")
-        if alice.min() < 0 or alice.max() >= K or bob.min() < 0 or bob.max() >= K:
-            raise ValidationError(f"assignment outputs must lie in [0, {K})")
-        table = np.zeros((N, N, K, K))
-        xs = np.arange(N)
-        table[xs[:, None], xs[None, :], alice[:, None], bob[None, :]] = 1.0
-        return cls(table)
-
 
 def pair(functional: BellFunctional, dist: ProbDist) -> float:
     """Bilinear pairing sum over (x, y, a, b) of coefficient times probability."""

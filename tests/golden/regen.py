@@ -88,8 +88,7 @@ ALMOST_ACTIVATION = {
     f"almost-activation-delta{delta}": (["almost-activation", "--delta", delta], [])
     for delta in ("1", "1e308")
 }
-# referee-sim one round short of a noise block, a whole block and one past it;
-# at n = 16 only mes plays, since rep needs a dense game table
+# referee-sim one round short of a noise block, a whole block and one past it
 REFEREE_EDGES = {
     f"referee-sim-l{l}-{strategy}-{samples}-s{seed}": (
         ["referee-sim", "--l", str(l), "--strategy", strategy]
@@ -97,7 +96,7 @@ REFEREE_EDGES = {
         [],
     )
     for l in (1, 2, 3, 4)
-    for strategy in ("mes", "rep")[: 1 if l == 4 else 2]
+    for strategy in ("mes", "rep")
     for samples in (32767, 32768, 32769)
     for seed in (0, 9)
 }
@@ -154,7 +153,7 @@ REFEREE_FILE = {
         [],
         {"strategy.json": strategy_text(l)},
     )
-    for l in (2, 3)
+    for l in (2, 3, 4)
     for seed in (0, 9)
 }
 LOCAL_CONTENT_FILES = {

@@ -67,6 +67,22 @@ def make_isotropic(d: int, p: float) -> DensityMatrix:
     return DensityMatrix(p * mes + (1.0 - p) * np.eye(d * d) / (d * d))
 
 
+def dist_from_assignments(alice, bob, N: int, K: int) -> ProbDist:
+    """The deterministic box of Alice's and Bob's assignments (one output
+    per input), spelled out as the dense (N, N, K, K) table: the dense side
+    of deterministic_value's check."""
+    alice = np.asarray(alice, dtype=np.int64)
+    bob = np.asarray(bob, dtype=np.int64)
+    if alice.shape != (N,) or bob.shape != (N,):
+        raise ValidationError("assignments must give one output per input")
+    if alice.min() < 0 or alice.max() >= K or bob.min() < 0 or bob.max() >= K:
+        raise ValidationError(f"assignment outputs must lie in [0, {K})")
+    table = np.zeros((N, N, K, K))
+    xs = np.arange(N)
+    table[xs[:, None], xs[None, :], alice[:, None], bob[None, :]] = 1.0
+    return ProbDist(table)
+
+
 def uniform_dist(N: int, K: int) -> ProbDist:
     """Every answer pair equally likely on every question pair."""
     return ProbDist(np.full((N, N, K, K), 1.0 / (K * K)))
@@ -144,6 +160,20 @@ def kv_mes_value_direct(table: CosetTable, eta: float) -> float:
     bit_counts = np.array([bin(v).count("1") for v in range(table.size)])
     weights = per_weight[bit_counts[values[:, None] ^ values[None, :]]]
     return float(np.sum(weights * overlaps**2) / (table.num_cosets * n))
+
+
+def deterministic_value_by_fractions(table: CosetTable, eta: float, alice, bob) -> Fraction:
+    """Value of the strategy giving coset x answer positions alice[x] and
+    bob[x], as the exact sum over question pairs (x, y) of
+    (1/N) eta^w (1 - eta)^(n - w), w the distance of the two answers."""
+    n, eta = table.n, Fraction(eta)
+    total = Fraction(0)
+    for x in range(table.num_cosets):
+        a = int(table.elems[x, alice[x]])
+        for y in range(table.num_cosets):
+            w = bin(a ^ int(table.elems[y, bob[y]])).count("1")
+            total += eta**w * (1 - eta) ** (n - w)
+    return total / table.num_cosets
 
 
 def tensor_power_blocked(state: DensityMatrix, d: int, k: int) -> DensityMatrix:

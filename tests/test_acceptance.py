@@ -16,6 +16,7 @@ import numpy as np
 from oracles import (
     classical_value_bruteforce,
     direct_coefficient_table_numpy,
+    dist_from_assignments,
     kv_mes_value_direct,
     make_isotropic,
     noise_string_probs,
@@ -185,7 +186,7 @@ def _oracle_max(c, rows, rhs):
 def _rebuild_local_part(weights, N, K):
     out = np.zeros((N, N, K, K))
     for f, g, weight in weights:
-        out += weight * ProbDist.from_assignments(f, g, N, K).table
+        out += weight * dist_from_assignments(f, g, N, K).table
     return out
 
 

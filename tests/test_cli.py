@@ -12,6 +12,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
+    dist_from_assignments,
     kv_game_to_json_per_entry,
     load_game_per_entry,
     referee_sample_whole_x,
@@ -41,7 +43,6 @@ from kvbell.kvgame import (
 )
 from kvbell.values import (
     ALMOST_ACTIVATION_CONSTANT,
-    ProbDist,
     pr_box_dist,
     quantum_value_kv_closed_form,
     superactivation_log_ratio_bound,
@@ -207,7 +208,7 @@ def _outcome_rng(seed):
     return np.random.Generator(np.random.PCG64([seed, 1]))
 
 
-@pytest.mark.parametrize("l", [1, 2, 3])
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
 @pytest.mark.parametrize("strategy", ["mes", "rep"])
 @pytest.mark.parametrize(
     "samples",
@@ -257,8 +258,39 @@ def test_referee_sim_mes_consistent_at_every_size(capsys, l):
         assert res["exact_value"]["value"] == quantum_value_kv_closed_form(1 << l, res["eta"])
 
 
-def test_referee_sim_mes_builds_no_game_table(capsys, monkeypatch):
-    # mes plays each round by its win law: no game table, measurement or Born-rule table
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_referee_sim_rep_value_is_correctly_rounded(capsys, l):
+    # rep answers each coset's first member and wins (1 - eta)**l, rounded once
+    for eta in ("0.05", "0.25", "0.3", "0.5", "5e-324") + (("auto",) if l >= 3 else ()):
+        argv = ["referee-sim", "--l", str(l), "--eta", eta, "--strategy", "rep", "--samples", "1"]
+        res = run_json(capsys, argv)["result"]
+        assert res["exact_value"]["value"] == float((1 - Fraction(res["eta"])) ** l), eta
+
+
+@pytest.mark.parametrize("strategy", ["rep", "file"])
+def test_referee_sim_consistent_at_n16(tmp_path, capsys, strategy):
+    # rep and strategy files are valued from their answer strings, so they
+    # play at n = 16; the file moves a quarter of rep's answers at random
+    if strategy == "file":
+        rng = np.random.default_rng(16)
+        moved = {
+            key: np.where(rng.random(4096) < 0.25, rng.integers(0, 16, 4096), 0).tolist()
+            for key in ("alice", "bob")
+        }
+        strategy = tmp_path / "strategy.json"
+        strategy.write_text(json.dumps(moved))
+    for seed in range(10):
+        argv = ["referee-sim", "--l", "4", "--strategy", str(strategy), "--samples", "100000"]
+        res = run_json(capsys, argv + ["--seed", str(seed)])["result"]
+        assert res["consistent_4sigma"] is True, (seed, res["deviation_sigmas"])
+
+
+def test_referee_sim_mes_builds_no_game_table(tmp_path, capsys, monkeypatch):
+    # mes plays each round by its win law, and rep and strategy files are
+    # valued from their answer strings: no game table, measurement or
+    # Born-rule table
+    strat = tmp_path / "strategy.json"
+    strat.write_text(json.dumps({"alice": [x % 8 for x in range(32)], "bob": [7] * 32}))
     calls = []
     for name in ("kv_functional", "kv_measurements", "make_mes", "quantum_prob", "pair"):
 
@@ -268,10 +300,9 @@ def test_referee_sim_mes_builds_no_game_table(capsys, monkeypatch):
 
         monkeypatch.setattr(kvbell.cli, name, counted)
     argv = ["referee-sim", "--l", "3", "--samples", "1000", "--strategy"]
-    run_json(capsys, argv + ["mes"])
-    assert calls == []
-    run_json(capsys, argv + ["rep"])
-    assert calls == ["kv_functional", "pair"]
+    for strategy in ("mes", "rep", str(strat)):
+        run_json(capsys, argv + [strategy])
+        assert calls == [], strategy
 
 
 def _referee_sim_peak(strategy, samples):
@@ -289,8 +320,8 @@ def _referee_sim_peak(strategy, samples):
 @pytest.mark.parametrize("strategy", ["mes", "rep"])
 def test_referee_sim_memory_stays_per_block(strategy):
     # no round is kept: the peak is one block of rounds and the fixed tables,
-    # measured at 0.8 MiB (mes) and 1.6 MiB (rep) with numpy 2.4; the bound
-    # leaves 2.4 MiB over rep for other numpy builds' temporaries
+    # measured at 0.8 MiB (mes) and 0.5 MiB (rep) with numpy 2.4; the bound
+    # leaves 3.2 MiB over mes for other numpy builds' temporaries
     _referee_sim_peak(strategy, 1)  # the first run's imports are not per round
     small = _referee_sim_peak(strategy, 100_000)
     large = _referee_sim_peak(strategy, 3_000_000)
@@ -325,7 +356,7 @@ def test_local_content_dense_guard_counts_pairs_inside_the_support(tmp_path, cap
     # dense guard as a whole; a mixture of three pairs keeps only a few of them
     N, K = 5, 4
     mixture = sum(
-        ProbDist.from_assignments(f, g, N, K).table / 3.0
+        dist_from_assignments(f, g, N, K).table / 3.0
         for f, g in (([0, 1, 2, 3, 0], [1, 1, 2, 2, 3]), ([3, 2, 1, 0, 0], [0] * 5), ([1] * 5, [2] * 5))
     )
     path = tmp_path / "mix54.json"
@@ -354,7 +385,7 @@ def test_local_variant_on_signalling_inputs(tmp_path, capsys, eps):
     # (1 - eps) B + eps S with S a box in which Bob answers Alice's question x:
     # P signals by eps.  Its exact local weight is 0; below the drift the
     # solver can tell from rounding the LP fits P within the 1e-9 gate.
-    det = ProbDist.from_assignments([0, 0], [0, 0], 2, 2).table
+    det = dist_from_assignments([0, 0], [0, 0], 2, 2).table
     signal = np.zeros((2, 2, 2, 2))
     for x, y in np.ndindex(2, 2):
         signal[x, y, 0, x] = 1.0
@@ -377,7 +408,7 @@ def test_local_variant_on_tables_of_mass_one_plus_delta(tmp_path, capsys, delta)
     # weight 1, so P is solved at its own weight scaled to 1
     path = tmp_path / "mass.json"
     argv = ["local-content", "--dist", str(path), "--variant", "local"]
-    det = ProbDist.from_assignments([0, 0], [0, 0], 2, 2).table
+    det = dist_from_assignments([0, 0], [0, 0], 2, 2).table
     for base in (det, np.full((2, 2, 2, 2), 0.25), pr_box_dist().table):
         lams = []
         for scale in (1.0, 1.0 + delta):
@@ -394,7 +425,7 @@ def test_local_tables_of_mass_just_below_one_leave_no_residual(tmp_path, capsys,
     # table's own mass, so the leftover P - D q holds nothing to normalize
     path = tmp_path / "short.json"
     argv = ["local-content", "--dist", str(path), "--variant", variant]
-    det = ProbDist.from_assignments([0, 0], [0, 0], 2, 2).table
+    det = dist_from_assignments([0, 0], [0, 0], 2, 2).table
     for base in (det, np.full((2, 2, 2, 2), 0.25)):
         path.write_text(json.dumps({"N": 2, "K": 2, "table": ((1.0 - 5e-9) * base).tolist()}))
         res = run_json(capsys, argv)["result"]
@@ -405,7 +436,7 @@ def test_local_tables_of_mass_just_below_one_leave_no_residual(tmp_path, capsys,
 
 
 def _skewable_boxes():
-    det = ProbDist.from_assignments([0, 0], [0, 0], 2, 2).table
+    det = dist_from_assignments([0, 0], [0, 0], 2, 2).table
     uniform = np.full((2, 2, 2, 2), 0.25)
     return {
         "deterministic": det,
@@ -474,7 +505,7 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["values", "--l", "2", "--eta", "0.6"]) == 2
     assert main(["values", "--l", "2", "--eta", "bogus"]) == 2
     assert main(["referee-sim", "--l", "2", "--samples", "0"]) == 2
-    assert main(["referee-sim", "--l", "4", "--strategy", "rep", "--samples", "10"]) == 3
+    assert main(["referee-sim", "--l", "4", "--strategy", "rep", "--samples", "10"]) == 0
     assert main(["values", "--game", str(tmp_path / "missing.json")]) == 2
     assert main(["local-content", "--dist", str(tmp_path / "nope.json")]) == 2
     assert main(["almost-activation", "--alpha", "2/3"]) == 2
@@ -676,17 +707,14 @@ def test_block_length_refused_before_allocation(capsys, argv):
     [
         ["kv-build", "--l", "4"],
         ["kv-build", "--l", "4", "--eta", "0.9", "--out", "never-written.json"],
-        ["referee-sim", "--l", "4", "--strategy", "rep", "--samples", "0"],
-        ["referee-sim", "--l", "4", "--strategy", "never-read.json", "--eta", "0.9"],
     ],
 )
 def test_dense_size_refused_by_the_game_table(capsys, argv):
-    # kv_functional's guard, or for referee-sim the referee's own, is the one
-    # refusal, ahead of the eta range, --out, --samples and the strategy file
+    # kv_functional's guard is the one refusal, ahead of the eta range and --out
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert "n in (2, 4, 8), got 16" in err
-    assert ("use quantum_value_kv_closed_form" in err) == (argv[0] == "kv-build")
+    assert "use quantum_value_kv_closed_form" in err
 
 
 def test_values_text_names_the_mes_strategy(capsys):

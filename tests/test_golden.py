@@ -60,4 +60,4 @@ def test_result_matches_golden(path, tmp_path):
 
 
 def test_golden_corpus_is_present():
-    assert len(list(GOLDEN.glob("*.json"))) >= 101
+    assert len(list(GOLDEN.glob("*.json"))) >= 109

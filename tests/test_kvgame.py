@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 from oracles import (
     assert_projective_measurement,
     coset_table_by_loop,
+    deterministic_value_by_fractions,
     direct_coefficient_table_numpy,
+    dist_from_assignments,
     join_blocks,
     kv_game_to_json_per_entry,
     noise_string_probs,
@@ -30,6 +32,7 @@ from kvbell.kvgame import (
     BellFunctional,
     asymptotic_eta,
     build_hadamard_subgroup,
+    deterministic_value,
     entangled_lower_bound_asymptotic,
     kv_classical_upper_bound,
     kv_functional,
@@ -39,6 +42,7 @@ from kvbell.kvgame import (
     noise_weights,
     referee_sample,
 )
+from kvbell.values import pair
 
 
 def test_subgroup_small_examples():
@@ -134,6 +138,24 @@ def test_kv_functional_refuses_n16():
     for eta in (0.2, 0.9):
         with pytest.raises(GuardError, match="quantum_value_kv_closed_form"):
             kv_functional(build_hadamard_subgroup(4), eta)
+
+
+@pytest.mark.parametrize("l", [2, 3])
+@pytest.mark.parametrize("seed", range(10))
+def test_deterministic_value_is_the_exact_sum(l, seed):
+    # the pair counts by distance, summed in integers and rounded once, give
+    # the exact sum over question pairs; the dense pairing, which rounds
+    # every entry and sums in floats, agrees within 8 ulp
+    table = build_hadamard_subgroup(l)
+    N, n = table.num_cosets, table.n
+    rng = np.random.default_rng(seed)
+    alice, bob = rng.integers(0, n, size=(2, N))
+    eta = 0.5 - float(rng.uniform(0.0, 0.5))  # in (0, 1/2]
+    xs = np.arange(N)
+    value = deterministic_value(table, eta, table.elems[xs, alice], table.elems[xs, bob])
+    assert value == float(deterministic_value_by_fractions(table, eta, alice, bob))
+    dense = pair(kv_functional(table, eta), dist_from_assignments(alice, bob, N, n))
+    assert abs(value - dense) <= 8 * math.ulp(value)
 
 
 def _marginal_bruteforce(table, eta):

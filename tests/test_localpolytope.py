@@ -14,7 +14,7 @@ import pytest
 from gen import random_mes_table
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import chsh_functional, uniform_dist
+from oracles import chsh_functional, dist_from_assignments, uniform_dist
 
 from kvbell import build_hadamard_subgroup, kv_measurements, localpolytope
 from kvbell.errors import NumericalError, ValidationError
@@ -350,14 +350,14 @@ def test_vertex_matrix_columns_are_deterministic_boxes():
         for fi in range(F):
             for gi in range(F):
                 col = D[:, fi * F + gi]
-                want = ProbDist.from_assignments(table[fi], table[gi], N, K)
+                want = dist_from_assignments(table[fi], table[gi], N, K)
                 assert np.array_equal(col, want.table.reshape(-1))
 
 
 def _rebuild(weights, N, K):
     out = np.zeros((N, N, K, K))
     for f, g, weight in weights:
-        out += weight * ProbDist.from_assignments(f, g, N, K).table
+        out += weight * dist_from_assignments(f, g, N, K).table
     return out
 
 
@@ -367,7 +367,7 @@ def _rebuild(weights, N, K):
 
 def test_local_content_endpoints():
     assert local_content(pr_box_dist(), "free").lam <= 1e-9
-    det = ProbDist.from_assignments([0, 1], [0, 0], 2, 2)
+    det = dist_from_assignments([0, 1], [0, 0], 2, 2)
     assert abs(local_content(det, "free").lam - 1.0) <= 1e-9
     assert abs(local_content(uniform_dist(2, 2), "free").lam - 1.0) <= 1e-9
 
@@ -417,7 +417,7 @@ def test_local_content_decreases_toward_pr_box():
 
 
 def test_local_content_remainder_local_variant():
-    det = ProbDist.from_assignments([0, 1], [0, 0], 2, 2)
+    det = dist_from_assignments([0, 1], [0, 0], 2, 2)
     assert abs(local_content(det, "local").lam - 1.0) <= 1e-9
     out = local_content(pr_box_dist(), "local")
     # mixing weight against the worst local box: known 2/3 for this box
@@ -453,7 +453,7 @@ def _sparse_mixtures(draw):
     shift = draw(st.lists(answers, min_size=N, max_size=N))
     table = pr_weight * _pr_type_box(N, K, shift)
     for (f, g), w in zip(pairs, weights):
-        table = table + w * ProbDist.from_assignments(f, g, N, K).table
+        table = table + w * dist_from_assignments(f, g, N, K).table
     return ProbDist(table / (pr_weight + sum(weights)))
 
 
@@ -497,7 +497,7 @@ def test_lambda_read_past_one_is_clipped():
     # the local variant's [lambda | q | r] form read 1 + 5e-10 here (true
     # value 1 - 5e-10), the free one 1 + 2e-16 on the random MES(3) draw of
     # gen.py seed 1, pass 2
-    det = ProbDist.from_assignments([0, 0], [0, 0], 2, 2).table
+    det = dist_from_assignments([0, 0], [0, 0], 2, 2).table
     near_det = ProbDist((1.0 - 1e-9) * det + 1e-9 * pr_box_dist().table)
     draw = ProbDist(
         random_mes_table(np.random.default_rng([1, 2]), 3, 3), neg_tol=1e-9, norm_tol=1e-8
@@ -514,7 +514,7 @@ def _deterministic_mixtures(draw):
     answers = st.lists(st.integers(0, K - 1), min_size=N, max_size=N)
     pairs = draw(st.lists(st.tuples(answers, answers), min_size=1, max_size=3))
     weights = draw(st.lists(st.integers(1, 5), min_size=len(pairs), max_size=len(pairs)))
-    table = sum(w * ProbDist.from_assignments(f, g, N, K).table for (f, g), w in zip(pairs, weights))
+    table = sum(w * dist_from_assignments(f, g, N, K).table for (f, g), w in zip(pairs, weights))
     return ProbDist(table / sum(weights))
 
 
@@ -536,7 +536,7 @@ def test_local_variant_near_a_deterministic_pair(weight):
     # so LV = 1 + w and lambda = 2 / (2 + w).  With P as an LP column next to
     # the nearly equal vertex columns, w = 2e-9 and 1e-8 ended phase 1 on a
     # singular basis.
-    det = ProbDist.from_assignments([0, 0], [0, 0], 2, 2).table
+    det = dist_from_assignments([0, 0], [0, 0], 2, 2).table
     dist = ProbDist((1.0 - weight) * det + weight * pr_box_dist().table)
     assert local_content(dist, "free").lam >= 1.0 - weight - 1e-12
     out = local_content(dist, "local")
@@ -557,7 +557,7 @@ def _chsh_boxes():
         boxes.append(box)
     functions = [xy * 0, xy * 0 + 1, xy, 1 - xy]
     for f, g in itertools.product(functions, repeat=2):
-        boxes.append(ProbDist.from_assignments(f, g, 2, 2).table)
+        boxes.append(dist_from_assignments(f, g, 2, 2).table)
     return np.array(boxes)
 
 

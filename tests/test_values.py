@@ -19,6 +19,7 @@ from oracles import (
     assert_projective_measurement,
     chsh_functional,
     classical_value_bruteforce,
+    dist_from_assignments,
     isotropic_power_value_by_binomial_sum,
     isotropic_power_value_by_patterns,
     kv_mes_value_direct,
@@ -115,7 +116,7 @@ def test_probdist_constructors_and_mix():
     u3 = uniform_dist(2, 3)
     assert u3.table.shape == (2, 2, 3, 3)
     assert np.all(u3.table == 1 / 9)
-    d = ProbDist.from_assignments([0, 1], [1, 0], 2, 2)
+    d = dist_from_assignments([0, 1], [1, 0], 2, 2)
     assert d.table[0, 1, 0, 0] == 1.0
     assert d.table[1, 0, 1, 1] == 1.0
     # a convex mixture of two tables is again a distribution
@@ -128,7 +129,7 @@ def test_pair_is_bilinear(rng):
     tab = rng.normal(size=(2, 2, 2, 2))
     f = BellFunctional(2, 2, table=tab)
     p = uniform_dist(2, 2)
-    q = ProbDist.from_assignments([0, 1], [0, 1], 2, 2)
+    q = dist_from_assignments([0, 1], [0, 1], 2, 2)
     for lam in [0.0, 0.3, 1.0]:
         want = lam * pair(f, p) + (1 - lam) * pair(f, q)
         assert abs(pair(f, ProbDist(lam * p.table + (1 - lam) * q.table)) - want) < 1e-14
@@ -214,7 +215,7 @@ def test_heuristic_reaches_the_explicit_strategy_at_n8(eta):
     game = kv_functional(build_hadamard_subgroup(3), eta)
     N, K = game.num_inputs, game.num_outputs
     zeros = [0] * N
-    explicit = pair(game, ProbDist.from_assignments(zeros, zeros, N, K))
+    explicit = pair(game, dist_from_assignments(zeros, zeros, N, K))
     assert abs(explicit - (1 - eta) ** 3) < 1e-15
     for seed in range(5):
         assert abs(classical_value_heuristic(game, restarts=1, seed=seed) - explicit) < 1e-15
