@@ -1,10 +1,10 @@
 """Command-line surface tying game construction, value computation, the
 bound-chain experiments, Monte Carlo simulation, and the LP layer together.
 
-Every random draw is seeded from --seed (numpy's PCG64 in referee-sim, the
-stdlib random.Random for the starts of the classical search in values), so
-every subcommand is reproducible run to run; JSON output puts timestamps in
-a separate "meta" block so the "result" block is byte-stable.
+Every random draw is seeded from --seed (counter-based splitmix64 streams in
+referee-sim, the stdlib random.Random for the starts of the classical search
+in values), so every subcommand is reproducible run to run; JSON output puts
+timestamps in a separate "meta" block so the "result" block is byte-stable.
 
 Every computed number in JSON results is wrapped as {"value", "method"} with
 method one of: exact, heuristic-lb, formula-ub, formula-lb, formula-symbolic,
@@ -38,6 +38,8 @@ from .kvgame import (
     kv_measurements,
     kv_question_marginal,
     referee_sample,
+    stream_key,
+    stream_words,
     _check_eta,
 )
 from .localpolytope import local_content, lv_from_pi
@@ -625,8 +627,11 @@ def _load_strategy_file(path: str, N: int, K: int) -> tuple[np.ndarray, np.ndarr
         if not isinstance(values, list) or len(values) != N:
             raise ValidationError(f"strategy lists must have one entry per coset ({N})")
         # JSON integers only: type() also refuses booleans, which subclass int
-        if not all(type(v) is int and 0 <= v < K for v in values):
-            raise ValidationError(f"strategy {key!r} must hold integers in [0, {K}), got {values}")
+        for index, v in enumerate(values):
+            if not (type(v) is int and 0 <= v < K):
+                raise ValidationError(
+                    f"strategy {key!r} must hold integers in [0, {K}), got {v!r} at index {index}"
+                )
     return np.asarray(doc["alice"], dtype=np.int64), np.asarray(doc["bob"], dtype=np.int64)
 
 
@@ -645,10 +650,11 @@ def cmd_referee_sim(args) -> int:
         # with exactly that probability (quantum_value_kv_closed_form)
         exact = quantum_value_kv_closed_form(n, eta)
         win_prob = (1.0 - 2.0 * np.arange(n + 1) / n) ** 2
-        outcome_rng = np.random.Generator(np.random.PCG64([args.seed, 1]))
+        uniform_key = stream_key(args.seed, 2)
 
-        def won(d):  # one uniform per round, in round order
-            return outcome_rng.random(len(d)) < win_prob[np.bitwise_count(d.z)]
+        def won(d):  # round i's uniform is word i of the seed's stream 2
+            uniform = (stream_words(uniform_key, d.start, len(d)) >> 11) * 2.0**-53
+            return uniform < win_prob[np.bitwise_count(d.z)]
 
     else:
         xs = np.arange(table.num_cosets)  # one answer string per coset and party

@@ -244,16 +244,92 @@ def entangled_lower_bound_asymptotic(n: int) -> float:
     return BOUND_CONSTANTS.entangled / math.log(n) ** 2
 
 
+def stream_words(key: int, start: int, count: int) -> np.ndarray:
+    """Words start .. start + count - 1 of the splitmix64 stream (Steele,
+    Lea and Flood, OOPSLA 2014) with key key, as uint64: word i is the
+    splitmix64 mixer applied to key + (i + 1) * 0x9E3779B97F4A7C15 mod
+    2**64.  Word i depends on key and i alone, so any slice of a stream is
+    drawn without the words before it."""
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(key)
+    z ^= z >> 30
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> 27
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> 31
+    return z
+
+
+def stream_key(seed: int, stream: int) -> int:
+    """Key of stream number stream of a non-negative seed of any size.
+
+    The seed's 64-bit limbs, lowest first, are folded into a key by
+    key = word 0 of the stream keyed key xor limb, starting from 0; stream s
+    then takes word s of the stream with that key.
+    """
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
+    key = 0
+    while True:
+        key = int(stream_words(key ^ (seed & 0xFFFFFFFFFFFFFFFF), 0, 1)[0])
+        seed >>= 64
+        if not seed:
+            return int(stream_words(key, stream, 1)[0])
+
+
+def noise_alias_table(n: int, eta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Walker/Vose alias table of the noise law over the 2**n strings.
+
+    A 64-bit word picks entry j by its top n bits and keeps the string j
+    when its low 64 - n bits fall below threshold[j], else takes alias[j].
+    So string s comes from threshold[s] + sum over j with alias[j] = s of
+    (2**(64 - n) - threshold[j]) of the 2**64 words.  Each string of weight
+    w is given floor(2**64 p^w (q - p)^(n - w) / q^n) words for eta = p/q,
+    and the all-zero string the few left over, so every string is within
+    2**(n - 64) of eta^w (1 - eta)^(n - w) and eta = 1/2 is exactly uniform.
+    The pairing runs on Python integers, so the table holds that law exactly.
+    """
+    p, q = _check_eta(eta).as_integer_ratio()
+    size, capacity = 1 << n, 1 << (64 - n)
+    per_weight = [(p**w * (q - p) ** (n - w) << 64) // q**n for w in range(n + 1)]
+    mass = [per_weight[w] for w in np.bitwise_count(np.arange(size)).tolist()]
+    mass[0] += (1 << 64) - sum(mass)
+    threshold, alias = [capacity] * size, list(range(size))
+    small = [s for s in range(size) if mass[s] < capacity]
+    large = [s for s in range(size) if mass[s] >= capacity]
+    # the integer masses sum to size * capacity, so the smalls run out first
+    # and every large left over holds exactly one entry's worth
+    while small:
+        s, g = small.pop(), large[-1]
+        threshold[s], alias[s] = mass[s], g
+        mass[g] -= capacity - mass[s]
+        if mass[g] < capacity:
+            small.append(large.pop())
+    return np.array(threshold, dtype=np.uint64), np.array(alias, dtype=np.min_scalar_type(size - 1))
+
+
+def _noise_strings(words: np.ndarray, threshold: np.ndarray, alias: np.ndarray) -> np.ndarray:
+    """The noise string of each word through noise_alias_table's table;
+    overwrites words."""
+    n = alias.shape[0].bit_length() - 1
+    entry = (words >> (64 - n)).astype(alias.dtype)
+    words &= (1 << (64 - n)) - 1
+    return np.where(words < threshold[entry], entry, alias[entry])
+
+
 class RefereeSamples:
     """One block of rounds: question pairs x, y and noise strings z in the
-    coset table's narrow dtypes, uint8 at n <= 8 and uint16 at n = 16."""
+    coset table's narrow dtypes, uint8 at n <= 8 and uint16 at n = 16, and
+    start, the index of the block's first round."""
 
-    __slots__ = ("x", "y", "z")
+    __slots__ = ("x", "y", "z", "start")
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    def __init__(self, x: np.ndarray, y: np.ndarray, z: np.ndarray, start: int = 0):
         self.x = x
         self.y = y
         self.z = z
+        self.start = start
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -263,35 +339,31 @@ def referee_sample(table: CosetTable, eta: float, seed: int, count: int = 1) -> 
     """Draw question pairs the way the referee does, as an iterator of
     blocks of up to NOISE_ROW_BLOCK rounds in round order.
 
-    The rounds are those of one PCG64(seed) stream read whole: every x
-    first, then the noise bits, count * n floats in round order.  num_cosets
-    is a power of two, so numpy draws each x from one 32-bit half with no
-    rejection, and the x draws end after (count + 1) // 2 64-bit outputs.
-    So the noise is read from a second PCG64(seed) advanced past them,
-    NOISE_ROW_BLOCK // n rounds at a time, while the first stream yields x
-    block by block, carrying its spare 32-bit half between blocks.  A fixed
-    (table, eta, seed, count) fixes the rounds, whatever the block size.
-    eta, count and the guard are checked at the call, before any block.
+    Round i reads word i of two splitmix64 streams of the seed
+    (stream_key): x is the top log2(num_cosets) bits of stream 0's word,
+    and the noise string z comes from stream 1's word through
+    noise_alias_table.  Callers that need one more uniform per round take
+    it from stream 2.  Each round depends only on the seed and its index,
+    so a fixed (table, eta, seed) fixes every round, whatever the count or
+    block size.  eta, count, the guard and the seed are checked, and the
+    alias table built, at the call, before any block.
     """
     eta = _check_eta(eta)
     if count < 1:
         raise ValidationError("count must be positive")
     if count > REFEREE_ROUNDS_GUARD:
         raise GuardError(f"{count} rounds exceed the referee guard ({REFEREE_ROUNDS_GUARD})")
-    x_rng = np.random.Generator(np.random.PCG64(seed))
-    noise_rng = np.random.Generator(np.random.PCG64(seed).advance((count + 1) // 2))
-    rows = NOISE_ROW_BLOCK // table.n  # NOISE_ROW_BLOCK floats (0.25 MiB) per draw at every n
+    n = table.n
+    x_key, z_key = stream_key(seed, 0), stream_key(seed, 1)
+    threshold, alias = noise_alias_table(n, eta)
+    x_shift = 64 - (n - table.l)  # num_cosets = 2**(n - l)
 
     def blocks():
-        for lo in range(0, count, NOISE_ROW_BLOCK):
-            size = min(NOISE_ROW_BLOCK, count - lo)
-            x = x_rng.integers(0, table.num_cosets, size=size, dtype=np.int64)
-            x = x.astype(table.coset_of.dtype)
-            z = np.empty(size, dtype=table.elems.dtype)
-            for r in range(0, size, rows):
-                flips = noise_rng.random((min(rows, size - r), table.n)) < eta
-                z[r : r + len(flips)] = flips @ table.place
-            yield RefereeSamples(x=x, y=table.coset_of[table.elems[x, 0] ^ z], z=z)
+        for start in range(0, count, NOISE_ROW_BLOCK):
+            size = min(NOISE_ROW_BLOCK, count - start)
+            x = (stream_words(x_key, start, size) >> x_shift).astype(table.coset_of.dtype)
+            z = _noise_strings(stream_words(z_key, start, size), threshold, alias)
+            yield RefereeSamples(x=x, y=table.coset_of[table.elems[x, 0] ^ z], z=z, start=start)
 
     return blocks()
 

@@ -19,7 +19,6 @@ from kvbell.cli import _header, _load_json
 from kvbell.errors import GuardError, ValidationError
 from kvbell.kvgame import (
     EXACT_GAME_SIZES,
-    NOISE_ROW_BLOCK,
     REFEREE_ROUNDS_GUARD,
     BellFunctional,
     CosetTable,
@@ -28,7 +27,10 @@ from kvbell.kvgame import (
     _check_eta,
     _require_coset_game,
     build_hadamard_subgroup,
+    noise_alias_table,
     noise_weights,
+    stream_key,
+    stream_words,
 )
 from kvbell.states import (
     ENTANGLED,
@@ -251,25 +253,49 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     return tensor.reshape(side, side)
 
 
-def referee_sample_whole_x(table: CosetTable, eta: float, seed: int, count: int = 1) -> RefereeSamples:
-    """Draw question pairs the way the referee does.
+def splitmix64_words(state: int, count: int) -> list[int]:
+    """The first count outputs of splitmix64 from state, stepped one output
+    at a time on Python integers as in the published reference generator."""
+    mask = 2**64 - 1
+    words = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        words.append(z ^ (z >> 31))
+    return words
 
-    Randomness comes from one numpy PCG64(seed) stream: every x, drawn as
-    int64 and narrowed after, then the noise bits, so a fixed (table, eta,
-    seed, count) fixes the samples.  (The sampler before x was drawn in
-    blocks; it holds every x as int64 and every round at once.)
+
+def stream_key_by_limbs(seed: int, stream: int) -> int:
+    """The key of a seed's stream: the seed's 64-bit limbs, lowest first,
+    each xored into the key and stepped once, then stream + 1 steps."""
+    key = 0
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = splitmix64_words(key ^ ((seed >> shift) & (2**64 - 1)), 1)[0]
+    return splitmix64_words(key, stream + 1)[-1]
+
+
+def referee_sample_whole_x(table: CosetTable, eta: float, seed: int, count: int = 1) -> RefereeSamples:
+    """Draw question pairs the way the referee does, every round at once.
+
+    Round i reads word i of the seed's streams 0 (x, its top
+    log2(num_cosets) bits) and 1 (z, through the noise alias table), drawn
+    whole-length, so a fixed (table, eta, seed, count) fixes the samples.
+    (referee_sample draws the same words block by block.)
     """
     eta = _check_eta(eta)
     if count < 1:
         raise ValidationError("count must be positive")
     if count > REFEREE_ROUNDS_GUARD:
         raise GuardError(f"{count} rounds exceed the referee guard ({REFEREE_ROUNDS_GUARD})")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    xs = rng.integers(0, table.num_cosets, size=count, dtype=np.int64).astype(table.coset_of.dtype)
-    zs = np.empty(count, dtype=table.elems.dtype)
-    for lo in range(0, count, NOISE_ROW_BLOCK):  # same stream order as one (count, n) draw
-        flips = rng.random((min(NOISE_ROW_BLOCK, count - lo), table.n)) < eta
-        zs[lo : lo + len(flips)] = flips @ table.place
+    n = table.n
+    xs = stream_words(stream_key(seed, 0), 0, count) >> (64 - (n - table.l))
+    xs = xs.astype(table.coset_of.dtype)
+    threshold, alias = noise_alias_table(n, eta)
+    noise = stream_words(stream_key(seed, 1), 0, count)
+    entry = (noise >> (64 - n)).astype(np.intp)
+    kept = noise % (1 << (64 - n)) < threshold[entry]
+    zs = np.where(kept, entry, alias[entry]).astype(table.elems.dtype)
     ys = table.coset_of[table.elems[xs, 0] ^ zs]
     return RefereeSamples(x=xs, y=ys, z=zs)
 

@@ -40,6 +40,8 @@ from kvbell.kvgame import (
     build_hadamard_subgroup,
     kv_functional,
     kv_game_to_json,
+    stream_key,
+    stream_words,
 )
 from kvbell.values import (
     ALMOST_ACTIVATION_CONSTANT,
@@ -190,12 +192,23 @@ def test_referee_sim_strategy_file(tmp_path, capsys):
         assert "must hold integers in [0, 4)" in capsys.readouterr().err
 
 
+def test_referee_sim_strategy_file_names_the_first_bad_entry(tmp_path, capsys):
+    # n = 16: 4,096 entries per party; the message names one entry, not the list
+    bob = [0] * 4096
+    bob[1234] = 16
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"alice": [0] * 4096, "bob": bob}))
+    assert main(["referee-sim", "--l", "4", "--strategy", str(bad), "--samples", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: strategy 'bob' must hold integers in [0, 16), got 16 at index 1234\n"
+
+
 def test_referee_sim_mes_pinned(capsys):
     argv = ["referee-sim", "--l", "3", "--samples", "200000", "--seed", "5", "--strategy", "mes"]
     res = run_json(capsys, argv)["result"]
-    assert res["wins"] == 186734
-    assert res["win_rate"] == {"value": 0.93367, "method": "empirical"}
-    assert res["deviation_sigmas"] == {"value": -1.3500802052484382, "method": "empirical"}
+    assert res["wins"] == 186851
+    assert res["win_rate"] == {"value": 0.934255, "method": "empirical"}
+    assert res["deviation_sigmas"] == {"value": -0.3000307971167815, "method": "empirical"}
 
 
 @pytest.mark.parametrize("samples", [10**7 + 1, 10**12])
@@ -204,8 +217,9 @@ def test_referee_sim_samples_guard(capsys, samples):
     assert "referee guard" in capsys.readouterr().err
 
 
-def _outcome_rng(seed):
-    return np.random.Generator(np.random.PCG64([seed, 1]))
+def _uniforms(seed, count):
+    # mes's uniform for round i: word i of the seed's stream 2, top 53 bits
+    return (stream_words(stream_key(seed, 2), 0, count) >> 11) * 2.0**-53
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
@@ -225,25 +239,24 @@ def _outcome_rng(seed):
 )
 def test_referee_sim_counts_match_whole_length_draws(capsys, l, strategy, samples):
     # rounds drawn and played block by block win the rounds that one
-    # whole-length stream wins, mes by its win law (1 - 2|z|/n)**2 against one
-    # whole-length uniform stream; an odd count leaves the x draws a spare
-    # 32-bit half that the noise stream skips
+    # whole-length draw wins, mes by its win law (1 - 2|z|/n)**2 against one
+    # whole-length read of the uniform stream
     argv = ["referee-sim", "--l", str(l), "--eta", "0.3", "--strategy", strategy]
     doc = run_json(capsys, argv + ["--samples", str(samples), "--seed", "3"])["result"]
     table = build_hadamard_subgroup(l)
     draws = referee_sample_whole_x(table, 0.3, 3, samples)
     if strategy == "mes":
         law = (1.0 - 2.0 * np.bitwise_count(draws.z) / table.n) ** 2
-        wins = _outcome_rng(3).random(samples) < law
+        wins = _uniforms(3, samples) < law
     else:
         wins = (table.elems[draws.x, 0] ^ table.elems[draws.y, 0]) == draws.z
     assert doc["wins"] == int(wins.sum()) and doc["win_rate"]["value"] == float(wins.mean())
 
 
-@pytest.mark.parametrize(("strategy", "wins"), [("mes", 934155), ("rep", 943867)])
+@pytest.mark.parametrize(("strategy", "wins"), [("mes", 934596), ("rep", 943696)])
 def test_referee_sim_golden_wins(capsys, strategy, wins):
-    # the counts of the sampler that drew every x, then every noise bit, from
-    # one PCG64(12345) stream held whole; mes plays its win law
+    # the counts of the whole-length draw of seed 12345's streams; mes plays
+    # its win law
     argv = ["referee-sim", "--l", "3", "--samples", "1000000", "--seed", "12345", "--strategy", strategy]
     assert run_json(capsys, argv)["result"]["wins"] == wins
 
@@ -320,8 +333,9 @@ def _referee_sim_peak(strategy, samples):
 @pytest.mark.parametrize("strategy", ["mes", "rep"])
 def test_referee_sim_memory_stays_per_block(strategy):
     # no round is kept: the peak is one block of rounds and the fixed tables,
-    # measured at 0.8 MiB (mes) and 0.5 MiB (rep) with numpy 2.4; the bound
-    # leaves 3.2 MiB over mes for other numpy builds' temporaries
+    # measured at 0.8 MiB for both mes and rep with numpy 2.4 (two 0.25 MiB
+    # uint64 arrays inside stream_words); the bound leaves 3.2 MiB for other
+    # numpy builds' temporaries
     _referee_sim_peak(strategy, 1)  # the first run's imports are not per round
     small = _referee_sim_peak(strategy, 100_000)
     large = _referee_sim_peak(strategy, 3_000_000)
@@ -1305,7 +1319,7 @@ def _refuse_constant(name):
         ["almost-activation", "--alpha", "1/11", "--d-grid", "8,64", "--delta", "1"],
         ["almost-activation", "--alpha", "1/10", "--delta", "1"],
         ["referee-sim", "--l", "2", "--strategy", "rep", "--samples", "1000"],
-        ["referee-sim", "--l", "1", "--eta", "0.001", "--samples", "200", "--seed", "3"],
+        ["referee-sim", "--l", "1", "--eta", "0.001", "--samples", "200", "--seed", "0"],
         ["local-content", "--dist", "pr-box", "--variant", "local"],
         ["local-content", "--dist", "chsh-quantum", "--seed", "2"],
     ],
@@ -1325,11 +1339,12 @@ def test_json_output_holds_no_infinity_or_nan(tmp_path, capsys, argv):
 
 
 def test_referee_sim_winning_every_round(capsys):
-    # 200 wins of 200 has no empirical spread; the deviation is measured by
-    # the spread of the exact value instead of reading infinite
+    # 200 wins of 200 (seed 0 wins them all) has no empirical spread; the
+    # deviation is measured by the spread of the exact value instead of
+    # reading infinite
     res = run_json(
         capsys,
-        ["referee-sim", "--l", "1", "--eta", "0.001", "--samples", "200", "--seed", "3"],
+        ["referee-sim", "--l", "1", "--eta", "0.001", "--samples", "200", "--seed", "0"],
     )["result"]
     exact = res["exact_value"]["value"]
     assert res["wins"] == 200 and res["std_error"]["value"] == 0.0

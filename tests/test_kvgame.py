@@ -22,6 +22,8 @@ from oracles import (
     kv_game_to_json_per_entry,
     noise_string_probs,
     referee_sample_whole_x,
+    splitmix64_words,
+    stream_key_by_limbs,
 )
 
 from kvbell.errors import GuardError, ValidationError
@@ -39,8 +41,11 @@ from kvbell.kvgame import (
     kv_game_to_json,
     kv_measurements,
     kv_question_marginal,
+    noise_alias_table,
     noise_weights,
     referee_sample,
+    stream_key,
+    stream_words,
 )
 from kvbell.values import pair
 
@@ -275,17 +280,94 @@ def test_referee_sample_determinism_and_consistency():
 
 @pytest.mark.parametrize("l", range(1, MAX_LOG + 1))
 def test_num_cosets_is_a_power_of_two(l):
-    # referee_sample starts the noise (count + 1) // 2 outputs into the
-    # stream: with a power-of-two range numpy draws each x from one 32-bit
-    # half and never rejects one
+    # referee_sample takes x as the top bits of a 64-bit word, which is
+    # uniform over the cosets only for a power-of-two count
     table = build_hadamard_subgroup(l)
     assert table.num_cosets == 1 << ((1 << l) - l)
+
+
+def test_splitmix64_first_word_is_the_published_one():
+    assert int(stream_words(0, 0, 1)[0]) == splitmix64_words(0, 1)[0] == 0xE220A8397B1DCDAF
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**63, 2**64 - 1, 0x0123456789ABCDEF])
+def test_stream_words_match_splitmix64(key):
+    want = splitmix64_words(key, 300)
+    assert stream_words(key, 0, 300).tolist() == want
+    # a slice is drawn without the words before it
+    assert stream_words(key, 123, 77).tolist() == want[123:200]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, 2**64, 2**64 + 1, 2**200])
+def test_stream_key_folds_every_limb(seed):
+    for stream in range(3):
+        assert stream_key(seed, stream) == stream_key_by_limbs(seed, stream)
+
+
+def test_referee_sample_takes_seeds_of_any_size():
+    table = build_hadamard_subgroup(3)
+    rounds = set()
+    for seed in (0, 2**64 - 1, 2**64, 2**200):
+        s = join_blocks(referee_sample(table, 0.25, seed=seed, count=64))
+        rounds.add((s.x.tobytes(), s.z.tobytes()))
+    assert len(rounds) == 4
+
+
+@pytest.mark.parametrize("l", [1, 2, 3, 4])
+def test_referee_rounds_read_the_documented_bits(l):
+    # x is the top log2(num_cosets) bits of stream 0's word; z keeps the
+    # entry named by stream 1's top n bits when its low bits fall below the
+    # entry's threshold, else takes the entry's alias
+    table = build_hadamard_subgroup(l)
+    n, seed, count = table.n, 2**64 + 5, 300
+    got = join_blocks(referee_sample(table, 0.3, seed=seed, count=count))
+    threshold, alias = (a.tolist() for a in noise_alias_table(n, 0.3))
+    x_words = splitmix64_words(stream_key_by_limbs(seed, 0), count)
+    assert got.x.tolist() == [w >> (64 - (n - l)) for w in x_words]
+    zs = []
+    for w in splitmix64_words(stream_key_by_limbs(seed, 1), count):
+        entry = w >> (64 - n)
+        zs.append(entry if w % 2 ** (64 - n) < threshold[entry] else alias[entry])
+    assert got.z.tolist() == zs
+
+
+ALIAS_CASES = [
+    (n, eta)
+    for n in (2, 4, 8, 16)
+    for eta in (0.05, 0.25, "auto", 0.5, 1e-3, 5e-324)
+    if eta != "auto" or n >= 8
+]
+
+
+@pytest.mark.parametrize(("n", "eta"), ALIAS_CASES)
+def test_noise_alias_table_holds_the_noise_law(n, eta):
+    eta = asymptotic_eta(n) if eta == "auto" else eta
+    threshold, alias = noise_alias_table(n, eta)
+    capacity = 2 ** (64 - n)
+    assert threshold.max() <= capacity and alias.max() < 2**n
+    words = [0] * 2**n  # of the 2**64 words, how many give each string
+    for entry, (t, a) in enumerate(zip(threshold.tolist(), alias.tolist())):
+        words[entry] += t
+        words[a] += capacity - t
+    assert sum(words) == 2**64
+    weights = np.bitwise_count(np.arange(2**n))
+    law = noise_weights(n, eta)[weights]
+    assert np.max(np.abs(np.array(words, dtype=np.float64) / 2.0**64 - law)) <= 1e-14
+    # exactly, for eta = p/q: every string but the all-zero one gets the floor
+    # of 2**64 eta^w (1 - eta)^(n - w) words, and the all-zero one the rest
+    p, q = eta.as_integer_ratio()
+    floor = [(p**w * (q - p) ** (n - w) << 64) // q**n for w in range(n + 1)]
+    assert all(floor[w] == count for w, count in zip(weights[1:].tolist(), words[1:]))
+    assert 0 <= words[0] - floor[0] < 2**n
+    if eta == 0.5:
+        assert words == [capacity] * 2**n
 
 
 def _assert_matches_whole_draw(table, seed, count):
     blocks = list(referee_sample(table, 0.3, seed=seed, count=count))
     assert [len(b) for b in blocks[:-1]] == [NOISE_ROW_BLOCK] * (len(blocks) - 1)
     assert 0 < len(blocks[-1]) <= NOISE_ROW_BLOCK
+    assert [b.start for b in blocks] == list(range(0, count, NOISE_ROW_BLOCK))
     got = join_blocks(blocks)
     want = referee_sample_whole_x(table, 0.3, seed=seed, count=count)
     for key in "xyz":
@@ -313,10 +395,9 @@ def _assert_matches_whole_draw(table, seed, count):
     ],
 )
 def test_blocked_referee_sample_matches_whole_length_draw(l, count):
-    # x carries its spare 32-bit half between blocks, and the noise, read
-    # NOISE_ROW_BLOCK // n rows at a time from a second stream advanced past
-    # the x draws, is the noise that follows every x in one stream; counts
-    # of both parities sit on either side of the first two block edges
+    # each block reads its rounds' words by index, so the blocks hold the
+    # rounds of one whole-length draw; counts of both parities sit on
+    # either side of the first two block edges
     _assert_matches_whole_draw(build_hadamard_subgroup(l), 11, count)
 
 
@@ -338,6 +419,8 @@ def test_referee_sample_checks_its_arguments_before_any_block():
         referee_sample(table, 0.3, seed=0, count=0)
     with pytest.raises(ValidationError, match="noise rate"):
         referee_sample(table, 0.6, seed=0, count=5)
+    with pytest.raises(ValidationError, match="seed must be non-negative"):
+        referee_sample(table, 0.3, seed=-1, count=5)
 
 
 def test_referee_sample_statistics():

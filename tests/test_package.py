@@ -94,7 +94,7 @@ def test_formula_commands_never_load_numpy():
 
 def test_local_content_never_loads_numpy_random(tmp_path):
     # chsh-quantum is Tsirelson's box from its formula, so no local-content route
-    # seeds a generator; referee-sim does, which shows a load
+    # seeds a generator; an explicit import at the end shows the probe sees a load
     dist = tmp_path / "dist.json"
     dist.write_text(json.dumps({"N": 2, "K": 2, "table": np.full((2, 2, 2, 2), 0.25).tolist()}))
     commands = [
@@ -102,10 +102,26 @@ def test_local_content_never_loads_numpy_random(tmp_path):
         ["local-content", "--dist", "chsh-quantum", "--variant", "free"],
         ["local-content", "--dist", "chsh-quantum", "--variant", "local"],
         ["local-content", "--dist", str(dist), "--variant", "local"],
-        ["referee-sim", "--l", "2", "--samples", "10"],
     ]
-    loaded = _fresh_python(MODULE_PROBE.format(commands=commands, prefix="numpy.random")).split()
+    probe = MODULE_PROBE.format(commands=commands, prefix="numpy.random")
+    probe += "import numpy.random\nprint('numpy.random' in sys.modules)\n"
+    loaded = _fresh_python(probe).split()
     assert loaded == ["False", "False", "False", "False", "True"]
+
+
+def test_referee_sim_loads_no_generator_module(tmp_path):
+    # the referee draws from splitmix64 words in plain uint64 arithmetic:
+    # numpy.random would bring its generator extensions and, through secrets
+    # and hashlib, OpenSSL
+    strategy = tmp_path / "strategy.json"
+    strategy.write_text(json.dumps({"alice": [x % 8 for x in range(32)], "bob": [7] * 32}))
+    commands = [
+        ["referee-sim", "--l", "3", "--samples", "1000", "--strategy", name]
+        for name in ("mes", "rep", str(strategy))
+    ]
+    prefix = ("numpy.random", "secrets", "hashlib", "_hashlib")  # str.startswith takes a tuple
+    loaded = _fresh_python(MODULE_PROBE.format(commands=commands, prefix=prefix)).split()
+    assert loaded == ["False", "False", "False"]
 
 
 def test_values_never_loads_numpy_random(tmp_path):
@@ -167,7 +183,7 @@ def test_game_file_commands_never_load_numpy_ma(tmp_path):
 # keyword or by position, in this order
 RECORDS = [
     (BoundConstants, {"classical": 2.0, "entangled": 3.0}),
-    (RefereeSamples, {"x": np.arange(3), "y": np.arange(3), "z": np.zeros(3)}),
+    (RefereeSamples, {"x": np.arange(3), "y": np.arange(3), "z": np.zeros(3), "start": 32768}),
     (
         LinearProgram,
         {"objective": np.ones(2), "rows": np.ones((1, 2)), "rhs": np.ones(1), "equality": False},
