@@ -35,7 +35,6 @@ from .kvgame import (
     entangled_lower_bound_asymptotic,
     kv_classical_upper_bound,
     kv_functional,
-    kv_measurements,
     kv_question_marginal,
     referee_sample,
     stream_key,
@@ -43,7 +42,7 @@ from .kvgame import (
     _check_eta,
 )
 from .localpolytope import local_content, lv_from_pi
-from .states import locality_threshold, make_mes
+from .states import locality_threshold
 from .values import (
     ALMOST_ACTIVATION_CONSTANT,
     ENUMERATION_GUARD,
@@ -55,9 +54,8 @@ from .values import (
     classical_value_exact,
     classical_value_heuristic,
     isotropic_power_value,
-    pair,
+    mes_pairing,
     pr_box_dist,
-    quantum_prob,
     quantum_value_kv_closed_form,
     superactivation_crossing,
     superactivation_log_ratio_bound,
@@ -427,8 +425,7 @@ def cmd_values(args) -> int:
             )
             classical_method = "heuristic-lb"
             notes.append("classical value is a heuristic lower bound; see the upper bound")
-        measurements = kv_measurements(table)
-        quantum = pair(functional, quantum_prob(make_mes(n), measurements, measurements))
+        quantum = mes_pairing(functional, table)
     classical_ub = kv_classical_upper_bound(n, eta)
     bounds = {"classical_upper_bound": _tagged(classical_ub, "formula-ub")} if coset_game else {}
     quantum_lb = None

@@ -24,6 +24,7 @@ from .kvgame import (
     BOUND_CONSTANTS,
     EXACT_GAME_SIZES,
     BellFunctional,
+    CosetTable,
     Measurement,
     build_hadamard_subgroup,
     kv_functional,
@@ -194,6 +195,10 @@ def quantum_prob(rho: DensityMatrix, alice, bob) -> ProbDist:
     of F, rho is permuted into R[(i, j), (l, k)] = rho[(j, l), (i, k)],
     and E R F^T is the whole table.  Rank-1 measurements enter through
     Measurement.operators, the outer products of their vectors.
+
+    No command runs it: values pairs the coset game's MES strategy by its
+    win law (mes_pairing).  The tests, perfbench/gen.py, the expansion
+    stack (kv_value_for_expansion) and the seesaw call it.
     """
     alice = list(alice)
     bob = list(bob)
@@ -238,6 +243,32 @@ def quantum_value_kv_closed_form(n: int, eta: float) -> float:
         raise ValidationError(f"block length must be >= 2, got {n}")
     p, q = _check_eta(eta).as_integer_ratio()
     return ((q - 2 * p) ** 2 * n + 4 * p * (q - p)) / (q * q * n)
+
+
+def mes_pairing(functional: BellFunctional, table: CosetTable) -> float:
+    """Pairing of functional with the coset game's MES strategy: both
+    parties measure MES(n) in the sign basis of their question's coset.
+
+    That strategy answers P(a, b | x, y) = (1/n) (1 - 2|a xor b|/n)**2 with
+    a = table.elems[x, i], b = table.elems[y, j] (the proof under
+    quantum_value_kv_closed_form), so no state, measurement or outcome
+    table is built.  The weights of one question plane x, (N, K, K) of
+    them, are paired at a time and the planes summed with math.fsum;
+    every per-weight probability (n - 2w)**2 / n**3 is exact in floats.
+    """
+    n, N = table.n, table.num_cosets
+    if (functional.num_inputs, functional.num_outputs) != (N, n):
+        raise ValidationError(
+            f"shape mismatch: functional ({functional.num_inputs}, {functional.num_outputs})"
+            f" vs coset table ({N}, {n})"
+        )
+    per_weight = (n - 2 * np.arange(n + 1)) ** 2 / n**3
+    dense, elems = functional.dense(), table.elems
+    planes = (
+        dense[x] * per_weight[np.bitwise_count(elems[x, None, :, None] ^ elems[:, None, :])]
+        for x in range(N)
+    )
+    return math.fsum(float(np.sum(plane)) for plane in planes)
 
 
 class ExpansionValue:

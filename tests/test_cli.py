@@ -298,6 +298,27 @@ def test_referee_sim_consistent_at_n16(tmp_path, capsys, strategy):
         assert res["consistent_4sigma"] is True, (seed, res["deviation_sigmas"])
 
 
+# the dense MES route: sign-basis measurements, the MES density matrix, its
+# Born-rule table and the pairing with that table
+DENSE_MES = ("kv_measurements", "make_mes", "quantum_prob", "pair")
+
+
+def _count_calls(monkeypatch, calls, names, modules=None) -> None:
+    """Append to calls the name of each call to the named kvbell functions,
+    patched by default in the module that defines each one and in every
+    kvbell module that imports it."""
+    for module in modules or (kvbell.kvgame, kvbell.states, kvbell.values, kvbell.cli):
+        for name in names:
+            if not hasattr(module, name):
+                continue
+
+            def counted(*args, name=name, function=getattr(module, name)):
+                calls.append(name)
+                return function(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+
 def test_referee_sim_mes_builds_no_game_table(tmp_path, capsys, monkeypatch):
     # mes plays each round by its win law, and rep and strategy files are
     # valued from their answer strings: no game table, measurement or
@@ -305,13 +326,8 @@ def test_referee_sim_mes_builds_no_game_table(tmp_path, capsys, monkeypatch):
     strat = tmp_path / "strategy.json"
     strat.write_text(json.dumps({"alice": [x % 8 for x in range(32)], "bob": [7] * 32}))
     calls = []
-    for name in ("kv_functional", "kv_measurements", "make_mes", "quantum_prob", "pair"):
-
-        def counted(*args, name=name, function=getattr(kvbell.cli, name)):
-            calls.append(name)
-            return function(*args)
-
-        monkeypatch.setattr(kvbell.cli, name, counted)
+    _count_calls(monkeypatch, calls, DENSE_MES)
+    _count_calls(monkeypatch, calls, ["kv_functional"], [kvbell.cli])
     argv = ["referee-sim", "--l", "3", "--samples", "1000", "--strategy"]
     for strategy in ("mes", "rep", str(strat)):
         run_json(capsys, argv + [strategy])
@@ -1274,6 +1290,35 @@ def test_game_file_memory_holds_no_text_or_object_per_entry(tmp_path, capsys):
     capsys.readouterr()
     assert build <= 3.5 * 2**20, f"kv-build peak {build / 2**20:.1f} MiB"
     assert values <= 3 * 2**20, f"values --game peak {values / 2**20:.1f} MiB"
+
+
+def test_values_builds_no_state_or_outcome_table(tmp_path, capsys, monkeypatch):
+    # values pairs the MES strategy by its win law, for the coset game and for
+    # a game file that is not it
+    game = str(tmp_path / "game.json")
+    run_json(capsys, ["kv-build", "--l", "3", "--out", game])
+    doubled = str(tmp_path / "doubled.json")
+    doc = json.loads(Path(game).read_text())
+    for entry in doc["entries"]:
+        entry["c"] *= 2
+    Path(doubled).write_text(json.dumps(doc))
+    calls = []
+    _count_calls(monkeypatch, calls, DENSE_MES)
+    for argv in (["--l", "1"], ["--l", "2"], ["--l", "3"], ["--game", game], ["--game", doubled]):
+        result = run_json(capsys, ["values", *argv])["result"]
+        assert result["quantum"]["method"] == "exact"
+        assert calls == [], argv
+    assert any("not the coset game" in note for note in result["notes"])
+
+
+def test_values_memory_holds_one_question_plane():
+    # the n = 8 game table is 0.5 MiB and one question plane of weights 16 KiB:
+    # measured at 0.74 MiB with numpy 2.4.6, where the dense route (the 64 x 64
+    # MES, the Born-rule table and its ProbDist copy) read 2.07 MiB
+    with contextlib.redirect_stdout(io.StringIO()):
+        _traced_peak(["values", "--l", "3"])  # the first run's imports are not the command's
+        peak = _traced_peak(["values", "--l", "3"])
+    assert peak <= 1.25 * 2**20, f"values --l 3 peak {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize(

@@ -33,6 +33,7 @@ from kvbell.errors import GuardError, ValidationError
 from kvbell.kvgame import (
     BellFunctional,
     Measurement,
+    asymptotic_eta,
     build_hadamard_subgroup,
     kv_classical_upper_bound,
     kv_functional,
@@ -57,6 +58,7 @@ from kvbell.values import (
     classical_value_heuristic,
     isotropic_power_value,
     kv_value_for_expansion,
+    mes_pairing,
     pair,
     pr_box_dist,
     quantum_prob,
@@ -407,6 +409,42 @@ def test_closed_form_is_the_mean_of_the_win_law(n):
         )
         assert mean == (1 - 2 * eta) ** 2 + 4 * eta * (1 - eta) / n
         assert quantum_value_kv_closed_form(n, float(eta)) == float(mean)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_mes_pairing_equals_the_dense_route(l, rng):
+    # the win law against the MES Born-rule table, on coset games and on
+    # random tables with negative and zero coefficients
+    table = build_hadamard_subgroup(l)
+    n, N = table.n, table.num_cosets
+    meas = kv_measurements(table)
+    probs = quantum_prob(make_mes(n), meas, meas)
+    games = [kv_functional(table, eta) for eta in ETA_GRID]
+    for _ in range(5):
+        coef = rng.uniform(-1.0, 2.0, size=(N, N, n, n))
+        coef[rng.random(coef.shape) < 0.3] = 0.0
+        games.append(BellFunctional(N, n, coef))
+    for game in games:
+        want = pair(game, probs)
+        assert abs(mes_pairing(game, table) - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_mes_pairing_of_the_coset_game_is_the_closed_form(l):
+    # within 8 ulp of (1 - 2 eta)^2 + 4 eta (1 - eta)/n taken exactly
+    table = build_hadamard_subgroup(l)
+    n = table.n
+    etas = [0.05, 0.25, 0.3, 0.5, 1e-200] + ([asymptotic_eta(n)] if n >= 8 else [])
+    for eta in etas:
+        exact = (1 - 2 * Fraction(eta)) ** 2 + 4 * Fraction(eta) * (1 - Fraction(eta)) / n
+        got = mes_pairing(kv_functional(table, eta), table)
+        assert abs(Fraction(got) - exact) <= 8 * math.ulp(float(exact)), eta
+
+
+def test_mes_pairing_refuses_another_shape():
+    game = kv_functional(build_hadamard_subgroup(2), 0.25)
+    with pytest.raises(ValidationError, match="shape mismatch"):
+        mes_pairing(game, build_hadamard_subgroup(3))
 
 
 def test_uniform_answers_value():
