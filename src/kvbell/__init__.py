@@ -44,6 +44,7 @@ from .values import (
     mes_pairing,
     pr_box_dist,
     quantum_value_kv_closed_form,
+    rep_value,
     superactivation_crossing,
     superactivation_monotone_from,
     superactivation_ratio_bound,
@@ -97,6 +98,7 @@ __all__ = [
     "pr_box_dist",
     "quantum_value_kv_closed_form",
     "referee_sample",
+    "rep_value",
     "solve_lp",
     "superactivation_crossing",
     "superactivation_monotone_from",

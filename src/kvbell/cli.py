@@ -57,6 +57,7 @@ from .values import (
     mes_pairing,
     pr_box_dist,
     quantum_value_kv_closed_form,
+    rep_value,
     superactivation_crossing,
     superactivation_log_ratio_bound,
     superactivation_monotone_from,
@@ -388,33 +389,30 @@ def cmd_values(args) -> int:
         functional, table, eta = _load_game(args.game)
         n = table.n
         label = f"game file {Path(args.game).name}"
+        # the coset-game formulas describe a game file only if _load_game gave the coset game
+        coset_game = "coset_table" in functional.meta
     else:
         n = _resolve_block_length(args)
         eta = _resolve_eta(args.eta, n)
         label = f"coset game n={n} eta={eta:.6g}"
-        functional = None
-        if n in EXACT_GAME_SIZES:
-            table = build_hadamard_subgroup(n.bit_length() - 1)
-            functional = kv_functional(table, eta)
-    # the coset-game formulas describe a game file only if _load_game gave the coset game
-    coset_game = functional is None or "coset_table" in functional.meta
+        coset_game = True
     closed = quantum_value_kv_closed_form(n, eta)
     notes = []
-    if not coset_game:
+    if coset_game:
+        # both values from exact formulas, so no table is built or paired
+        classical, classical_method = rep_value(n, eta), "exact"
+        if n > 4:  # rep_value's proof of optimality holds at n = 2 and 4 only
+            classical_method = "formula-lb"
+            notes.append(
+                "classical value is the rep strategy's (1 - eta)^l, a lower bound; "
+                "see the upper bound"
+            )
+        quantum = closed
+    else:
         notes.append(
             f"the entries are not the coset game at eta={eta:.6g}; "
             "its formula values are left out"
         )
-    if functional is None:
-        # n = 16 has no dense game table: both values come from the formulas
-        classical = None
-        classical_method = "formula-ub"
-        notes.append(
-            "classical search needs a dense table; at this size only the "
-            "upper bound is reported"
-        )
-        quantum = closed
-    else:
         N, K = functional.num_inputs, functional.num_outputs
         if K**N <= ENUMERATION_GUARD:
             classical = classical_value_exact(functional)
@@ -452,8 +450,7 @@ def cmd_values(args) -> int:
         result["closed_form"] = _tagged(closed, "exact")
     if coset_game and classical_method != "exact" and classical_ub > 0:
         result["lv_lower_bound"] = _tagged(quantum / classical_ub, "formula-lb")
-    classical_text = "not computed" if classical is None else f"{classical:.12g}"
-    lines = [label, f"  classical value   {classical_text} [{classical_method}]"]
+    lines = [label, f"  classical value   {classical:.12g} [{classical_method}]"]
     if coset_game:
         lines.append(f"  classical upper   {classical_ub:.12g} [formula-ub]")
     lines.append(f"  quantum (MES strategy) {quantum:.12g} [exact]")
@@ -804,8 +801,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, help="log2 of the block length n")
     p.add_argument("--eta", help="noise rate in (0, 1/2], or 'auto'")
     p.add_argument("--game", help="evaluate a kv-build game file instead of --l and --eta")
-    p.add_argument("--seed", type=int, default=0, help="seed for the heuristic path")
-    p.add_argument("--restarts", type=int, default=50, help="heuristic restarts")
+    only = "which runs only on --game files at n = 8 that are not the coset game"
+    p.add_argument("--seed", type=int, default=0, help=f"seed of the heuristic, {only}")
+    p.add_argument("--restarts", type=int, default=50, help=f"restarts of the heuristic, {only}")
     add_common(p)
     p.set_defaults(func=cmd_values)
 

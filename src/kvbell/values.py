@@ -1,6 +1,7 @@
 """Game values: bilinear pairings, classical optima (exact and heuristic),
-quantum distributions from states and measurements, and the bound chains
-behind the super-activation and almost-activation experiments.
+the coset game's values from exact formulas, quantum distributions from
+states and measurements, and the bound chains behind the super-activation
+and almost-activation experiments.
 
 Method vocabulary used in results and reports:
   exact             computed by full enumeration, dense algebra, rational
@@ -196,7 +197,8 @@ def quantum_prob(rho: DensityMatrix, alice, bob) -> ProbDist:
     and E R F^T is the whole table.  Rank-1 measurements enter through
     Measurement.operators, the outer products of their vectors.
 
-    No command runs it: values pairs the coset game's MES strategy by its
+    No command runs it: values takes the MES strategy's value on the coset
+    game from quantum_value_kv_closed_form and on any other game from its
     win law (mes_pairing).  The tests, perfbench/gen.py, the expansion
     stack (kv_value_for_expansion) and the seesaw call it.
     """
@@ -245,6 +247,27 @@ def quantum_value_kv_closed_form(n: int, eta: float) -> float:
     return ((q - 2 * p) ** 2 * n + 4 * p * (q - p)) / (q * q * n)
 
 
+def rep_value(n: int, eta: float) -> float:
+    """Coset-game value of the rep strategy, both parties answering each
+    coset's first member: (1 - eta)**l at n = 2**l, a lower bound on the
+    classical value, and that value itself at n = 2 and 4.
+
+    Proof of the equality: a deterministic pair (A, B) wins question x with
+    P(z in A[x] xor B), and A[x] xor B holds one string per coset, so no
+    pair wins more than the sum over cosets of P(z = the coset's
+    minimum-weight string).  At l = 1 and 2 the cosets' minimum weights are
+    counted by C(l, w), which makes that sum (1 - eta)**(n - l), and
+    n - l = l there.  From n = 8 on they are not ([1, 8, 14, 8, 1] at
+    n = 8).  Evaluated exactly from eta = p/q as (q - p)**l / q**l,
+    rounded once, as deterministic_value counts it for rep's strings.
+    """
+    if n < 2 or n & (n - 1):
+        raise ValidationError(f"block length must be a power of 2 from 2 on, got {n}")
+    p, q = _check_eta(eta).as_integer_ratio()
+    l = n.bit_length() - 1
+    return (q - p) ** l / q**l
+
+
 def mes_pairing(functional: BellFunctional, table: CosetTable) -> float:
     """Pairing of functional with the coset game's MES strategy: both
     parties measure MES(n) in the sign basis of their question's coset.
@@ -255,6 +278,7 @@ def mes_pairing(functional: BellFunctional, table: CosetTable) -> float:
     table is built.  The weights of one question plane x, (N, K, K) of
     them, are paired at a time and the planes summed with math.fsum;
     every per-weight probability (n - 2w)**2 / n**3 is exact in floats.
+    values runs it on game files that are not the coset game.
     """
     n, N = table.n, table.num_cosets
     if (functional.num_inputs, functional.num_outputs) != (N, n):

@@ -25,6 +25,7 @@ from oracles import (
     load_game_per_entry,
     referee_sample_whole_x,
 )
+from test_package import non_coset_game
 
 import kvbell
 from kvbell.cli import (
@@ -45,6 +46,7 @@ from kvbell.kvgame import (
 )
 from kvbell.values import (
     ALMOST_ACTIVATION_CONSTANT,
+    mes_pairing,
     pr_box_dist,
     quantum_value_kv_closed_form,
     superactivation_log_ratio_bound,
@@ -104,7 +106,7 @@ def test_values_json_is_reproducible(capsys):
     a = run_json(capsys, ["values", "--l", "3", "--eta", "auto", "--seed", "5"])
     b = run_json(capsys, ["values", "--l", "3", "--eta", "auto", "--seed", "5"])
     assert json.dumps(a["result"], sort_keys=True) == json.dumps(b["result"], sort_keys=True)
-    assert a["result"]["classical"]["method"] == "heuristic-lb"
+    assert a["result"]["classical"] == {"value": 0.9437826906549128, "method": "formula-lb"}
     assert a["result"]["quantum"]["method"] == "exact"
     assert "quantum_lower_bound" in a["result"]["bounds"]
 
@@ -273,11 +275,14 @@ def test_referee_sim_mes_consistent_at_every_size(capsys, l):
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4])
 def test_referee_sim_rep_value_is_correctly_rounded(capsys, l):
-    # rep answers each coset's first member and wins (1 - eta)**l, rounded once
+    # rep answers each coset's first member and wins (1 - eta)**l, rounded once;
+    # values reports the same number as the classical value
     for eta in ("0.05", "0.25", "0.3", "0.5", "5e-324") + (("auto",) if l >= 3 else ()):
         argv = ["referee-sim", "--l", str(l), "--eta", eta, "--strategy", "rep", "--samples", "1"]
         res = run_json(capsys, argv)["result"]
         assert res["exact_value"]["value"] == float((1 - Fraction(res["eta"])) ** l), eta
+        classical = run_json(capsys, ["values", "--l", str(l), "--eta", eta])["result"]["classical"]
+        assert classical["value"] == res["exact_value"]["value"], eta
 
 
 @pytest.mark.parametrize("strategy", ["rep", "file"])
@@ -838,12 +843,12 @@ def test_distribution_file_header_rejected(tmp_path, capsys, doc):
 
 def test_values_n16_is_formula_only(capsys):
     res = run_json(capsys, ["values", "--l", "4"])["result"]
-    assert res["classical"] == {"value": None, "method": "formula-ub"}
+    assert res["classical"] == {"value": 0.5487243724411288, "method": "formula-lb"}
     assert res["quantum"] == res["closed_form"]
     assert res["quantum"] == {"value": 0.5503208549231893, "method": "exact"}
     assert res["ratio"] is None
     assert res["notes"] == [
-        "classical search needs a dense table; at this size only the upper bound is reported",
+        "classical value is the rep strategy's (1 - eta)^l, a lower bound; see the upper bound",
         "ratio omitted: classical value is not exact",
     ]
     assert res["bounds"] == {
@@ -986,14 +991,16 @@ def _game_file_layout(text: str, layout: str) -> str:
     ],
 )
 def test_values_of_a_game_file_match_values_by_size(tmp_path, capsys, l, eta, layout):
-    # the kv-build file is recognised by its text; the two rewrites are read whole
+    # the kv-build file is recognised by its text; the two rewrites are read whole.
+    # Either way the file is the coset game, so every field but the label matches
     path = tmp_path / "game.json"
     run_json(capsys, ["kv-build", "--l", str(l), "--eta", eta, "--out", str(path)])
     path.write_text(_game_file_layout(path.read_text(), layout))
     loaded = run_json(capsys, ["values", "--game", str(path), "--seed", "3"])["result"]
     direct = run_json(capsys, ["values", "--l", str(l), "--eta", eta, "--seed", "3"])["result"]
-    assert loaded["classical"] == direct["classical"]
-    assert loaded["quantum"] == direct["quantum"]
+    assert loaded.pop("functional") == "game file game.json"
+    assert direct.pop("functional").startswith("coset game")
+    assert loaded == direct
 
 
 @pytest.mark.parametrize("l,eta", [(2, "0.25"), (3, "auto")])
@@ -1293,8 +1300,8 @@ def test_game_file_memory_holds_no_text_or_object_per_entry(tmp_path, capsys):
 
 
 def test_values_builds_no_state_or_outcome_table(tmp_path, capsys, monkeypatch):
-    # values pairs the MES strategy by its win law, for the coset game and for
-    # a game file that is not it
+    # values takes the MES strategy's value from its closed form on the coset
+    # game and from its win law on a game file that is not it
     game = str(tmp_path / "game.json")
     run_json(capsys, ["kv-build", "--l", "3", "--out", game])
     doubled = str(tmp_path / "doubled.json")
@@ -1311,14 +1318,21 @@ def test_values_builds_no_state_or_outcome_table(tmp_path, capsys, monkeypatch):
     assert any("not the coset game" in note for note in result["notes"])
 
 
-def test_values_memory_holds_one_question_plane():
-    # the n = 8 game table is 0.5 MiB and one question plane of weights 16 KiB:
-    # measured at 0.74 MiB with numpy 2.4.6, where the dense route (the 64 x 64
-    # MES, the Born-rule table and its ProbDist copy) read 2.07 MiB
-    with contextlib.redirect_stdout(io.StringIO()):
-        _traced_peak(["values", "--l", "3"])  # the first run's imports are not the command's
-        peak = _traced_peak(["values", "--l", "3"])
-    assert peak <= 1.25 * 2**20, f"values --l 3 peak {peak / 2**20:.2f} MiB"
+def test_values_memory_holds_one_question_plane(tmp_path):
+    # values pairs the MES by mes_pairing only on a game file that is not the
+    # coset game; one question plane of weights is 16 KiB at n = 8.  Measured
+    # at 0.05 MiB with numpy 2.4.6, where the dense route (the 64 x 64 MES,
+    # the measurements, the Born-rule table and its ProbDist copy) read 1.53 MiB
+    functional, table, _ = _load_game(non_coset_game(tmp_path, 3))
+    assert "coset_table" not in functional.meta
+    mes_pairing(functional, table)  # the first call's imports are not the pairing's
+    tracemalloc.start()
+    try:
+        assert mes_pairing(functional, table) == 0.125
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 2**20, f"mes_pairing peak {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,18 @@ COMMANDS = [
 ]
 
 
+def non_coset_game(directory: Path, l: int) -> str:
+    """A game file at n = 2**l that is not the coset game: weight 1/N on each
+    question's (x, x, 0, 0).  values reaches the enumeration at n = 4, the
+    heuristic at n = 8, and mes_pairing at both."""
+    n = 1 << l
+    N = (1 << n) // n
+    entries = [{"x": x, "y": x, "a": 0, "b": 0, "c": 1 / N} for x in range(N)]
+    path = directory / f"game{n}.json"
+    path.write_text(json.dumps({"n": n, "eta": 0.25, "N": N, "K": n, "entries": entries}))
+    return str(path)
+
+
 def test_all_names_resolve_without_duplicates():
     assert len(kvbell.__all__) == len(set(kvbell.__all__))
     missing = [name for name in kvbell.__all__ if not hasattr(kvbell, name)]
@@ -79,17 +91,19 @@ for argv in {commands!r}:
 """
 
 
-def test_formula_commands_never_load_numpy():
+def test_formula_commands_never_load_numpy(tmp_path):
     # numpy's import was most of `import kvbell.cli`; kvbell._numpy defers it to first use.
-    # values does load it, which shows the probe sees a load
+    # values takes the coset game from formulas at every size; values on a game
+    # file that is not the coset game loads numpy, which shows the probe sees a load
     commands = [
         ["superactivation", "--d", "8", "--k", "1:8"],
         ["superactivation", "--d", "2", "--k", "1:3"],
         ["almost-activation", "--d-grid", "4,8"],
-        ["values", "--l", "2"],
+        *(["values", "--l", l] for l in "1234"),
+        ["values", "--game", non_coset_game(tmp_path, 1)],
     ]
     loaded = _fresh_python(MODULE_PROBE.format(commands=commands, prefix="numpy.")).split()
-    assert loaded == ["False", "False", "False", "True"]
+    assert loaded == ["False"] * 7 + ["True"]
 
 
 def test_local_content_never_loads_numpy_random(tmp_path):
@@ -235,13 +249,17 @@ def test_commands_run_every_public_function(tmp_path, capsys):
         if event == "call":
             called.add(frame.f_code)
 
+    # the coset game's values come from formulas, so the search and the
+    # pairing run on game files that are not the coset game
+    commands = [[part.format(dir=tmp_path) for part in argv] for argv in COMMANDS]
+    commands += [["values", "--game", non_coset_game(tmp_path, l)] for l in (2, 3)]
     previous = sys.getprofile()
     sys.setprofile(record)
     try:
-        codes = [main([part.format(dir=tmp_path) for part in argv]) for argv in COMMANDS]
+        codes = [main(argv) for argv in commands]
     finally:
         sys.setprofile(previous)
     capsys.readouterr()
-    assert codes == [0] * len(COMMANDS)
+    assert codes == [0] * len(commands)
     public = [getattr(kvbell, name) for name in kvbell.__all__]
     assert [f.__name__ for f in public if inspect.isfunction(f) and f.__code__ not in called] == []

@@ -63,6 +63,7 @@ from kvbell.values import (
     pr_box_dist,
     quantum_prob,
     quantum_value_kv_closed_form,
+    rep_value,
     seesaw_lower_bound,
     superactivation_crossing,
     superactivation_log_ratio_bound,
@@ -171,6 +172,42 @@ def test_classical_value_respects_upper_bound(eta):
     game = kv_functional(build_hadamard_subgroup(2), eta)
     value = classical_value_exact(game)
     assert value <= kv_classical_upper_bound(4, eta) + 1e-12
+
+
+@pytest.mark.parametrize("l,counts", [(1, [1, 1]), (2, [1, 2, 1]), (3, [1, 8, 14, 8, 1])])
+def test_coset_leader_weights_are_binomial_only_below_n8(l, counts):
+    # how many cosets have each minimum weight: C(l, w) is what makes the
+    # leaders' bound in rep_value's proof equal (1 - eta)**l
+    table = build_hadamard_subgroup(l)
+    leaders = np.bincount(np.bitwise_count(table.elems).min(axis=1)).tolist()
+    assert leaders == counts
+    assert (leaders == [math.comb(l, w) for w in range(l + 1)]) == (l <= 2)
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_leader_bound_is_rep_value_at_n_2l(l):
+    n = 2 * l  # = 2**l at l = 1 and 2
+    for eta in (Fraction(1, 4), Fraction(3, 8), Fraction(1, 2), Fraction(5, 1024), Fraction(0.3)):
+        bound = sum(math.comb(l, w) * eta**w * (1 - eta) ** (n - w) for w in range(l + 1))
+        assert bound == (1 - eta) ** l
+        assert rep_value(n, float(eta)) == float(bound)
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_enumeration_is_rep_value(l, rng):
+    table = build_hadamard_subgroup(l)
+    for eta in [*rng.uniform(0.0, 0.5, size=60).tolist(), 0.5, 1e-200]:
+        want = rep_value(table.n, eta)
+        got = classical_value_exact(kv_functional(table, eta))
+        assert abs(got - want) <= 4 * math.ulp(want), eta
+
+
+def test_rep_value_refuses_bad_input():
+    for n in (0, 1, 6, 12):
+        with pytest.raises(ValidationError, match="block length"):
+            rep_value(n, 0.25)
+    with pytest.raises(ValidationError, match="noise rate"):
+        rep_value(8, 0.6)
 
 
 def test_chsh_classical_value():
